@@ -26,7 +26,6 @@ from .diagrams import (
     DegenerateDiagram,
     DiagramError,
     arrows_cross,
-    best_rotation,
 )
 from .lincomb import LinComb, as_lincomb
 from .maps import base_expand, pair_ortho
@@ -90,10 +89,13 @@ def _based_term(layout, model, pair, side, marks):
         if sum(1 for (c, _r) in model.words[side][s] if c in pair) == 2
     )
     _cls, arrows, anchor = _assemble_term(layout, model, pair, side, marks, "arrow")
-    n = len(arrows)
-    d = ArrowDiagram(layout.K, arrows)
-    r = best_rotation(n, arrows)
-    return BasedDiagram(d, (anchor[shared] - r) % (2 * n))
+    # a based diagram has no rotation freedom: rotate the assembled word so
+    # the shared arc sits between positions 2n-1 and 0, no canonical form
+    size = 2 * len(arrows)
+    shift = lambda p: (p - anchor[shared] - 1) % size
+    return BasedDiagram.from_word(
+        layout.K, [(shift(t), shift(h), m, s) for (t, h, m, s) in arrows]
+    )
 
 
 def _pair_is_monotonic(model, pair):

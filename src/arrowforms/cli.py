@@ -38,6 +38,12 @@ def _window(args, K=None):
         raise CliError("bad --markings value: %s" % e)
 
 
+def _degree(args):
+    if args.degree < 0:
+        raise CliError("--degree must be nonnegative, got %d" % args.degree)
+    return args.degree
+
+
 def _cache_dir(args):
     if args.cache_dir:
         return args.cache_dir
@@ -77,7 +83,7 @@ def cmd_enumerate(args):
     if args.species not in ("gauss", "arrow"):
         raise CliError("--species must be gauss or arrow")
     w = _window(args)
-    ds = enumerate_diagrams(args.species, args.degree, w)
+    ds = enumerate_diagrams(args.species, _degree(args), w)
     lines = ["count=%d" % len(ds)]
     for d in ds:
         lines.append("aut=%d" % d.aut_order())
@@ -89,7 +95,7 @@ def cmd_enumerate(args):
 
 def cmd_solve(args):
     w = _window(args)
-    basis = engine.solve_formula_space(args.degree, w, cache_dir=_cache_dir(args))
+    basis = engine.solve_formula_space(_degree(args), w, cache_dir=_cache_dir(args))
     header = " degree=%d K=%d markings=%s" % (
         args.degree, w.K, ",".join(str(v) for v in w.values()),
     )
@@ -223,7 +229,7 @@ def cmd_selftest(args):
             for i in range(n)
         ]
         d = GaussDiagram(rng.randint(-2, 4), arrows)
-        if canonical_arrows(n, d.arrows) != d.arrows:
+        if canonical_arrows(n, d.arrows)[0] != d.arrows:
             ok = False
         r = rng.randrange(2 * n)
         rot = [((t + r) % (2 * n), (h + r) % (2 * n), m, s) for (t, h, m, s) in arrows]

@@ -52,84 +52,79 @@ def _endpoint_map(n, arrows):
     return ends
 
 
-def _stream(n, arrows, ends, r):
-    """Token stream read from rotated position r, arrows relabelled by
-    first occurrence.  Two diagrams are equal iff their minimal streams are."""
+def _stream(size, keys, ends, r):
+    """Token stream read from rotated position r: the token at q is
+    (j, role, mark, sign) for the endpoint at (q + r) mod size, with arrows
+    relabelled j = 0, 1, ... by first occurrence.  Flattened to alternating
+    j and (role, mark, sign) entries, which compare in the same order."""
     relabel = {}
     out = []
-    for q in range(2 * n):
-        i, role = ends[(q + r) % (2 * n)]
-        j = relabel.setdefault(i, len(relabel))
-        t, h, m, s = arrows[i]
-        out.append((j, role, m, s))
-    return tuple(out)
+    for q in range(r, r + size):
+        p = q % size
+        i = ends[p]
+        j = relabel.get(i)
+        if j is None:
+            j = relabel[i] = len(relabel)
+        out.append(j)
+        out.append(keys[p])
+    return out
 
 
 def canonical_arrows(n, arrows):
-    """Lexicographically least encoding over all 2n rotations.
+    """Canonical form of a diagram: (arrows, rotation, |Aut|).
 
-    Returns the canonical arrow tuple (sorted by first endpoint occurrence,
-    positions rotated accordingly).  Pure function; idempotent and constant
-    on rotation orbits.
-    """
-    arrows = tuple(tuple(a) for a in arrows)
+    The canonical representative is read from the rotation r with the
+    lexicographically least token stream (see `_stream`), the least such r
+    on ties; its arrows are sorted by first endpoint occurrence, and
+    position p of the input sits at (p - r) mod 2n in it.  |Aut| is the
+    number of rotations fixing the diagram, i.e. the number of rotations
+    reaching the least stream.
+
+    Every stream starts with the token (0, role, mark, sign) of its first
+    endpoint, so only rotations starting at an endpoint with the least
+    (role, mark, sign) can win, and only those streams are built."""
     if n == 0:
-        return ()
-    ends = _endpoint_map(n, arrows)
-    best_r = 0
-    best = _stream(n, arrows, ends, 0)
-    for r in range(1, 2 * n):
-        s = _stream(n, arrows, ends, r)
-        if s < best:
-            best, best_r = s, r
-    # rebuild arrows from the winning rotation, ordered by first occurrence
-    order = []
-    seen = set()
-    for q in range(2 * n):
-        i, _role = ends[(q + best_r) % (2 * n)]
-        if i not in seen:
-            seen.add(i)
-            order.append(i)
-    shift = lambda p: (p - best_r) % (2 * n)
-    return tuple((shift(t), shift(h), m, s) for (t, h, m, s) in (arrows[i] for i in order))
-
-
-def best_rotation(n, arrows):
-    """A rotation r that realizes the canonical encoding: position p of the
-    input sits at (p - r) mod 2n in the canonical representative.  With a
-    rotation symmetry present, any minimizing r is equivalent."""
-    if n == 0:
-        return 0
-    ends = _endpoint_map(n, arrows)
-    best_r = 0
-    best = _stream(n, arrows, ends, 0)
-    for r in range(1, 2 * n):
-        s = _stream(n, arrows, ends, r)
-        if s < best:
-            best, best_r = s, r
-    return best_r
-
-
-def rotation_count(n, arrows):
-    """Number of rotations fixing the diagram (= |Aut|); 1 for n == 0."""
-    if n == 0:
-        return 1
-    ends = _endpoint_map(n, arrows)
-    base = _stream(n, arrows, ends, 0)
-    return sum(1 for r in range(2 * n) if _stream(n, arrows, ends, r) == base)
+        return (), 0, 1
+    size = 2 * n
+    keys = [None] * size
+    ends = [0] * size
+    for i, (t, h, m, s) in enumerate(arrows):
+        keys[t] = (0, m, s)
+        keys[h] = (1, m, s)
+        ends[t] = ends[h] = i
+    low = min(keys)
+    starts = [r for r in range(size) if keys[r] == low]
+    best_r = starts[0]
+    aut = 1
+    if len(starts) > 1:
+        best = _stream(size, keys, ends, best_r)
+        for r in starts[1:]:
+            cand = _stream(size, keys, ends, r)
+            if cand < best:
+                best, best_r, aut = cand, r, 1
+            elif cand == best:
+                aut += 1
+    # arrows ordered by their first endpoint in the winning rotation
+    by_first = [None] * size
+    for t, h, m, s in arrows:
+        t, h = (t - best_r) % size, (h - best_r) % size
+        by_first[t if t < h else h] = (t, h, m, s)
+    return tuple(a for a in by_first if a is not None), best_r, aut
 
 
 class _BaseDiagram:
     """Shared machinery for Gauss and arrow diagrams (canonical storage)."""
 
-    __slots__ = ("K", "arrows", "_hash")
+    __slots__ = ("K", "arrows", "_aut", "_hash")
     signed = False
 
     def __init__(self, K, arrows=()):
         arrows = tuple(tuple(a) for a in arrows)
         _validate(len(arrows), arrows, self.signed)
+        canon, _r, aut = canonical_arrows(len(arrows), arrows)
         object.__setattr__(self, "K", int(K))
-        object.__setattr__(self, "arrows", canonical_arrows(len(arrows), arrows))
+        object.__setattr__(self, "arrows", canon)
+        object.__setattr__(self, "_aut", aut)
         object.__setattr__(self, "_hash", hash((self.signed, self.K, self.arrows)))
 
     def __setattr__(self, *a):
@@ -158,7 +153,7 @@ class _BaseDiagram:
 
     def aut_order(self):
         """Number of rotations keeping the diagram unchanged; divides 2n."""
-        return rotation_count(self.n, self.arrows)
+        return self._aut
 
     def endpoint_roles(self):
         """pos -> (arrow index, role) on the canonical representative."""

@@ -16,13 +16,14 @@ Four user-facing jobs live here:
 from __future__ import annotations
 
 import hashlib
+import os
 import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from pathlib import Path
 
-from .diagrams import ArrowDiagram, DiagramError, GaussDiagram, arrows_cross
+from .diagrams import ArrowDiagram, DiagramError, GaussDiagram, arrows_cross, canonical_arrows
 from .lincomb import LinComb, as_lincomb
 from .moves import models
 from .ratlinalg import DiagramIndexedMatrix, kernel
@@ -46,7 +47,7 @@ class Formula:
     `evaluate`) gives a number; the solver produces formulas for which that
     number is a virtual knot invariant."""
 
-    __slots__ = ("vector", "K", "provenance")
+    __slots__ = ("vector", "K", "provenance", "_table")
 
     def __init__(self, vector, K, provenance="file"):
         vector = as_lincomb(vector)
@@ -62,12 +63,23 @@ class Formula:
         object.__setattr__(self, "vector", vector)
         object.__setattr__(self, "K", int(K))
         object.__setattr__(self, "provenance", provenance)
+        object.__setattr__(self, "_table", None)
 
     def __setattr__(self, *a):
         raise AttributeError("formulas are immutable")
 
     def degrees(self):
         return sorted({k.n for k in self.vector.keys()})
+
+    def table(self):
+        """{degree: {canonical arrows: coefficient * |Aut|}}, built on the
+        first call and kept: the lookup `evaluate` matches subsets against."""
+        if self._table is None:
+            table = {}
+            for k, c in self.vector.items():
+                table.setdefault(k.n, {})[k.arrows] = c * k.aut_order()
+            object.__setattr__(self, "_table", table)
+        return self._table
 
     def markings(self):
         return sorted({a[2] for k in self.vector.keys() for a in k.arrows})
@@ -118,6 +130,34 @@ def _cache_path(cache_dir, n, window):
 MAX_SOLVER_COLUMNS = 200000
 
 
+class SolverTooLarge(ValueError):
+    """The requested formula space exceeds the solver's column guard."""
+
+
+def _read_cached(path):
+    """The basis stored at `path`, or None when it is missing, unreadable or
+    shorter than its header says (a truncated write)."""
+    from . import textio
+
+    try:
+        return textio.parse_basis(path.read_text())
+    except (OSError, ValueError):
+        return None
+
+
+def _write_cached(path, text):
+    """Write through a temporary file and rename, so a reader never sees a
+    partial basis file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name("%s.%d.tmp" % (path.name, os.getpid()))
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        if tmp.exists():
+            tmp.unlink()
+
+
 def solve_formula_space(n, window, cache_dir=None):
     """Basis of the degree-n formula space over the marking window.
 
@@ -131,11 +171,12 @@ def solve_formula_space(n, window, cache_dir=None):
     path = None
     if cache_dir is not None:
         path = _cache_path(cache_dir, n, window)
-        if path.exists():
-            return textio.parse_basis(path.read_text())
+        basis = _read_cached(path)
+        if basis is not None:
+            return basis
     ncols = len(window.allowed) ** n * _matching_count(n) * 2 ** n if n else 1
     if ncols > MAX_SOLVER_COLUMNS:
-        raise MemoryError(
+        raise SolverTooLarge(
             "estimated column count %d exceeds the solver guard (%d); "
             "basis size is at most the column count" % (ncols, MAX_SOLVER_COLUMNS)
         )
@@ -148,8 +189,7 @@ def solve_formula_space(n, window, cache_dir=None):
             mat.add_row(row)
     basis = [Formula(v, window.K, "solver") for v in kernel(mat)]
     if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(textio.print_basis(basis))
+        _write_cached(path, textio.print_basis(basis))
     return basis
 
 
@@ -228,7 +268,8 @@ def evaluate(f, g):
 
     Computed as the sum over subdiagrams of g: a subdiagram whose sign-less
     reduction is a term A of f contributes coeff(A) * |Aut(A)| * (product of
-    its signs).  One subset scan per degree, no sign expansion."""
+    its signs).  One subset scan per degree, no sign expansion: each subset
+    is canonicalized as a bare arrow tuple and looked up in `f.table()`."""
     if not isinstance(g, GaussDiagram):
         raise DiagramError("evaluate expects a Gauss diagram")
     if f.K != g.K:
@@ -236,19 +277,22 @@ def evaluate(f, g):
             "global marking mismatch: formula K=%d, diagram K=%d" % (f.K, g.K)
         )
     total = Fraction(0)
-    for deg in f.degrees():
+    for deg, terms in f.table().items():
         if deg > g.n:
             continue
-        terms = {k: c for k, c in f.vector.items() if k.n == deg}
-        for sub in combinations(range(g.n), deg):
-            a = g.subdiagram(sub).forget_signs()
-            c = terms.get(a)
-            if c is None:
-                continue
-            prod = 1
-            for i in sub:
-                prod *= g.arrows[i][3]
-            total += c * a.aut_order() * prod
+        signed_counts = {}  # matched term -> sum of sign products, an int
+        for sub in combinations(g.arrows, deg):
+            # the sign-less subdiagram, renumbered onto 0..2deg-1
+            pos = sorted(p for a in sub for p in a[:2])
+            renum = {p: q for q, p in enumerate(pos)}
+            key = canonical_arrows(deg, [(renum[t], renum[h], m, 0) for (t, h, m, _s) in sub])[0]
+            if key in terms:
+                prod = 1
+                for a in sub:
+                    prod *= a[3]
+                signed_counts[key] = signed_counts.get(key, 0) + prod
+        for key, count in signed_counts.items():
+            total += terms[key] * count
     return total
 
 

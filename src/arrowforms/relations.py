@@ -905,7 +905,7 @@ def r_relation_vectors(n, window, limit_per_kind=None):
 def check_I_span_compat(n, window, limit_per_kind=None):
     """Verify I(r) lies in the span of the P-relation instances for every
     R-relation vector r at degree <= n.  Returns a report dict."""
-    from .ratlinalg import in_span
+    from .ratlinalg import echelon_of, in_span
 
     rows = []
     skipped = {}
@@ -913,11 +913,12 @@ def check_I_span_compat(n, window, limit_per_kind=None):
         for family in ("p1", "p2", "p3"):
             for inst in gen_family(family, deg, window, skipped):
                 rows.append(inst.vector)
+    ech = echelon_of(rows)
     failures = []
     checked = 0
     for kind, r in r_relation_vectors(n, window, limit_per_kind):
         vec = subdiagram_expand_I(r)
         checked += 1
-        if not in_span(vec, rows):
+        if not in_span(vec, None, _ech_cache=ech):
             failures.append((kind, r))
     return {"checked": checked, "failures": failures, "skipped": skipped}

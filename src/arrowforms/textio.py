@@ -180,9 +180,16 @@ def print_basis(formulas, header_extra=""):
 
 
 def parse_basis(text):
+    """Formulas of a basis file; the header's count must match, so a
+    truncated file is an error rather than a shorter basis."""
     lines = text.splitlines()
     if not lines or not lines[0].startswith("basis"):
         raise ParseError("expected basis header", 1)
+    hf = _fields(lines[0][len("basis"):], 1, ("count",))
+    try:
+        count = int(hf["count"])
+    except ValueError:
+        raise ParseError("count must be an integer", 1)
     blocks = []
     current = None
     for l in lines[1:]:
@@ -199,4 +206,6 @@ def parse_basis(text):
             raise ParseError("content before first formula", 2)
     if current is not None:
         blocks.append(current)
+    if len(blocks) != count:
+        raise ParseError("header says count=%d, found %d formulas" % (count, len(blocks)), 1)
     return [parse_formula("\n".join(b)) for b in blocks]

@@ -128,6 +128,39 @@ def test_missing_window_is_a_usage_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_solver_guard_is_a_usage_error(capsys):
+    rc = main(["solve", "--degree", "4", "--K", "5", "--markings", "1..4"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "solver guard" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_negative_degree_is_named(capsys):
+    rc = main(["solve", "--degree", "-1", "--K", "5", "--markings", "1..4"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--degree" in err and "-1" in err
+    assert "repeat" not in err
+
+
+def test_truncated_cache_is_solved_again(tmp_path, capsys):
+    args = ["solve", "--degree", "2", "--K", "5", "--markings", "1..4",
+            "--cache-dir", str(tmp_path / "cache")]
+    cold_out = tmp_path / "cold.txt"
+    assert main(args + ["-o", str(cold_out)]) == 0
+    assert "dimension=12" in capsys.readouterr().err
+    (path,) = (tmp_path / "cache").rglob("*.basis")
+    payload = path.read_bytes()
+    path.write_bytes(payload[:300])
+    warm_out = tmp_path / "warm.txt"
+    assert main(args + ["-o", str(warm_out)]) == 0
+    assert "dimension=12" in capsys.readouterr().err
+    assert path.read_bytes() == payload
+    assert warm_out.read_text() == cold_out.read_text()
+    assert not list((tmp_path / "cache").rglob("*.tmp"))
+
+
 def test_bad_file_is_reported(tmp_path, capsys):
     path = tmp_path / "junk.txt"
     path.write_text("not a formula\n")

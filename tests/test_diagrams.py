@@ -11,10 +11,8 @@ from arrowforms.diagrams import (
     DiagramError,
     GaussDiagram,
     arrows_cross,
-    best_rotation,
     canonical_arrows,
     empty_diagram,
-    rotation_count,
 )
 
 from conftest import random_arrow_diagram, random_arrows, random_gauss_diagram, seeded
@@ -31,9 +29,95 @@ def gauss_diagrams(draw, max_n=4):
     return GaussDiagram(K, arrows)
 
 
+def full_scan_canonical(n, arrows):
+    """Oracle for canonical_arrows: build the token stream of every one of
+    the 2n rotations.  Returns (arrows, least minimizing rotation, number of
+    rotations whose stream equals rotation 0's)."""
+    if n == 0:
+        return (), 0, 1
+    size = 2 * n
+    ends = [None] * size
+    for i, (t, h, _m, _s) in enumerate(arrows):
+        ends[t] = (i, 0)
+        ends[h] = (i, 1)
+
+    def stream(r):
+        relabel = {}
+        out = []
+        for q in range(size):
+            i, role = ends[(q + r) % size]
+            j = relabel.setdefault(i, len(relabel))
+            _t, _h, m, s = arrows[i]
+            out.append((j, role, m, s))
+        return tuple(out)
+
+    streams = [stream(r) for r in range(size)]
+    best_r = min(range(size), key=lambda r: (streams[r], r))
+    aut = sum(1 for s in streams if s == streams[0])
+    order = []
+    for q in range(size):
+        i, _role = ends[(q + best_r) % size]
+        if i not in order:
+            order.append(i)
+    shift = lambda p: (p - best_r) % size
+    canon = tuple((shift(t), shift(h), m, s) for (t, h, m, s) in (arrows[i] for i in order))
+    return canon, best_r, aut
+
+
+@st.composite
+def raw_arrows(draw, signed):
+    n = draw(st.integers(1, 6))
+    pos = draw(st.permutations(list(range(2 * n))))
+    marks = draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n))
+    signs = draw(st.lists(st.sampled_from((1, -1) if signed else (0,)), min_size=n, max_size=n))
+    return [(pos[2 * i], pos[2 * i + 1], marks[i], signs[i]) for i in range(n)]
+
+
+@st.composite
+def symmetric_arrows(draw, signed):
+    """Arrows invariant under rotation by 2n/k for a drawn order k >= 2:
+    each of n0 arrow orbits pairs a tail residue with a head residue mod
+    the period and is copied k times around the circle."""
+    n0 = draw(st.integers(1, 3))
+    k = draw(st.integers(2, 6 // n0))
+    period, size = 2 * n0, 2 * n0 * k
+    res = draw(st.permutations(list(range(period))))
+    arrows = []
+    for i in range(n0):
+        offset = period * draw(st.integers(0, k - 1))
+        mark = draw(st.integers(-1, 1))
+        sign = draw(st.sampled_from((1, -1))) if signed else 0
+        for j in range(k):
+            t = (res[2 * i] + j * period) % size
+            h = (res[2 * i + 1] + offset + j * period) % size
+            arrows.append((t, h, mark, sign))
+    return k, arrows
+
+
+@settings(max_examples=300)
+@given(st.booleans().flatmap(raw_arrows))
+def test_canonical_form_matches_full_scan(arrows):
+    n = len(arrows)
+    assert canonical_arrows(n, arrows) == full_scan_canonical(n, arrows)
+
+
+@settings(max_examples=300)
+@given(st.booleans().flatmap(symmetric_arrows))
+def test_canonical_form_matches_full_scan_on_symmetric_diagrams(drawn):
+    k, arrows = drawn
+    n = len(arrows)
+    canon, r, aut = canonical_arrows(n, arrows)
+    assert (canon, r, aut) == full_scan_canonical(n, arrows)
+    assert aut % k == 0
+    cls = GaussDiagram if arrows[0][3] else ArrowDiagram
+    d = cls(3, arrows)
+    assert d.arrows == canon
+    assert d.aut_order() == aut
+
+
 @given(gauss_diagrams())
 def test_canonical_idempotent(d):
-    assert canonical_arrows(d.n, d.arrows) == d.arrows
+    assert canonical_arrows(d.n, d.arrows)[0] == d.arrows
 
 
 @given(gauss_diagrams(), st.integers(0, 7))

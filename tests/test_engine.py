@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrowforms import engine
 from arrowforms.diagrams import ArrowDiagram, DiagramError, GaussDiagram
@@ -79,6 +81,54 @@ def test_evaluate_matches_bracket_oracle():
             Fraction(0),
         )
         assert evaluate(f, g) == expected
+
+
+@st.composite
+def signed_arrows(draw, n, signed=True):
+    pos = draw(st.permutations(list(range(2 * n))))
+    return [
+        (
+            pos[2 * i],
+            pos[2 * i + 1],
+            draw(st.integers(0, 2)),
+            draw(st.sampled_from((1, -1))) if signed else 0,
+        )
+        for i in range(n)
+    ]
+
+
+@st.composite
+def formula_and_knots(draw):
+    """A mixed-degree formula over K=2 and a few Gauss diagrams; half the
+    terms are sign-less subdiagrams of the first diagram, so matches occur."""
+    knots = [
+        GaussDiagram(2, draw(signed_arrows(n)))
+        for n in draw(st.lists(st.integers(0, 6), min_size=1, max_size=3))
+    ]
+    g = knots[0]
+    terms = []
+    for _ in range(draw(st.integers(0, 6))):
+        if g.n and draw(st.booleans()):
+            sub = draw(st.sets(st.integers(0, g.n - 1), max_size=3))
+            a = g.subdiagram(sub).forget_signs()
+        else:
+            a = ArrowDiagram(2, draw(signed_arrows(draw(st.integers(0, 3)), signed=False)))
+        c = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+        terms.append((a, c))
+    return Formula(LinComb(terms), 2), knots
+
+
+@settings(max_examples=150, deadline=None)
+@given(formula_and_knots())
+def test_compiled_evaluate_matches_double_angle(drawn):
+    f, knots = drawn
+    for g in knots:
+        expected = sum(
+            (c * double_angle(a, g) for a, c in f.vector.items()),
+            Fraction(0),
+        )
+        assert evaluate(f, g) == expected
+    assert f.table() is f.table()
 
 
 def test_evaluate_requires_matching_global_marking():

@@ -92,6 +92,11 @@ def test_parse_errors_carry_line_numbers():
         textio.parse_lincomb("coef=1/0\narrow K=2 n=0")
     with pytest.raises(textio.ParseError):
         textio.parse_basis("formula K=2")
+    text = textio.print_basis([gv_formula(2, (1, 1, 3)), gv_formula(2, (2, 1, 2))])
+    with pytest.raises(textio.ParseError):
+        textio.parse_basis(text.replace("count=2", "count=3"))
+    with pytest.raises(textio.ParseError):
+        textio.parse_basis(text[: text.rindex("formula K=")])  # truncated
 
 
 def test_formula_terms_must_be_sign_free():
