@@ -88,7 +88,7 @@ def _based_term(layout, model, pair, side, marks):
         s for s in range(3)
         if sum(1 for (c, _r) in model.words[side][s] if c in pair) == 2
     )
-    _cls, arrows, anchor = _assemble_term(layout, model, pair, side, marks, "arrow")
+    arrows, anchor = _assemble_term(layout, model, pair, side, marks, "arrow")
     # a based diagram has no rotation freedom: rotate the assembled word so
     # the shared arc sits between positions 2n-1 and 0, no canonical form
     size = 2 * len(arrows)
@@ -148,21 +148,6 @@ def _shrink_arcs(dd):
     return D, [
         arc for arc in range(2 * D.n) if DegenerateDiagram(BasedDiagram(D, arc)) == dd
     ]
-
-
-def parent_relations(dd, window):
-    """All distinct parent instances of dd, as normalized based 6-term maps.
-
-    Returns {parent_key: based_terms}; asserts that re-encounters of one
-    parent through different basings agree."""
-    D, arcs = _shrink_arcs(dd)
-    parents = {}
-    for arc in arcs:
-        for key, terms, _mu, _mono, _direct in _parents_at(D, arc, window):
-            if key in parents:
-                continue
-            parents[key] = terms
-    return parents
 
 
 def a6t_based(dd, window):

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import engine, textio
 from .diagrams import DiagramError, GaussDiagram
-from .relations import MarkingWindow, gen_family
+from .relations import MarkingWindow
 
 CACHE_ENV = "ARROWFORMS_CACHE_DIR"
 
@@ -104,18 +104,6 @@ def cmd_solve(args):
     return 0
 
 
-def _first_failing_instance(f, window):
-    """(family, instance) for the first nonzero constraint pairing, if any."""
-    support = list(f.vector.keys())
-    for fam in ("ap1", "ap2", "a6t"):
-        for deg in f.degrees():
-            instances = gen_family(fam, deg, window, closure=False, hosts=support)
-            for i, inst in enumerate(instances):
-                if engine._pair_with(f, inst) != 0:
-                    return fam, deg, i, inst
-    return None
-
-
 def cmd_check(args):
     f = _load_formula(args.formula)
     w = _window(args, K=args.K if args.K is not None else f.K)
@@ -129,14 +117,14 @@ def cmd_check(args):
     print("passes = %s" % str(report["passes"]).lower())
     if report["passes"]:
         return 0
-    hit = _first_failing_instance(f, w)
+    hit = report["first_nonzero"]
     if hit is not None:
-        fam, deg, i, inst = hit
         print(
-            "first failing instance: family=%s degree=%d index=%d" % (fam, deg, i),
+            "first failing instance: family=%s degree=%d index=%d"
+            % (hit["family"], hit["degree"], hit["index"]),
             file=sys.stderr,
         )
-        print(textio.print_lincomb(inst.vector), file=sys.stderr)
+        print(textio.print_lincomb(hit["instance"].vector), file=sys.stderr)
     else:
         print("failure: boundary is nonzero", file=sys.stderr)
     return 1
@@ -206,7 +194,7 @@ def cmd_gv(args):
 
 def cmd_selftest(args):
     """Small deterministic battery touching every layer; < 1 minute."""
-    from .diagrams import ArrowDiagram, canonical_arrows
+    from .diagrams import canonical_arrows
     from .maps import double_angle, pair_norm, sign_expand_S, subdiagram_expand_I
     from .relations import enumerate_diagrams
 
@@ -288,8 +276,6 @@ def build_parser():
     common.add_argument("--K", type=int, default=None, help="global circle marking")
     common.add_argument("--markings", default=None, help="marking window: lo..hi or a,b,c")
     common.add_argument("--seed", type=int, default=0, help="random seed")
-    common.add_argument("--threads", type=int, default=1,
-                        help="reserved; outputs are identical for any value")
     common.add_argument("--cache-dir", default=None,
                         help="solver cache directory (or $%s)" % CACHE_ENV)
     common.add_argument("-o", "--output", default=None, help="write to file instead of stdout")

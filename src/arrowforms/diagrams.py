@@ -15,8 +15,6 @@ on sign-less (arrow) diagrams.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 
 class DiagramError(ValueError):
     """Raised on structurally invalid diagram data."""
@@ -219,7 +217,6 @@ class BasedDiagram:
         shift = lambda p: (p - r) % (2 * n)
         moved = [(shift(t), shift(h), m, s) for (t, h, m, s) in diagram.arrows]
         # order arrows by first endpoint occurrence for a unique tuple
-        first = {i: min(a[0], a[1]) for i, a in enumerate(moved)}
         moved.sort(key=lambda a: min(a[0], a[1]))
         object.__setattr__(self, "K", diagram.K)
         object.__setattr__(self, "arrows", tuple(moved))
@@ -343,19 +340,6 @@ class DegenerateDiagram:
         (bi, br), (ai, ar) = self.fused()
         return bi != ai and br != ar
 
-    def to_based(self):
-        """The based diagram this object was shrunk from (stored order)."""
-        cls = ArrowDiagram
-        d = cls(self.K, self.arrows)
-        # self.arrows is already in based rotation (base between 2n-1 and 0);
-        # rebuild through the public constructor for a clean object.
-        b = BasedDiagram.__new__(BasedDiagram)
-        object.__setattr__(b, "K", self.K)
-        object.__setattr__(b, "arrows", self.arrows)
-        object.__setattr__(b, "signed", False)
-        object.__setattr__(b, "_hash", hash(("based", self.K, self.arrows, False)))
-        return b
-
 
 def _swap_positions(arrows, p, q):
     def mv(x):
@@ -368,11 +352,3 @@ def _swap_positions(arrows, p, q):
     out = [(mv(t), mv(h), m, s) for (t, h, m, s) in arrows]
     out.sort(key=lambda a: min(a[0], a[1]))
     return tuple(out)
-
-
-def based_to_degenerate(b):
-    return DegenerateDiagram(b)
-
-
-def degenerate_to_based(d):
-    return d.to_based()

@@ -33,10 +33,7 @@ from .relations import (
     enumerate_diagrams,
     gen_all_constraints,
     gen_family,
-    r1_matches,
-    r2_matches,
-    r3_full_matches,
-    _other_pos,
+    move_census,
 )
 
 
@@ -226,7 +223,9 @@ def normalization_window(window):
 
 def check_formula(f, window):
     """Static report on one formula: the three constraint-family pairings,
-    the boundary vanishing flag, and a cross-consistency verdict.
+    the first instance pairing nonzero with f (family, degree, index into
+    gen_family's list, instance; None when all vanish), the boundary
+    vanishing flag, and a cross-consistency verdict.
 
     The 6-term pairings and the boundary vanishing are two renderings of the
     same condition, so (given the kink and bigon checks pass) they must
@@ -237,14 +236,19 @@ def check_formula(f, window):
         if m not in window:
             raise ValueError("formula marking %d outside the window" % m)
     families = {}
+    first = None
     support = list(f.vector.keys())
     for fam in ("ap1", "ap2", "a6t"):
         worst = Fraction(0)
         for deg in f.degrees():
             # only instances meeting f's support can pair nonzero, so
             # anchoring the generator there is exhaustive for this check
-            for inst in gen_family(fam, deg, window, closure=False, hosts=support):
-                worst = max(worst, abs(_pair_with(f, inst)))
+            instances = gen_family(fam, deg, window, closure=False, hosts=support)
+            for i, inst in enumerate(instances):
+                pairing = _pair_with(f, inst)
+                if pairing and first is None:
+                    first = {"family": fam, "degree": deg, "index": i, "instance": inst}
+                worst = max(worst, abs(pairing))
         families[fam] = worst
     d = boundary_d(f.vector, normalization_window(window))
     zero_d = not d
@@ -253,6 +257,7 @@ def check_formula(f, window):
     consistent = (not ap_ok) or (a6t_zero == zero_d)
     return {
         "families": families,
+        "first_nonzero": first,
         "boundary_zero": zero_d,
         "consistent": consistent,
         "passes": ap_ok and a6t_zero and zero_d,
@@ -300,80 +305,18 @@ def evaluate(f, g):
 # randomized move-invariance checking
 
 
-def _move_census(g, marking_set, max_degree):
-    """Counted move blocks mirroring relations.available_moves exactly.
-
-    Insertion moves are counted arithmetically and materialized on demand,
-    so one uniform draw never builds the full move list."""
-    n = g.n
-    M = max(1, 2 * n)
-    signs = (1, -1) if g.signed else (0,)
-    marks = sorted(marking_set)
-    grow = max_degree is None or n < max_degree
-    blocks = []
-    if grow:
-        blocks.append(("R1+", M * 2 * len(signs)))
-    r1m = r1_matches(g)
-    blocks.append(("R1-", len(r1m)))
-    if grow and (max_degree is None or n + 2 <= max_degree):
-        blocks.append(("R2+", (M * (M + 1) // 2) * len(models("R2")) * len(marks)))
-    mode = "gauss" if g.signed else "plain"
-    pairs = []
-    seen = set()
-    for m in r2_matches(g, mode):
-        pair = (m.arrow_map[0], m.arrow_map[1])
-        if pair not in seen:
-            seen.add(pair)
-            pairs.append(pair)
-    blocks.append(("R2-", len(pairs)))
-    triples = []
-    seen = set()
-    for m in r3_full_matches(g, mode):
-        word = m.model.words[m.side][0]
-        first = m.arrow_map[word[0][0]]
-        pos = _other_pos(g, first, word[0][1])
-        key = (tuple(m.arrow_map[c] for c in (0, 1, 2)), pos)
-        if key not in seen:
-            seen.add(key)
-            triples.append(key)
-    blocks.append(("R3", len(triples)))
-    return blocks, signs, marks, M, r1m, pairs, triples
-
-
 def sample_move(g, marking_set, rng, max_degree=None):
-    """One move drawn uniformly from available_moves(g, ...), or None.
-
-    Drawing and decoding agree with the explicit enumeration order, so the
-    distribution is uniform over the same set."""
-    blocks, signs, marks, M, r1m, pairs, triples = _move_census(
-        g, marking_set, max_degree
-    )
-    total = sum(c for (_t, c) in blocks)
+    """One move drawn uniformly from relations.move_census, or None when no
+    move applies: one rng.randrange over the total, decoded in its block."""
+    blocks = move_census(g, marking_set, max_degree)
+    total = sum(count for count, _decode in blocks)
     if total == 0:
         return None
     u = rng.randrange(total)
-    for tag, count in blocks:
-        if u >= count:
-            u -= count
-            continue
-        if tag == "R1+":
-            ins, u = divmod(u, 2 * len(signs))
-            kind, si = divmod(u, len(signs))
-            return ("R1+", ins, (("ht", "th")[kind], signs[si]))
-        if tag == "R1-":
-            return ("R1-", r1m[u][0], ())
-        if tag == "R2+":
-            per_site = len(models("R2")) * len(marks)
-            site, u = divmod(u, per_site)
-            k, mi = divmod(u, len(marks))
-            ins1 = 0
-            while site >= M - ins1:
-                site -= M - ins1
-                ins1 += 1
-            return ("R2+", (ins1, ins1 + site), (k, marks[mi]))
-        if tag == "R2-":
-            return ("R2-", pairs[u], ())
-        return ("R3", triples[u], ())
+    for count, decode in blocks:
+        if u < count:
+            return decode(u)
+        u -= count
     raise AssertionError("unreachable")
 
 

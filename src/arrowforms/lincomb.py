@@ -60,17 +60,17 @@ class LinComb:
     def keys(self):
         return self.terms.keys()
 
+    @classmethod
+    def _of(cls, terms):
+        """Wrap a dict of nonzero coefficients without copying it."""
+        r = cls.__new__(cls)
+        r.terms = terms
+        return r
+
     def __add__(self, other):
         out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, Fraction(0)) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        r = LinComb.__new__(LinComb)
-        r.terms = out
-        return r
+        _add_into(out, other.terms)
+        return LinComb._of(out)
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -82,9 +82,7 @@ class LinComb:
         c = Fraction(c)
         if not c:
             return LinComb()
-        r = LinComb.__new__(LinComb)
-        r.terms = {k: v * c for k, v in self.terms.items()}
-        return r
+        return LinComb._of({k: v * c for k, v in self.terms.items()})
 
     def __mul__(self, c):
         return self.scale(c)
@@ -97,10 +95,10 @@ class LinComb:
 
     def map_terms(self, f):
         """f(key, coeff) -> LinComb; sum the images (linear extension)."""
-        out = LinComb()
+        out = {}
         for k, c in self.terms.items():
-            out = out + f(k, c)
-        return out
+            _add_into(out, f(k, c).terms)
+        return LinComb._of(out)
 
     def filtered(self, pred):
         return LinComb((k, c) for k, c in self.terms.items() if pred(k))
@@ -114,6 +112,16 @@ class LinComb:
 
     def max_degree(self):
         return max((k.n for k in self.terms), default=0)
+
+
+def _add_into(acc, terms):
+    """acc += terms in place, dropping keys whose coefficient cancels."""
+    for k, c in terms.items():
+        s = acc.get(k, Fraction(0)) + c
+        if s:
+            acc[k] = s
+        else:
+            acc.pop(k, None)
 
 
 def as_lincomb(x):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 
-from .diagrams import ArrowDiagram, BasedDiagram, GaussDiagram
+from .diagrams import BasedDiagram
 from .lincomb import LinComb, as_lincomb
 
 

@@ -47,10 +47,6 @@ class LocalModel:
     def __repr__(self):
         return "LocalModel(%s, signs=%s, words=%s)" % (self.kind, self.signs, self.words)
 
-    def marking(self, c, gaps):
-        """Marking of crossing c given the gap classes."""
-        return sum(gaps[s] for s in self.markexpr[c])
-
 
 def _gap_interval(s_from, s_to, nslots):
     """Gaps swept going forward from slot s_from to slot s_to."""

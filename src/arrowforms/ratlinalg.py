@@ -94,11 +94,12 @@ class Echelon:
 class DiagramIndexedMatrix:
     """Sparse rational matrix whose columns are canonical diagrams."""
 
-    __slots__ = ("columns", "rows")
+    __slots__ = ("columns", "rows", "_colset")
 
     def __init__(self, columns, rows=()):
         self.columns = list(columns)
-        if len(set(self.columns)) != len(self.columns):
+        self._colset = set(self.columns)
+        if len(self._colset) != len(self.columns):
             raise ValueError("duplicate columns")
         self.rows = []
         for r in rows:
@@ -106,35 +107,30 @@ class DiagramIndexedMatrix:
 
     def add_row(self, vec):
         row = _int_row(vec)
-        known = set(self.columns)
-        if any(k not in known for k in row):
+        if any(k not in self._colset for k in row):
             raise ValueError("row supported outside the column list")
         self.rows.append(row)
 
 
-def rank(rows):
-    """Exact rank of a list of sparse vectors."""
+def echelon_of(rows):
+    """Echelon of a list of sparse vectors, prebuilt for repeated in_span
+    queries."""
     ech = Echelon()
     for r in rows:
         ech.insert(_int_row(r))
-    return ech.rank()
+    return ech
+
+
+def rank(rows):
+    """Exact rank of a list of sparse vectors."""
+    return echelon_of(rows).rank()
 
 
 def in_span(v, rows, _ech_cache=None):
     """True iff v lies in the rational span of the rows."""
     if _ech_cache is None:
-        _ech_cache = Echelon()
-        for r in rows:
-            _ech_cache.insert(_int_row(r))
+        _ech_cache = echelon_of(rows)
     return not _ech_cache.reduce(_int_row(v))
-
-
-def echelon_of(rows):
-    """Prebuilt echelon for repeated in_span queries."""
-    ech = Echelon()
-    for r in rows:
-        ech.insert(_int_row(r))
-    return ech
 
 
 def kernel(m):

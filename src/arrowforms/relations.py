@@ -14,13 +14,13 @@ Families (CLI tags):
   triangle, based6t           relations among degenerate/based diagrams
 
 The same matching machinery drives Reidemeister rewriting (apply_R_move)
-and the random walks used for invariance testing.
+and the move census (move_census) that random invariance walks draw from.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import product
 
 from .diagrams import ArrowDiagram, DiagramError, GaussDiagram
 from .lincomb import LinComb
@@ -183,18 +183,16 @@ def _solve_gaps(model, present, marks, K):
 
 
 def _expr_values(model, c, solution, window):
-    """Possible markings of crossing c on the solution space, window-filtered.
-
-    Returns (values, determined): a single-element list when the marking is
-    pinned by the visible ones, else all window values consistent with the
-    system.
+    """Possible markings of crossing c on the solution space, window-filtered:
+    a single-element list when the marking is pinned by the visible ones,
+    else all window values.
     """
     part, basis = solution
     expr = model.markexpr[c]
     v0 = sum(part[s] for s in expr)
     if all(sum(b[s] for s in expr) == 0 for b in basis):
-        return ([int(v0)] if v0.denominator == 1 else []), True
-    return sorted(window.allowed), False
+        return [int(v0)] if v0.denominator == 1 else []
+    return sorted(window.allowed)
 
 
 _MARK_CACHE = {}
@@ -216,8 +214,7 @@ def _mark_options(model, present, marks, K, window):
             options = [dict(marks)]
         else:
             c = absent[0]
-            values, _det = _expr_values(model, c, sol, window)
-            for mv in values:
+            for mv in _expr_values(model, c, sol, window):
                 full = dict(marks)
                 full[c] = mv
                 if _solve_gaps(model, tuple(range(model.ncross)), full, K) is not None:
@@ -281,46 +278,62 @@ def _extract_layout(d, arrow_map, anchors):
     return _Layout(d.K, host_arrows, host_word, slot_ranks)
 
 
+def _splice(host_word, host_arrows, groups, new_arrows):
+    """Splice endpoint groups into a host's cyclic word; rebuild the arrows.
+
+    host_word lists the host endpoints (arrow, role) in circle order and
+    host_arrows[i] = (mark, sign) of host arrow i.  groups: list of
+    (index, [(tag, role), ...]) in ascending index order; a group goes in
+    front of host_word[index] (after the last endpoint when index ==
+    len(host_word)), groups at one index in list order.  new_arrows:
+    (tag, mark, sign) in output order.
+
+    Returns (arrows, starts): the host arrows, then the new ones, as
+    (tail, head, mark, sign) over the spliced word; starts[j] = position of
+    the first endpoint of group j (None when the group is empty)."""
+    host_pos = {}  # (arrow, role) -> position
+    new_pos = {}  # (tag, role) -> position
+    starts = []
+    p = 0
+    done = 0
+    for index, grp in groups:
+        for end in host_word[done:index]:
+            host_pos[end] = p
+            p += 1
+        done = index
+        starts.append(p if grp else None)
+        for end in grp:
+            new_pos[end] = p
+            p += 1
+    for end in host_word[done:]:
+        host_pos[end] = p
+        p += 1
+    arrows = [
+        (host_pos[i, TAIL], host_pos[i, HEAD], m, s) for i, (m, s) in enumerate(host_arrows)
+    ]
+    arrows += [(new_pos[tag, TAIL], new_pos[tag, HEAD], m, s) for tag, m, s in new_arrows]
+    return arrows, starts
+
+
 def _assemble_term(layout, model, present, side, marks, species):
     """Splice the model term for (present, side) into the layout's host.
 
-    Returns (cls, arrows, slot_anchor): arrows in an un-rotated word whose
+    Returns (arrows, slot_anchor): arrows in an un-rotated word whose
     positions are meaningful, slot_anchor[s] = position of the first spliced
     endpoint of slot s (None when the slot's group is empty)."""
-    groups = {}
-    for s in range(model.nslots):
-        groups[s] = [(c, role) for (c, role) in model.words[side][s] if c in present]
     order = sorted(range(model.nslots), key=lambda s: layout.slot_ranks[s])
-    word = []
-    slot_anchor = {s: None for s in range(model.nslots)}
-    gi = 0
-    for i in range(len(layout.host_word) + 1):
-        while gi < len(order) and layout.slot_ranks[order[gi]][0] == i:
-            s = order[gi]
-            if groups[s]:
-                slot_anchor[s] = len(word)
-            for c, role in groups[s]:
-                word.append(("v", c, role))
-            gi += 1
-        if i < len(layout.host_word):
-            hi, role = layout.host_word[i]
-            word.append(("h", hi, role))
-    tails, heads = {}, {}
-    for pos, (kind, idx, role) in enumerate(word):
-        key = (kind, idx)
-        (tails if role == TAIL else heads)[key] = pos
-    arrows = []
-    for hi, (m, s) in enumerate(layout.host_arrows):
-        arrows.append((tails[("h", hi)], heads[("h", hi)], m, s))
-    for c in sorted(present):
-        s = model.signs[c] if species == "gauss" else 0
-        arrows.append((tails[("v", c)], heads[("v", c)], marks[c], s))
-    cls = GaussDiagram if species == "gauss" else ArrowDiagram
-    return cls, arrows, slot_anchor
+    groups = [
+        (layout.slot_ranks[s][0], [(c, r) for (c, r) in model.words[side][s] if c in present])
+        for s in order
+    ]
+    new = [(c, marks[c], model.signs[c] if species == "gauss" else 0) for c in sorted(present)]
+    arrows, starts = _splice(layout.host_word, layout.host_arrows, groups, new)
+    return arrows, dict(zip(order, starts))
 
 
 def _build_term(layout, model, present, side, marks, species):
-    cls, arrows, _anchor = _assemble_term(layout, model, present, side, marks, species)
+    arrows, _anchor = _assemble_term(layout, model, present, side, marks, species)
+    cls = GaussDiagram if species == "gauss" else ArrowDiagram
     return cls(layout.K, arrows)
 
 
@@ -540,39 +553,6 @@ def _full_matches(d, kind, mode):
             yield Match(model, side, tuple(range(ncross)), arrow_map, [marks], layout)
 
 
-def _full_matches_scan(d, kind, mode):
-    """Brute-force version of _full_matches (kept as a testing oracle)."""
-    descs = _full_descriptors(kind, mode)
-    ncross = descs[0][0].ncross
-    if d.n < ncross:
-        return
-    size = 2 * d.n
-    for arrows in permutations(range(d.n), ncross):
-        for model, side in descs:
-            if mode == "gauss" and any(
-                d.arrows[a][3] != model.signs[c] for c, a in enumerate(arrows)
-            ):
-                continue
-            word = model.words[side]
-            anchors = []
-            ok = True
-            for s in range(model.nslots):
-                grp = word[s]
-                positions = [_other_pos(d, arrows[c], rr) for (c, rr) in grp]
-                for j in range(1, len(positions)):
-                    if positions[j] != (positions[0] + j) % size:
-                        ok = False
-                anchors.append(positions[0])
-            if not ok or not _cyclic_ordered(anchors, size):
-                continue
-            marks = {c: d.arrows[arrows[c]][2] for c in range(ncross)}
-            if _solve_gaps(model, tuple(range(ncross)), marks, d.K) is None:
-                continue
-            arrow_map = dict(enumerate(arrows))
-            layout = _extract_layout(d, arrow_map, anchors)
-            yield Match(model, side, tuple(range(ncross)), arrow_map, [marks], layout)
-
-
 def r2_matches(d, mode):
     return _full_matches(d, "R2", mode)
 
@@ -718,39 +698,11 @@ def gen_all_constraints(n, window, skipped=None, closure=True):
 # Reidemeister rewriting
 
 
-def _insert_endpoints(d, inserts):
-    """Rebuild d with new endpoints spliced in.
-
-    `inserts`: list of (insertion index into the current word, list of
-    (tag, role)) processed in order; returns (word, position maps)."""
-    ends = d.endpoint_roles()
-    word = [("old", *ends[p]) for p in range(2 * d.n)]
-    out = []
-    by_index = sorted(range(len(inserts)), key=lambda i: inserts[i][0])
-    gi = 0
-    for i in range(len(word) + 1):
-        while gi < len(by_index) and inserts[by_index[gi]][0] == i:
-            for tag, role in inserts[by_index[gi]][1]:
-                out.append(("new", tag, role))
-            gi += 1
-        if i < len(word):
-            out.append(word[i])
-    return out
-
-
-def _word_to_arrows(d, word, new_arrows):
-    """word entries: ('old', arrow, role) | ('new', tag, role); new_arrows:
-    tag -> (mark, sign)."""
-    tails, heads = {}, {}
-    for pos, (kind, idx, role) in enumerate(word):
-        (tails if role == TAIL else heads)[(kind, idx)] = pos
-    arrows = []
-    for i, a in enumerate(d.arrows):
-        arrows.append((tails[("old", i)], heads[("old", i)], a[2], a[3]))
-    for tag in sorted(new_arrows):
-        m, s = new_arrows[tag]
-        arrows.append((tails[("new", tag)], heads[("new", tag)], m, s))
-    return type(d)(d.K, arrows)
+def _r3_site(g, m):
+    """The R3 site of a match: (arrow triple, position of the first
+    endpoint of the first strand)."""
+    c, role = m.model.words[m.side][0][0]
+    return tuple(m.arrow_map[i] for i in (0, 1, 2)), _other_pos(g, m.arrow_map[c], role)
 
 
 def apply_R_move(g, move, site, params=()):
@@ -765,15 +717,20 @@ def apply_R_move(g, move, site, params=()):
       'R2-'  site = (arrow_i, arrow_j) forming a bigon pair
       'R3'   site = (arrow triple, anchor position of the first strand)
     """
+    mode = "gauss" if g.signed else "plain"
+
+    def insert(groups, new_arrows):
+        host = [a[2:] for a in g.arrows]
+        arrows, _starts = _splice(g.endpoint_roles(), host, groups, new_arrows)
+        return type(g)(g.K, arrows)
+
     if move == "R1+":
         kind, sign = params
         mark = 0 if kind == "ht" else g.K
-        word = (0, HEAD) if kind == "ht" else (0, TAIL)
         order = ((0, HEAD), (0, TAIL)) if kind == "ht" else ((0, TAIL), (0, HEAD))
         if not 0 <= site <= 2 * g.n:
             raise DiagramError("R1 insertion index %r out of range" % (site,))
-        w = _insert_endpoints(g, [(site, list(order))])
-        return _word_to_arrows(g, w, {0: (mark, sign if g.signed else 0)})
+        return insert([(site, order)], [(0, mark, sign if g.signed else 0)])
     if move == "R1-":
         hits = dict(r1_matches(g))
         if site not in hits:
@@ -788,27 +745,20 @@ def apply_R_move(g, move, site, params=()):
         gaps = _solve_gaps(model, (0,), {0: mark}, g.K)
         if gaps is None:
             raise DiagramError("marking %r inconsistent with the bigon model" % (mark,))
-        inserts = [(ins1, list(model.words["L"][0])), (ins2, list(model.words["L"][1]))]
-        w = _insert_endpoints(g, inserts)
-        sig = g.signed
-        return _word_to_arrows(
-            g, w, {c: (mark, model.signs[c] if sig else 0) for c in (0, 1)}
+        return insert(
+            [(ins1, model.words["L"][0]), (ins2, model.words["L"][1])],
+            [(c, mark, model.signs[c] if g.signed else 0) for c in (0, 1)],
         )
     if move == "R2-":
-        for m in r2_matches(g, "gauss" if g.signed else "plain"):
+        for m in r2_matches(g, mode):
             if (m.arrow_map[0], m.arrow_map[1]) == tuple(site):
                 drop = set(site)
                 return g.subdiagram([i for i in range(g.n) if i not in drop])
         raise DiagramError("arrows %r do not form a removable bigon" % (site,))
     if move == "R3":
         triple, anchor = site
-        for m in r3_full_matches(g, "gauss" if g.signed else "plain"):
-            if tuple(m.arrow_map[c] for c in (0, 1, 2)) != tuple(triple):
-                continue
-            word = m.model.words[m.side][0]
-            first = m.arrow_map[word[0][0]]
-            pos = _other_pos(g, first, word[0][1])
-            if pos != anchor:
+        for m in r3_full_matches(g, mode):
+            if _r3_site(g, m) != (tuple(triple), anchor):
                 continue
             other = "R" if m.side == "L" else "L"
             return _build_term(
@@ -819,42 +769,47 @@ def apply_R_move(g, move, site, params=()):
     raise ValueError("unknown move %r" % (move,))
 
 
-def available_moves(g, marking_set, max_degree=None):
-    """Deterministic list of (move, site, params) applicable to g.
+def move_census(g, marking_set, max_degree=None):
+    """Every move applicable to g, as counted blocks [(count, decode)].
 
-    R1 markings come from {0, K}; R2 markings from `marking_set`."""
-    out = []
-    grow = max_degree is None or g.n < max_degree
-    if grow:
-        for ins in range(max(1, 2 * g.n)):
-            for kind in ("ht", "th"):
-                for sign in ((1, -1) if g.signed else (0,)):
-                    out.append(("R1+", ins, (kind, sign)))
-    for i, kind in r1_matches(g):
-        out.append(("R1-", i, ()))
-    if grow and g.n + 2 <= (max_degree if max_degree is not None else g.n + 2):
-        nmod = len(models("R2"))
-        for ins1 in range(max(1, 2 * g.n)):
-            for ins2 in range(ins1, max(1, 2 * g.n)):
-                for k in range(nmod):
-                    for m in sorted(marking_set):
-                        out.append(("R2+", (ins1, ins2), (k, m)))
-    seen_pairs = set()
-    for m in r2_matches(g, "gauss" if g.signed else "plain"):
-        pair = (m.arrow_map[0], m.arrow_map[1])
-        if pair not in seen_pairs:
-            seen_pairs.add(pair)
-            out.append(("R2-", pair, ()))
-    seen_r3 = set()
-    for m in r3_full_matches(g, "gauss" if g.signed else "plain"):
-        word = m.model.words[m.side][0]
-        first = m.arrow_map[word[0][0]]
-        pos = _other_pos(g, first, word[0][1])
-        key = (tuple(m.arrow_map[c] for c in (0, 1, 2)), pos)
-        if key not in seen_r3:
-            seen_r3.add(key)
-            out.append(("R3", key, ()))
-    return out
+    Blocks come in the order R1+, R1-, R2+, R2-, R3; decode(u) for
+    0 <= u < count is the u-th (move, site, params) of its block, ready for
+    apply_R_move.  Insertion blocks are counted arithmetically and never
+    listed.  R1 markings are forced by the kink (0 or K); R2 markings come
+    from `marking_set`.  Moves that would exceed max_degree are left out."""
+    M = max(1, 2 * g.n)
+    signs = (1, -1) if g.signed else (0,)
+    marks = sorted(marking_set)
+    nmod = len(models("R2"))
+    mode = "gauss" if g.signed else "plain"
+
+    def fits(extra):
+        return max_degree is None or g.n + extra <= max_degree
+
+    def r1_insert(u):
+        ins, u = divmod(u, 2 * len(signs))
+        kind, si = divmod(u, len(signs))
+        return ("R1+", ins, (("ht", "th")[kind], signs[si]))
+
+    def r2_insert(u):
+        site, u = divmod(u, nmod * len(marks))
+        k, mi = divmod(u, len(marks))
+        ins1 = 0  # sites (ins1, ins2) with ins1 <= ins2 < M, row by row
+        while site >= M - ins1:
+            site -= M - ins1
+            ins1 += 1
+        return ("R2+", (ins1, ins1 + site), (k, marks[mi]))
+
+    kinks = r1_matches(g)
+    bigons = list(dict.fromkeys((m.arrow_map[0], m.arrow_map[1]) for m in r2_matches(g, mode)))
+    triples = list(dict.fromkeys(_r3_site(g, m) for m in r3_full_matches(g, mode)))
+    return [
+        (M * 2 * len(signs) if fits(1) else 0, r1_insert),
+        (len(kinks), lambda u: ("R1-", kinks[u][0], ())),
+        (M * (M + 1) // 2 * nmod * len(marks) if fits(2) else 0, r2_insert),
+        (len(bigons), lambda u: ("R2-", bigons[u], ())),
+        (len(triples), lambda u: ("R3", triples[u], ())),
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,89 @@
+"""Brute-force move oracles: the explicit move list and the unanchored
+full-model matcher, against which the program's counted move census and
+anchored matcher are tested."""
+
+from itertools import permutations
+
+from arrowforms.moves import models
+from arrowforms.relations import (
+    Match,
+    _cyclic_ordered,
+    _extract_layout,
+    _full_descriptors,
+    _other_pos,
+    _solve_gaps,
+    r1_matches,
+    r2_matches,
+    r3_full_matches,
+)
+
+
+def _full_matches_scan(d, kind, mode):
+    """Brute-force version of _full_matches (kept as a testing oracle)."""
+    descs = _full_descriptors(kind, mode)
+    ncross = descs[0][0].ncross
+    if d.n < ncross:
+        return
+    size = 2 * d.n
+    for arrows in permutations(range(d.n), ncross):
+        for model, side in descs:
+            if mode == "gauss" and any(
+                d.arrows[a][3] != model.signs[c] for c, a in enumerate(arrows)
+            ):
+                continue
+            word = model.words[side]
+            anchors = []
+            ok = True
+            for s in range(model.nslots):
+                grp = word[s]
+                positions = [_other_pos(d, arrows[c], rr) for (c, rr) in grp]
+                for j in range(1, len(positions)):
+                    if positions[j] != (positions[0] + j) % size:
+                        ok = False
+                anchors.append(positions[0])
+            if not ok or not _cyclic_ordered(anchors, size):
+                continue
+            marks = {c: d.arrows[arrows[c]][2] for c in range(ncross)}
+            if _solve_gaps(model, tuple(range(ncross)), marks, d.K) is None:
+                continue
+            arrow_map = dict(enumerate(arrows))
+            layout = _extract_layout(d, arrow_map, anchors)
+            yield Match(model, side, tuple(range(ncross)), arrow_map, [marks], layout)
+
+
+def available_moves(g, marking_set, max_degree=None):
+    """Deterministic list of (move, site, params) applicable to g.
+
+    R1 markings come from {0, K}; R2 markings from `marking_set`."""
+    out = []
+    grow = max_degree is None or g.n < max_degree
+    if grow:
+        for ins in range(max(1, 2 * g.n)):
+            for kind in ("ht", "th"):
+                for sign in ((1, -1) if g.signed else (0,)):
+                    out.append(("R1+", ins, (kind, sign)))
+    for i, kind in r1_matches(g):
+        out.append(("R1-", i, ()))
+    if grow and g.n + 2 <= (max_degree if max_degree is not None else g.n + 2):
+        nmod = len(models("R2"))
+        for ins1 in range(max(1, 2 * g.n)):
+            for ins2 in range(ins1, max(1, 2 * g.n)):
+                for k in range(nmod):
+                    for m in sorted(marking_set):
+                        out.append(("R2+", (ins1, ins2), (k, m)))
+    seen_pairs = set()
+    for m in r2_matches(g, "gauss" if g.signed else "plain"):
+        pair = (m.arrow_map[0], m.arrow_map[1])
+        if pair not in seen_pairs:
+            seen_pairs.add(pair)
+            out.append(("R2-", pair, ()))
+    seen_r3 = set()
+    for m in r3_full_matches(g, "gauss" if g.signed else "plain"):
+        word = m.model.words[m.side][0]
+        first = m.arrow_map[word[0][0]]
+        pos = _other_pos(g, first, word[0][1])
+        key = (tuple(m.arrow_map[c] for c in (0, 1, 2)), pos)
+        if key not in seen_r3:
+            seen_r3.add(key)
+            out.append(("R3", key, ()))
+    return out

@@ -8,6 +8,7 @@ from arrowforms.engine import gv_formula, null_pair_formula
 from arrowforms.lincomb import LinComb
 from arrowforms.diagrams import ArrowDiagram
 from arrowforms.engine import Formula
+from arrowforms.relations import MarkingWindow, gen_family
 
 
 @pytest.fixture
@@ -67,6 +68,22 @@ def test_check_fails_with_diagnostic(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "passes = false" in captured.out
     assert "first failing instance" in captured.err
+    # the first instance, in generation order, that pairs nonzero with bad
+    w = MarkingWindow({1, 2}, 3)
+    expected = None
+    for fam in ("ap1", "ap2", "a6t"):
+        for deg in bad.degrees():
+            insts = gen_family(fam, deg, w, closure=False, hosts=list(bad.vector.keys()))
+            for i, inst in enumerate(insts):
+                pairing = sum(
+                    bad.vector.coeff(k) * c * k.aut_order() for k, c in inst.vector.items()
+                )
+                if pairing and expected is None:
+                    expected = (fam, deg, i, inst)
+    fam, deg, i, inst = expected
+    lines = captured.err.splitlines()
+    assert lines[0] == "first failing instance: family=%s degree=%d index=%d" % (fam, deg, i)
+    assert "\n".join(lines[1:]) == textio.print_lincomb(inst.vector)
 
 
 def test_boundary_zero(formula_file, capsys):
@@ -167,19 +184,6 @@ def test_bad_file_is_reported(tmp_path, capsys):
     rc = main(["check", str(path), "--markings", "1..2"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
-
-
-def test_threads_flag_is_inert(tmp_path):
-    outs = []
-    for threads in ("1", "4"):
-        out = tmp_path / ("basis%s.txt" % threads)
-        rc = main([
-            "solve", "--degree", "2", "--K", "3", "--markings", "1..2",
-            "--threads", threads, "-o", str(out),
-        ])
-        assert rc == 0
-        outs.append(out.read_text())
-    assert outs[0] == outs[1]
 
 
 def test_selftest(capsys):

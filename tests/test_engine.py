@@ -26,9 +26,10 @@ from arrowforms.engine import (
 )
 from arrowforms.lincomb import LinComb
 from arrowforms.maps import double_angle
-from arrowforms.relations import MarkingWindow, available_moves
+from arrowforms.relations import MarkingWindow
 
 from conftest import random_gauss_diagram, seeded
+from move_oracles import available_moves
 
 
 def test_formula_accessors():

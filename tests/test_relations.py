@@ -6,16 +6,16 @@ from arrowforms.diagrams import DiagramError, GaussDiagram
 from arrowforms.relations import (
     MarkingWindow,
     _full_matches,
-    _full_matches_scan,
     apply_R_move,
-    available_moves,
     enumerate_diagrams,
     gen_all_constraints,
     gen_family,
+    move_census,
     r1_matches,
 )
 
 from conftest import random_arrow_diagram, random_gauss_diagram, seeded
+from move_oracles import _full_matches_scan, available_moves
 
 
 def _match_keys(matches):
@@ -164,6 +164,19 @@ def test_every_available_move_applies():
             assert g2.K == g.K
     with pytest.raises(DiagramError):
         apply_R_move(GaussDiagram(2, [(0, 1, 1, 1)]), "R1-", 0)
+
+
+def test_move_census_decodes_to_the_explicit_list_in_order():
+    # the order pins every seeded walk: sample_move decodes one uniform
+    # index per step, so a reordered census changes the walks
+    rng = seeded(25)
+    for _ in range(300):
+        n = rng.randint(0, 4)
+        g = random_gauss_diagram(rng, n, 2, marks=(0, 1, 2))
+        for max_degree in (None, n, n + 1, 5):
+            blocks = move_census(g, {0, 1, 2}, max_degree)
+            decoded = [decode(u) for count, decode in blocks for u in range(count)]
+            assert decoded == available_moves(g, {0, 1, 2}, max_degree)
 
 
 def test_r3_is_an_involution():
