@@ -31,8 +31,9 @@ from .lincomb import LinComb, as_lincomb
 from .maps import base_expand, pair_ortho
 from .moves import HEAD
 from .relations import (
-    _SIDE_SIGN,
+    _PAIRS,
     _assemble_term,
+    _six_term_coeff,
     RelationInstance,
     enumerate_diagrams,
     r3_pair_matches,
@@ -108,9 +109,6 @@ def _pair_is_monotonic(model, pair):
     raise AssertionError("pair shares no strand")
 
 
-_PAIRS = ((0, 1), (0, 2), (1, 2))
-
-
 def _parents_at(D, arc, window):
     """Parent triple-point instances whose collision at `arc` matches.
 
@@ -125,8 +123,7 @@ def _parents_at(D, arc, window):
             for pair in _PAIRS:
                 for side in ("L", "R"):
                     bt = _based_term(m.layout, m.model, pair, side, marks)
-                    c = _SIDE_SIGN[side] * m.model.signs[pair[0]] * m.model.signs[pair[1]]
-                    terms[(pair, side)] = (bt, c)
+                    terms[(pair, side)] = (bt, _six_term_coeff(m.model, side, pair, "pairprod"))
             direct = (tuple(sorted(m.present)), m.side)
             if terms[direct][0] != b0:
                 raise AssertionError("matched term does not rebuild its own basing")

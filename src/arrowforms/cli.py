@@ -38,10 +38,10 @@ def _window(args, K=None):
         raise CliError("bad --markings value: %s" % e)
 
 
-def _degree(args):
-    if args.degree < 0:
-        raise CliError("--degree must be nonnegative, got %d" % args.degree)
-    return args.degree
+def _nonnegative(value, flag):
+    if value < 0:
+        raise CliError("%s must be nonnegative, got %d" % (flag, value))
+    return value
 
 
 def _cache_dir(args):
@@ -69,10 +69,20 @@ def _load_gauss(path):
     return d
 
 
+def _solve(n, window, args):
+    try:
+        return engine.solve_formula_space(n, window, cache_dir=_cache_dir(args))
+    except OSError as e:
+        raise CliError("cannot write the solver cache: %s" % e)
+
+
 def _emit(text, out_path):
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as e:
+            raise CliError(str(e))
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -83,7 +93,7 @@ def cmd_enumerate(args):
     if args.species not in ("gauss", "arrow"):
         raise CliError("--species must be gauss or arrow")
     w = _window(args)
-    ds = enumerate_diagrams(args.species, _degree(args), w)
+    ds = enumerate_diagrams(args.species, _nonnegative(args.degree, "--degree"), w)
     lines = ["count=%d" % len(ds)]
     for d in ds:
         lines.append("aut=%d" % d.aut_order())
@@ -95,7 +105,7 @@ def cmd_enumerate(args):
 
 def cmd_solve(args):
     w = _window(args)
-    basis = engine.solve_formula_space(_degree(args), w, cache_dir=_cache_dir(args))
+    basis = _solve(_nonnegative(args.degree, "--degree"), w, args)
     header = " degree=%d K=%d markings=%s" % (
         args.degree, w.K, ",".join(str(v) for v in w.values()),
     )
@@ -161,7 +171,8 @@ def cmd_verify(args):
     if args.markings is not None:
         marking_set = set(MarkingWindow.parse(args.markings, f.K).allowed)
     report = engine.verify_invariance(
-        f, g, trials=args.trials, walk_length=args.walk_length,
+        f, g, trials=_nonnegative(args.trials, "--trials"),
+        walk_length=_nonnegative(args.walk_length, "--walk-length"),
         seed=args.seed, marking_set=marking_set,
     )
     v = Fraction(report["value"])
@@ -246,7 +257,7 @@ def cmd_selftest(args):
 
     # solver output passes the static checker
     w = MarkingWindow({1, 2}, 3)
-    basis = engine.solve_formula_space(2, w, cache_dir=_cache_dir(args))
+    basis = _solve(2, w, args)
     ok = bool(basis) and all(engine.check_formula(f, w)["passes"] for f in basis)
     step("solver basis passes static checks (dimension %d)" % len(basis), ok)
 

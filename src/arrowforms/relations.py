@@ -228,17 +228,21 @@ def _mark_options(model, present, marks, K, window):
 
 
 class Match:
-    """A local model term located inside a concrete diagram."""
+    """A local model term located inside a concrete diagram.
 
-    __slots__ = ("model", "side", "present", "arrow_map", "marks_options", "layout")
+    weight: how many descriptors this match stands for (the size of its
+    six-term group, see _pair_descriptors; 1 for full matches)."""
 
-    def __init__(self, model, side, present, arrow_map, marks_options, layout):
+    __slots__ = ("model", "side", "present", "arrow_map", "marks_options", "layout", "weight")
+
+    def __init__(self, model, side, present, arrow_map, marks_options, layout, weight=1):
         self.model = model
         self.side = side
         self.present = present
         self.arrow_map = arrow_map
         self.marks_options = marks_options
         self.layout = layout
+        self.weight = weight
 
 
 class _Layout:
@@ -388,31 +392,87 @@ def _normalize_model(model, rot, mode):
     return nm, sig
 
 
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+_SIDE_SIGN = {"L": 1, "R": -1}
+
+
+def _six_term_coeff(model, side, pair, mode):
+    """Coefficient of the (side, pair) term of a 6-term relation; without
+    signs ('pairprod') the sign product of the pair enters it."""
+    c = _SIDE_SIGN[side]
+    if mode == "pairprod":
+        c *= model.signs[pair[0]] * model.signs[pair[1]]
+    return c
+
+
+def _six_term_signature(model, side, pair, singles, mode):
+    """Everything a pair descriptor matches on and builds, with its crossings
+    relabelled: present pair -> 0, 1, third crossing -> 2.
+
+    (matching data, six terms): the anchor role pair, singles, markexpr and,
+    in 'gauss' mode, the pair's signs; then the multiset of the six
+    (coefficient, per-slot words restricted to the term's pair [, its
+    signs]), taken up to one global sign."""
+    order = pair + (3 - sum(pair),)
+    label = {c: i for i, c in enumerate(order)}
+    gauss = mode == "gauss"
+    anchor = model.words[side][0]
+    matching = (
+        (anchor[0][1], anchor[1][1]),
+        tuple((label[c], s, r) for c, s, r in singles),
+        tuple(model.markexpr[c] for c in order),
+        tuple(model.signs[c] for c in pair) if gauss else (),
+    )
+    terms = []
+    for sd in ("L", "R"):
+        for p in _PAIRS:
+            words = tuple(tuple((label[c], r) for c, r in g if c in p) for g in model.words[sd])
+            signs = tuple(sorted((label[c], model.signs[c]) for c in p)) if gauss else ()
+            terms.append((_six_term_coeff(model, sd, p, mode), words, signs))
+    six = min(sorted(terms), sorted((-c, w, sg) for c, w, sg in terms))
+    return matching, tuple(six)
+
+
 _PAIR_DESC = {}
 
 
 def _pair_descriptors(mode):
-    """Deduplicated two-crossing R3 term shapes, indexed by the role pair of
-    the shared adjacent endpoints.  Entries: (model, side, pair, singles)
-    with the shared strand normalized to slot 0 and
-    singles = ((crossing, slot, role), (crossing, slot, role))."""
+    """Two-crossing R3 term shapes, indexed by the role pair of the shared
+    adjacent endpoints.  Entries: (model, side, pair, singles, weight) with
+    the shared strand normalized to slot 0 and
+    singles = ((crossing, slot, role), (crossing, slot, role)).
+
+    The shapes are the (side, normalized model) classes of every R3 model,
+    side and choice of shared strand.  Many of them build the same 6-term
+    instance: at one host position, L/R twin models and the placements of
+    the absent third crossing give the same six (diagram, coefficient)
+    pairs up to one global sign.  So the shapes are grouped by
+    _six_term_signature and only the first of each group, in shape order,
+    is kept; weight counts the shapes of its group.  Equal signatures match
+    at the same positions, get the same marking options and splice the same
+    terms, so the grouping is exact.  Keeping the first keeps every
+    instance's first occurrence, hence the kept instances and their term
+    order: only later copies of an instance go.  ('pairprod': 96 shapes in
+    12 groups; 'gauss': 192 in 96.)"""
     if mode in _PAIR_DESC:
         return _PAIR_DESC[mode]
-    table = {(TAIL, TAIL): {}, (TAIL, HEAD): {}, (HEAD, TAIL): {}, (HEAD, HEAD): {}}
+    shapes = set()
+    groups = {}  # signature -> [first shape, number of shapes]
     for model in models("R3"):
         for side in ("L", "R"):
             for shared in range(3):
                 nm, base_sig = _normalize_model(model, shared, mode)
+                if (side, base_sig) in shapes:
+                    continue
+                shapes.add((side, base_sig))
                 word = nm.words[side]
-                (c1, r1), (c2, r2) = word[0]
-                pair = (c1, c2)
-                singles = []
-                for s in (1, 2):
-                    for cc, rr in word[s]:
-                        if cc in pair:
-                            singles.append((cc, s, rr))
-                table[(r1, r2)].setdefault((side, base_sig), (nm, side, pair, tuple(singles)))
-    out = {k: list(v.values()) for k, v in table.items()}
+                pair = (word[0][0][0], word[0][1][0])
+                singles = tuple((cc, s, rr) for s in (1, 2) for cc, rr in word[s] if cc in pair)
+                sig = _six_term_signature(nm, side, pair, singles, mode)
+                groups.setdefault(sig, [(nm, side, pair, singles), 0])[1] += 1
+    out = {(TAIL, TAIL): [], (TAIL, HEAD): [], (HEAD, TAIL): [], (HEAD, HEAD): []}
+    for (matching, _six), (desc, weight) in groups.items():
+        out[matching[0]].append(desc + (weight,))
     _PAIR_DESC[mode] = out
     return out
 
@@ -436,7 +496,7 @@ def r3_pair_matches(d, window, mode, fixed_positions=None):
         (u, ru), (v, rv) = ends[p], ends[q]
         if u == v:
             continue
-        for model, side, pair, singles in table[(ru, rv)]:
+        for model, side, pair, singles, weight in table[(ru, rv)]:
             c1, c2 = pair
             arrow_map = {c1: u, c2: v}
             if mode == "gauss" and (
@@ -453,7 +513,7 @@ def r3_pair_matches(d, window, mode, fixed_positions=None):
             if not options:
                 continue
             layout = _extract_layout(d, arrow_map, anchors)
-            yield Match(model, side, pair, arrow_map, options, layout)
+            yield Match(model, side, pair, arrow_map, options, layout, weight)
 
 
 _FULL_DESC = {}
@@ -590,19 +650,16 @@ def _in_window(vec, window):
     )
 
 
-_SIDE_SIGN = {"L": 1, "R": -1}
-
-
 def _gen_from_diagrams(family, n, window, skipped, closure=True, hosts=None):
     species = FAMILY_SPECIES[family]
     signed = species == "gauss"
     seen = {}
 
-    def emit(vec):
+    def emit(vec, weight=1):
         if not vec:
             return
         if not _in_window(vec, window):
-            skipped[family] = skipped.get(family, 0) + 1
+            skipped[family] = skipped.get(family, 0) + weight
             if closure:
                 return
         inst = RelationInstance(family, vec)
@@ -622,41 +679,30 @@ def _gen_from_diagrams(family, n, window, skipped, closure=True, hosts=None):
                 emit(LinComb.single(d))
         elif family == "p2h1":
             for i in range(d.n):
-                emit(LinComb.single(d) + LinComb.single(_flip_sign(d, i)))
+                emit(LinComb([(d, 1), (_flip_sign(d, i), 1)]))
         elif family == "p2":
             for m in r2_matches(d, mode):
                 i, j = m.arrow_map[0], m.arrow_map[1]
                 keep_i = d.subdiagram([k for k in range(d.n) if k != j])
                 keep_j = d.subdiagram([k for k in range(d.n) if k != i])
-                emit(LinComb.single(d) + LinComb.single(keep_i) + LinComb.single(keep_j))
+                emit(LinComb([(d, 1), (keep_i, 1), (keep_j, 1)]))
         elif family in ("p3", "g2t", "a2t"):
+            presents = ((0, 1, 2),) + (_PAIRS if family == "p3" else ())
             for m in r3_full_matches(d, mode):
                 marks = m.marks_options[0]
-                vec = LinComb()
-                for side in ("L", "R"):
-                    c = _SIDE_SIGN[side]
-                    vec = vec + LinComb.single(
-                        _build_term(m.layout, m.model, (0, 1, 2), side, marks, species), c
-                    )
-                    if family == "p3":
-                        for pair in ((0, 1), (0, 2), (1, 2)):
-                            vec = vec + LinComb.single(
-                                _build_term(m.layout, m.model, pair, side, marks, species), c
-                            )
-                emit(vec)
+                emit(LinComb(
+                    (_build_term(m.layout, m.model, present, side, marks, species), _SIDE_SIGN[side])
+                    for side in ("L", "R") for present in presents
+                ))
         elif family in ("g6t", "a6t"):
-            for m in r3_pair_matches(d, window, "gauss" if signed else "pairprod"):
+            six_mode = "gauss" if signed else "pairprod"
+            for m in r3_pair_matches(d, window, six_mode):
                 for marks in m.marks_options:
-                    vec = LinComb()
-                    for side in ("L", "R"):
-                        for pair in ((0, 1), (0, 2), (1, 2)):
-                            c = _SIDE_SIGN[side]
-                            if species == "arrow":
-                                c *= m.model.signs[pair[0]] * m.model.signs[pair[1]]
-                            vec = vec + LinComb.single(
-                                _build_term(m.layout, m.model, pair, side, marks, species), c
-                            )
-                    emit(vec)
+                    emit(LinComb(
+                        (_build_term(m.layout, m.model, pair, side, marks, species),
+                         _six_term_coeff(m.model, side, pair, six_mode))
+                        for side in ("L", "R") for pair in _PAIRS
+                    ), m.weight)
         else:
             raise ValueError("unknown family tag %r" % family)
     return sorted(seen.values(), key=lambda r: r.key())

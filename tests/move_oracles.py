@@ -1,15 +1,17 @@
-"""Brute-force move oracles: the explicit move list and the unanchored
-full-model matcher, against which the program's counted move census and
-anchored matcher are tested."""
+"""Brute-force move oracles: the explicit move list, the unanchored
+full-model matcher and the unreduced two-crossing descriptor table, against
+which the program's counted move census, anchored matcher and six-term
+descriptor classes are tested."""
 
 from itertools import permutations
 
-from arrowforms.moves import models
+from arrowforms.moves import HEAD, TAIL, models
 from arrowforms.relations import (
     Match,
     _cyclic_ordered,
     _extract_layout,
     _full_descriptors,
+    _normalize_model,
     _other_pos,
     _solve_gaps,
     r1_matches,
@@ -49,6 +51,41 @@ def _full_matches_scan(d, kind, mode):
             arrow_map = dict(enumerate(arrows))
             layout = _extract_layout(d, arrow_map, anchors)
             yield Match(model, side, tuple(range(ncross)), arrow_map, [marks], layout)
+
+
+_PAIR_DESC = {}
+
+
+def _pair_descriptors(mode):
+    """Deduplicated two-crossing R3 term shapes, indexed by the role pair of
+    the shared adjacent endpoints.  Entries: (model, side, pair, singles)
+    with the shared strand normalized to slot 0 and
+    singles = ((crossing, slot, role), (crossing, slot, role))."""
+    if mode in _PAIR_DESC:
+        return _PAIR_DESC[mode]
+    table = {(TAIL, TAIL): {}, (TAIL, HEAD): {}, (HEAD, TAIL): {}, (HEAD, HEAD): {}}
+    for model in models("R3"):
+        for side in ("L", "R"):
+            for shared in range(3):
+                nm, base_sig = _normalize_model(model, shared, mode)
+                word = nm.words[side]
+                (c1, r1), (c2, r2) = word[0]
+                pair = (c1, c2)
+                singles = []
+                for s in (1, 2):
+                    for cc, rr in word[s]:
+                        if cc in pair:
+                            singles.append((cc, s, rr))
+                table[(r1, r2)].setdefault((side, base_sig), (nm, side, pair, tuple(singles)))
+    out = {k: list(v.values()) for k, v in table.items()}
+    _PAIR_DESC[mode] = out
+    return out
+
+
+def unreduced_pair_table(mode):
+    """_pair_descriptors in the program's entry format: every shape kept,
+    with weight 1."""
+    return {k: [e + (1,) for e in v] for k, v in _pair_descriptors(mode).items()}
 
 
 def available_moves(g, marking_set, max_degree=None):

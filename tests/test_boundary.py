@@ -1,9 +1,13 @@
 """The boundary operator, triangle rewrites, and the six-term duality."""
 
+from unittest import mock
+
 import pytest
 
+from arrowforms import relations
 from arrowforms.boundary import (
     NormalizationError,
+    _triangle_rewrite,
     a6t_based,
     based_6T_pairing_check,
     boundary_d,
@@ -25,6 +29,7 @@ from arrowforms.lincomb import LinComb
 from arrowforms.relations import MarkingWindow, gen_family
 
 from conftest import random_arrows, random_based_diagram, seeded
+from move_oracles import unreduced_pair_table
 
 WIDE = normalization_window(MarkingWindow(range(-2, 4), 2))
 
@@ -131,3 +136,34 @@ def test_triangle_family_instances_are_window_supported():
     for inst in gen_family("triangle", 2, w):
         for k in inst.vector.keys():
             assert all(a[2] in w.allowed for a in k.arrows)
+
+
+def test_triangle_normalization_matches_the_unreduced_descriptor_table():
+    rng = seeded(35)
+    collided = []
+    while len(collided) < 40:
+        dd = DegenerateDiagram(random_based_diagram(rng, rng.randint(2, 3), 2, marks=(0, 1, 2)))
+        if not dd.is_monotonic():
+            collided.append(dd)
+    combos = [
+        LinComb.single(ArrowDiagram(2, random_arrows(rng, rng.randint(2, 3), marks=(0, 1, 2))))
+        for _ in range(20)
+    ]
+
+    def run():
+        _triangle_rewrite.cache_clear()
+        out = []
+        for dd in collided:
+            try:
+                out.append(list(triangle_relation(dd, WIDE).items()))
+            except NormalizationError as e:
+                out.append(str(e))
+        out += [list(boundary_d(a, WIDE).items()) for a in combos]
+        return out
+
+    fast = run()
+    with mock.patch.object(relations, "_pair_descriptors", unreduced_pair_table):
+        slow = run()
+    _triangle_rewrite.cache_clear()
+    assert fast == slow
+    assert sum(isinstance(x, list) for x in fast[:40]) > 20

@@ -161,6 +161,36 @@ def test_negative_degree_is_named(capsys):
     assert "repeat" not in err
 
 
+@pytest.mark.parametrize("flag", ["--trials", "--walk-length"])
+def test_negative_walk_size_is_named(formula_file, knot_file, flag, capsys):
+    rc = main(["verify", formula_file, knot_file, flag, "-3"])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert err == "error: %s must be nonnegative, got -3\n" % flag
+    assert "constant" not in out
+
+
+def test_unwritable_cache_dir_is_reported(tmp_path, capsys):
+    not_a_dir = tmp_path / "cache"
+    not_a_dir.write_text("a regular file\n")
+    rc = main(["solve", "--degree", "1", "--K", "2", "--markings", "1",
+               "--cache-dir", str(not_a_dir)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write the solver cache:")
+    assert len(err.splitlines()) == 1
+
+
+def test_unwritable_output_is_reported(tmp_path, capsys):
+    not_a_dir = tmp_path / "out"
+    not_a_dir.write_text("a regular file\n")
+    rc = main(["gv", "--gamma=1,1", "-o", str(not_a_dir / "x")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Not a directory" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_truncated_cache_is_solved_again(tmp_path, capsys):
     args = ["solve", "--degree", "2", "--K", "5", "--markings", "1..4",
             "--cache-dir", str(tmp_path / "cache")]

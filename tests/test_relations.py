@@ -1,21 +1,35 @@
 """Relation families, move matching, and Reidemeister rewriting."""
 
-import pytest
+from unittest import mock
 
-from arrowforms.diagrams import DiagramError, GaussDiagram
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from arrowforms import relations
+from arrowforms.diagrams import ArrowDiagram, DiagramError, GaussDiagram
+from arrowforms.lincomb import LinComb
+from arrowforms.moves import HEAD, TAIL
 from arrowforms.relations import (
+    _PAIRS,
     MarkingWindow,
+    _build_term,
     _full_matches,
+    _pair_descriptors,
+    _six_term_coeff,
+    _six_term_signature,
     apply_R_move,
     enumerate_diagrams,
     gen_all_constraints,
     gen_family,
     move_census,
     r1_matches,
+    r3_pair_matches,
 )
 
 from conftest import random_arrow_diagram, random_gauss_diagram, seeded
-from move_oracles import _full_matches_scan, available_moves
+from move_oracles import _full_matches_scan, available_moves, unreduced_pair_table
+from move_oracles import _pair_descriptors as unreduced_pair_descriptors
 
 
 def _match_keys(matches):
@@ -207,3 +221,107 @@ def test_constraint_catalog_families():
     fams = {i.family for i in insts}
     assert fams <= {"ap1", "ap2", "a6t"}
     assert "a6t" in fams
+
+
+# ---------------------------------------------------------------------------
+# six-term descriptor classes against the unreduced descriptor table
+
+
+def test_six_term_descriptor_classes_cover_the_unreduced_table():
+    shape = lambda e: (e[0].key, e[1], e[2], e[3])
+    for mode, size, shapes in (("pairprod", 12, 96), ("gauss", 96, 192)):
+        table = _pair_descriptors(mode)
+        oracle = unreduced_pair_descriptors(mode)
+        assert sum(len(v) for v in table.values()) == size
+        assert sum(len(v) for v in oracle.values()) == shapes
+        for roles, entries in table.items():
+            sigs = [_six_term_signature(*e[:4], mode) for e in oracle[roles]]
+            # representatives: the first shape of each class, in table order
+            firsts = [i for i, sig in enumerate(sigs) if sig not in sigs[:i]]
+            assert [shape(e) for e in entries] == [shape(oracle[roles][i]) for i in firsts]
+            assert [e[4] for e in entries] == [sigs.count(sigs[i]) for i in firsts]
+
+
+def _family_output(family, n, window, closure, hosts):
+    skipped = {}
+    insts = gen_family(family, n, window, skipped, closure, hosts)
+    return [(i.key(), list(i.vector.items())) for i in insts], skipped
+
+
+@pytest.mark.parametrize("family", ["a6t", "g6t"])
+def test_six_term_families_match_the_unreduced_table(family):
+    # instance keys in order, vectors with their term order, and skip counts
+    species = "arrow" if family == "a6t" else "gauss"
+    cases = [
+        (1, MarkingWindow({1, 2}, 3)),
+        (2, MarkingWindow({1, 2}, 3)),
+        (2, MarkingWindow({1}, 3)),
+        (3, MarkingWindow({1}, 2)),
+        (3, MarkingWindow({0, 1}, 1)),
+    ]
+    compared = 0
+    for n, window in cases:
+        every = enumerate_diagrams(species, n, window)
+        host_sets = [None, every[::5]] if len(every) <= 100 else [every[::9]]
+        for hosts in host_sets:
+            for closure in (True, False):
+                fast = _family_output(family, n, window, closure, hosts)
+                with mock.patch.object(relations, "_pair_descriptors", unreduced_pair_table):
+                    slow = _family_output(family, n, window, closure, hosts)
+                assert fast == slow
+                compared += len(fast[0])
+    assert compared > 200
+
+
+def _six_term_vectors(d, window, mode, p, entry):
+    """The 6-term vectors one pair descriptor builds at position p."""
+    model, side = entry[0], entry[1]
+    anchor = model.words[side][0]
+    table = {(r1, r2): [] for r1 in (TAIL, HEAD) for r2 in (TAIL, HEAD)}
+    table[(anchor[0][1], anchor[1][1])].append(tuple(entry[:4]) + (1,))
+    species = "gauss" if mode == "gauss" else "arrow"
+    with mock.patch.object(relations, "_pair_descriptors", lambda _mode: table):
+        return [
+            LinComb(
+                (_build_term(m.layout, m.model, pair, sd, marks, species),
+                 _six_term_coeff(m.model, sd, pair, mode))
+                for sd in ("L", "R") for pair in _PAIRS
+            )
+            for m in r3_pair_matches(d, window, mode, fixed_positions=p)
+            for marks in m.marks_options
+        ]
+
+
+@st.composite
+def six_term_hosts(draw):
+    signed = draw(st.booleans())
+    n = draw(st.integers(2, 5))
+    pos = draw(st.permutations(list(range(2 * n))))
+    marks = draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n))
+    signs = draw(st.lists(st.sampled_from((1, -1) if signed else (0,)), min_size=n, max_size=n))
+    arrows = [(pos[2 * i], pos[2 * i + 1], marks[i], signs[i]) for i in range(n)]
+    K = draw(st.integers(0, 2))
+    return GaussDiagram(K, arrows) if signed else ArrowDiagram(K, arrows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(six_term_hosts())
+def test_every_descriptor_builds_its_class_representatives_terms(d):
+    mode = "gauss" if d.signed else "pairprod"
+    window = MarkingWindow(range(-1, 3), d.K)
+    reps = {
+        _six_term_signature(*e[:4], mode): e
+        for entries in _pair_descriptors(mode).values() for e in entries
+    }
+    for p in range(2 * d.n):
+        rep_vectors = {}
+        for entries in unreduced_pair_descriptors(mode).values():
+            for entry in entries:
+                sig = _six_term_signature(*entry, mode)
+                if sig not in rep_vectors:
+                    rep_vectors[sig] = _six_term_vectors(d, window, mode, p, reps[sig])
+                got = _six_term_vectors(d, window, mode, p, entry)
+                want = rep_vectors[sig]
+                assert len(got) == len(want)
+                for g, w in zip(got, want):
+                    assert g in (w, -w)
