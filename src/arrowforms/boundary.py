@@ -27,7 +27,7 @@ from .diagrams import (
     DiagramError,
     arrows_cross,
 )
-from .lincomb import LinComb, as_lincomb
+from .lincomb import LinComb, _add_into, as_lincomb
 from .maps import base_expand, pair_ortho
 from .moves import HEAD
 from .relations import (
@@ -162,7 +162,8 @@ def a6t_based(dd, window):
         )
     if len(vectors) > 1:
         raise AssertionError("monotonic diagram with several parent instances")
-    return LinComb(vectors.pop())
+    # a frozenset iterates in hash order, which varies between runs
+    return LinComb(sorted(vectors.pop()))
 
 
 def triangle_relation(dd, window):
@@ -192,17 +193,18 @@ def triangle_relation(dd, window):
         raise NormalizationError(
             "no triangle relation for %r within the window" % (dd,)
         )
-    out = LinComb.single(dd)
+    out = {dd: Fraction(1)}
     for target, u in rewrites.values():
-        out = out - LinComb.single(target, u)
-    return out
+        _add_into(out, {target: -u})
+    return LinComb._of(out)
 
 
 @lru_cache(maxsize=None)
 def _triangle_rewrite(dd, window):
     """dd (non-monotonic) as a combination of monotonic diagrams."""
-    rel = triangle_relation(dd, window)
-    out = LinComb.single(dd) - rel
+    out = {dd: Fraction(1)}
+    _add_into(out, triangle_relation(dd, window).scale(-1).terms)
+    out = LinComb._of(out)
     for k in out.keys():
         if not all(a[2] in window.allowed for a in k.arrows):
             raise NormalizationError(
@@ -219,14 +221,14 @@ def normalize_triangle(x, window):
     Out-of-window rewrites raise NormalizationError rather than dropping
     terms.  Keys are processed in canonical order for reproducibility."""
     x = as_lincomb(x)
-    out = LinComb()
+    out = {}
     for dd in sorted(x.keys()):
         c = x.coeff(dd)
         if dd.is_monotonic():
-            out = out + LinComb.single(dd, c)
+            _add_into(out, {dd: c})
         else:
-            out = out + _triangle_rewrite(dd, window).scale(c)
-    return out
+            _add_into(out, _triangle_rewrite(dd, window).scale(c).terms)
+    return LinComb._of(out)
 
 
 def boundary_d(a, window):

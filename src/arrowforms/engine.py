@@ -133,13 +133,15 @@ class SolverTooLarge(ValueError):
 
 def _read_cached(path):
     """The basis stored at `path`, or None when it is missing, unreadable or
-    shorter than its header says (a truncated write)."""
+    shorter than its header says (a truncated write).  A hit returns what
+    the solve that wrote it returned: formulas of provenance 'solver'."""
     from . import textio
 
     try:
-        return textio.parse_basis(path.read_text())
+        basis = textio.parse_basis(path.read_text())
     except (OSError, ValueError):
         return None
+    return [Formula(f.vector, f.K, "solver") for f in basis]
 
 
 def _write_cached(path, text):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 from .diagrams import ArrowDiagram, DiagramError, GaussDiagram
 from .lincomb import LinComb
@@ -182,6 +183,36 @@ def _solve_gaps(model, present, marks, K):
     return part, basis
 
 
+def _det(rows):
+    """Determinant of a small square integer matrix (Laplace expansion)."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * x * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+        for j, x in enumerate(rows[0]) if x
+    )
+
+
+def _gap_relation(model):
+    """The integer relation between K and the markings of a model whose
+    crossings are all visible.
+
+    With every crossing present, the gap system of _solve_gaps has one row
+    more than unknowns and full column rank, so it has exactly one left-null
+    vector y, up to scale: the signed maximal minors.  The system is then
+    consistent iff y[0]*K + sum(y[c+1]*mark_c) == 0.  Raises ValueError
+    for a model whose system is not of that shape."""
+    ns = model.nslots
+    rows = [[1] * ns] + [[int(s in e) for s in range(ns)] for e in model.markexpr]
+    if len(rows) != ns + 1:
+        raise ValueError("gap system of %r has %d rows for %d gaps" % (model, len(rows), ns))
+    y = [(-1) ** i * _det(rows[:i] + rows[i + 1:]) for i in range(ns + 1)]
+    if not any(y):
+        raise ValueError("gap system of %r has more than one left-null vector" % (model,))
+    g = gcd(*y)
+    return tuple(v // g for v in y)
+
+
 def _expr_values(model, c, solution, window):
     """Possible markings of crossing c on the solution space, window-filtered:
     a single-element list when the marking is pinned by the visible ones,
@@ -230,19 +261,34 @@ def _mark_options(model, present, marks, K, window):
 class Match:
     """A local model term located inside a concrete diagram.
 
+    anchors[s]: position in `host` of the first endpoint of slot group s.
+    The layout (see _Layout) is built from them on first access, since the
+    move census reads only arrow_map and the anchors.
+
     weight: how many descriptors this match stands for (the size of its
     six-term group, see _pair_descriptors; 1 for full matches)."""
 
-    __slots__ = ("model", "side", "present", "arrow_map", "marks_options", "layout", "weight")
+    __slots__ = (
+        "model", "side", "present", "arrow_map", "marks_options", "host", "anchors", "weight",
+        "_layout",
+    )
 
-    def __init__(self, model, side, present, arrow_map, marks_options, layout, weight=1):
+    def __init__(self, model, side, present, arrow_map, marks_options, host, anchors, weight=1):
         self.model = model
         self.side = side
         self.present = present
         self.arrow_map = arrow_map
         self.marks_options = marks_options
-        self.layout = layout
+        self.host = host
+        self.anchors = anchors
         self.weight = weight
+        self._layout = None
+
+    @property
+    def layout(self):
+        if self._layout is None:
+            self._layout = _extract_layout(self.host, self.arrow_map, self.anchors)
+        return self._layout
 
 
 class _Layout:
@@ -512,8 +558,7 @@ def r3_pair_matches(d, window, mode, fixed_positions=None):
             options = _mark_options(model, pair, marks, d.K, window)
             if not options:
                 continue
-            layout = _extract_layout(d, arrow_map, anchors)
-            yield Match(model, side, pair, arrow_map, options, layout, weight)
+            yield Match(model, side, pair, arrow_map, options, d, anchors, weight)
 
 
 _FULL_DESC = {}
@@ -542,8 +587,9 @@ def _full_descriptors(kind, mode):
 def _full_anchor_table(kind, mode):
     """Full descriptors indexed by the role pair of their first slot group.
 
-    Entry: (model, side, pair, rest) where pair maps the anchored group's
-    two crossings and rest lists the remaining groups as (slot, group)."""
+    Entry: (model, side, pair, rest, relation) where pair maps the anchored
+    group's two crossings, rest lists the remaining groups as (slot, group)
+    and relation is the model's integer gap relation (_gap_relation)."""
     key = ("anchor", kind, mode)
     if key in _FULL_DESC:
         return _FULL_DESC[key]
@@ -552,27 +598,53 @@ def _full_anchor_table(kind, mode):
         word = model.words[side]
         (c1, r1), (c2, r2) = word[0]
         rest = tuple((s, word[s]) for s in range(1, model.nslots))
-        table.setdefault((r1, r2), []).append((model, side, (c1, c2), rest))
+        table.setdefault((r1, r2), []).append(
+            (model, side, (c1, c2), rest, _gap_relation(model))
+        )
     _FULL_DESC[key] = table
     return table
 
 
-def _full_matches(d, kind, mode):
+def _full_matches(d, kind, mode, positions=None):
     """Matches of a complete local model (all crossings visible) inside d.
 
     Anchored search: every slot group occupies consecutive positions, so
-    fixing the first group on an adjacent endpoint pair determines the rest."""
+    fixing the first group on an adjacent endpoint pair (p, p+1 mod 2n)
+    determines the rest.  Matches come in the order of p, over all of
+    0..2n-1 or, when `positions` is given, over those positions only.
+
+    Two exact shortcuts leave the matches and their order unchanged:
+      * adjacency prefilter: every slot group is two consecutive endpoints
+        of two different crossings.  So an R2 match needs the anchor arrows
+        u, v adjacent (endpoints at q, q+1) at least twice, and an R3 match
+        needs a third arrow adjacent to both; other p are skipped.
+      * integer gap relation: the gap system of a full model is consistent
+        iff its _gap_relation vanishes on (K, markings), which replaces the
+        rational elimination of _solve_gaps.
+
+    The matches' layouts are built lazily (see Match)."""
     table = _full_anchor_table(kind, mode)
     ncross = 2 if kind == "R2" else 3
     if d.n < ncross:
         return
     size = 2 * d.n
     ends = d.endpoint_roles()
-    for p in range(size):
+    nbrs = [[] for _ in range(d.n)]  # arrow adjacency multigraph
+    for q in range(size):
+        a, b = ends[q][0], ends[(q + 1) % size][0]
+        if a != b:
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+    for p in range(size) if positions is None else positions:
         (u, ru), (v, rv) = ends[p], ends[(p + 1) % size]
         if u == v:
             continue
-        for model, side, pair, rest in table.get((ru, rv), ()):
+        if kind == "R2":
+            if nbrs[u].count(v) < 2:
+                continue
+        elif set(nbrs[u]).isdisjoint(nbrs[v]):
+            continue
+        for model, side, pair, rest, relation in table.get((ru, rv), ()):
             if mode == "gauss" and (
                 d.arrows[u][3] != model.signs[pair[0]]
                 or d.arrows[v][3] != model.signs[pair[1]]
@@ -607,10 +679,9 @@ def _full_matches(d, kind, mode):
             if not _cyclic_ordered(anchors, size):
                 continue
             marks = {c: d.arrows[arrow_map[c]][2] for c in range(ncross)}
-            if _solve_gaps(model, tuple(range(ncross)), marks, d.K) is None:
+            if relation[0] * d.K + sum(relation[c + 1] * marks[c] for c in range(ncross)):
                 continue
-            layout = _extract_layout(d, arrow_map, anchors)
-            yield Match(model, side, tuple(range(ncross)), arrow_map, [marks], layout)
+            yield Match(model, side, tuple(range(ncross)), arrow_map, [marks], d, anchors)
 
 
 def r2_matches(d, mode):
@@ -744,11 +815,10 @@ def gen_all_constraints(n, window, skipped=None, closure=True):
 # Reidemeister rewriting
 
 
-def _r3_site(g, m):
+def _r3_site(m):
     """The R3 site of a match: (arrow triple, position of the first
-    endpoint of the first strand)."""
-    c, role = m.model.words[m.side][0][0]
-    return tuple(m.arrow_map[i] for i in (0, 1, 2)), _other_pos(g, m.arrow_map[c], role)
+    endpoint of the first strand, which is the match's anchor)."""
+    return tuple(m.arrow_map[i] for i in (0, 1, 2)), m.anchors[0]
 
 
 def apply_R_move(g, move, site, params=()):
@@ -762,6 +832,11 @@ def apply_R_move(g, move, site, params=()):
              params = (model index into moves.models('R2'), marking)
       'R2-'  site = (arrow_i, arrow_j) forming a bigon pair
       'R3'   site = (arrow triple, anchor position of the first strand)
+
+    R2- and R3 sites are checked by matching only where the site says: at
+    the four endpoints of the two arrows, or at the R3 anchor.  Any match
+    naming the site is anchored there, so a site that is not a bigon or an
+    R3 configuration of g raises DiagramError, as a full scan would.
     """
     mode = "gauss" if g.signed else "plain"
 
@@ -796,15 +871,19 @@ def apply_R_move(g, move, site, params=()):
             [(c, mark, model.signs[c] if g.signed else 0) for c in (0, 1)],
         )
     if move == "R2-":
-        for m in r2_matches(g, mode):
-            if (m.arrow_map[0], m.arrow_map[1]) == tuple(site):
+        # a match naming these arrows is anchored at one of their endpoints
+        pair = tuple(site)
+        spots = sorted(p for i in range(g.n) if i in pair for p in g.arrows[i][:2])
+        for m in _full_matches(g, "R2", mode, positions=spots):
+            if (m.arrow_map[0], m.arrow_map[1]) == pair:
                 drop = set(site)
                 return g.subdiagram([i for i in range(g.n) if i not in drop])
         raise DiagramError("arrows %r do not form a removable bigon" % (site,))
     if move == "R3":
         triple, anchor = site
-        for m in r3_full_matches(g, mode):
-            if _r3_site(g, m) != (tuple(triple), anchor):
+        spots = [p for p in range(2 * g.n) if p == anchor]  # see _r3_site
+        for m in _full_matches(g, "R3", mode, positions=spots):
+            if _r3_site(m) != (tuple(triple), anchor):
                 continue
             other = "R" if m.side == "L" else "L"
             return _build_term(
@@ -848,7 +927,7 @@ def move_census(g, marking_set, max_degree=None):
 
     kinks = r1_matches(g)
     bigons = list(dict.fromkeys((m.arrow_map[0], m.arrow_map[1]) for m in r2_matches(g, mode)))
-    triples = list(dict.fromkeys(_r3_site(g, m) for m in r3_full_matches(g, mode)))
+    triples = list(dict.fromkeys(_r3_site(m) for m in r3_full_matches(g, mode)))
     return [
         (M * 2 * len(signs) if fits(1) else 0, r1_insert),
         (len(kinks), lambda u: ("R1-", kinks[u][0], ())),

@@ -1,15 +1,17 @@
 """Brute-force move oracles: the explicit move list, the unanchored
-full-model matcher and the unreduced two-crossing descriptor table, against
-which the program's counted move census, anchored matcher and six-term
-descriptor classes are tested."""
+full-model matcher, the unreduced two-crossing descriptor table and the
+full-scan removal of R2/R3 sites, against which the program's counted move
+census, anchored matcher, six-term descriptor classes and site-local
+apply_R_move are tested."""
 
 from itertools import permutations
 
+from arrowforms.diagrams import DiagramError
 from arrowforms.moves import HEAD, TAIL, models
 from arrowforms.relations import (
     Match,
+    _build_term,
     _cyclic_ordered,
-    _extract_layout,
     _full_descriptors,
     _normalize_model,
     _other_pos,
@@ -49,8 +51,7 @@ def _full_matches_scan(d, kind, mode):
             if _solve_gaps(model, tuple(range(ncross)), marks, d.K) is None:
                 continue
             arrow_map = dict(enumerate(arrows))
-            layout = _extract_layout(d, arrow_map, anchors)
-            yield Match(model, side, tuple(range(ncross)), arrow_map, [marks], layout)
+            yield Match(model, side, tuple(range(ncross)), arrow_map, [marks], d, anchors)
 
 
 _PAIR_DESC = {}
@@ -124,3 +125,26 @@ def available_moves(g, marking_set, max_degree=None):
             seen_r3.add(key)
             out.append(("R3", key, ()))
     return out
+
+
+def apply_R_move_full_scan(g, move, site):
+    """apply_R_move for 'R2-' and 'R3', re-matching over the whole circle."""
+    mode = "gauss" if g.signed else "plain"
+    if move == "R2-":
+        for m in r2_matches(g, mode):
+            if (m.arrow_map[0], m.arrow_map[1]) == tuple(site):
+                drop = set(site)
+                return g.subdiagram([i for i in range(g.n) if i not in drop])
+        raise DiagramError("arrows %r do not form a removable bigon" % (site,))
+    triple, anchor = site
+    for m in r3_full_matches(g, mode):
+        word = m.model.words[m.side][0]
+        pos = _other_pos(g, m.arrow_map[word[0][0]], word[0][1])
+        if (tuple(m.arrow_map[c] for c in (0, 1, 2)), pos) != (tuple(triple), anchor):
+            continue
+        other = "R" if m.side == "L" else "L"
+        return _build_term(
+            m.layout, m.model, (0, 1, 2), other, m.marks_options[0],
+            "gauss" if g.signed else "arrow",
+        )
+    raise DiagramError("no R3 site at %r" % (site,))

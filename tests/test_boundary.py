@@ -1,9 +1,13 @@
 """The boundary operator, triangle rewrites, and the six-term duality."""
 
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
 
+import arrowforms
 from arrowforms import relations
 from arrowforms.boundary import (
     NormalizationError,
@@ -167,3 +171,26 @@ def test_triangle_normalization_matches_the_unreduced_descriptor_table():
     _triangle_rewrite.cache_clear()
     assert fast == slow
     assert sum(isinstance(x, list) for x in fast[:40]) > 20
+
+
+_BASED6T_DIGEST = """
+import hashlib
+from arrowforms.relations import MarkingWindow, gen_family
+insts = gen_family("based6t", 2, MarkingWindow({1, 2, 3, 4}, 5))
+blob = repr([(i.key(), list(i.vector.items())) for i in insts])
+print(len(insts), hashlib.sha256(blob.encode()).hexdigest())
+"""
+
+
+def test_based6t_term_order_does_not_depend_on_the_hash_seed():
+    src = os.path.dirname(os.path.dirname(arrowforms.__file__))
+    digests = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", _BASED6T_DIGEST], env=env, capture_output=True,
+            text=True, check=True, timeout=300,
+        )
+        digests.append(out.stdout)
+    assert digests[0] == digests[1]
+    assert int(digests[0].split()[0]) > 0

@@ -59,6 +59,16 @@ def test_solver_cache_round_trip(tmp_path):
     assert files[0].read_bytes() == payload
 
 
+def test_solver_cache_hit_returns_what_a_miss_returns(tmp_path):
+    w = MarkingWindow({1, 2}, 3)
+    cold = solve_formula_space(2, w, cache_dir=str(tmp_path))
+    warm = solve_formula_space(2, w, cache_dir=str(tmp_path))
+    assert [(f.vector, f.K, f.provenance) for f in warm] == [
+        (f.vector, f.K, f.provenance) for f in cold
+    ]
+    assert {f.provenance for f in warm} == {"solver"}
+
+
 def test_check_formula_rejects_out_of_window_marks():
     f = null_pair_formula(2, 5)
     with pytest.raises(ValueError):

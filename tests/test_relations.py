@@ -1,5 +1,6 @@
 """Relation families, move matching, and Reidemeister rewriting."""
 
+from itertools import product
 from unittest import mock
 
 import pytest
@@ -9,15 +10,19 @@ from hypothesis import strategies as st
 from arrowforms import relations
 from arrowforms.diagrams import ArrowDiagram, DiagramError, GaussDiagram
 from arrowforms.lincomb import LinComb
-from arrowforms.moves import HEAD, TAIL
+from arrowforms.moves import HEAD, TAIL, LocalModel, models
 from arrowforms.relations import (
     _PAIRS,
     MarkingWindow,
     _build_term,
+    _full_descriptors,
     _full_matches,
+    _gap_relation,
     _pair_descriptors,
     _six_term_coeff,
     _six_term_signature,
+    _solve_gaps,
+    _splice,
     apply_R_move,
     enumerate_diagrams,
     gen_all_constraints,
@@ -28,7 +33,12 @@ from arrowforms.relations import (
 )
 
 from conftest import random_arrow_diagram, random_gauss_diagram, seeded
-from move_oracles import _full_matches_scan, available_moves, unreduced_pair_table
+from move_oracles import (
+    _full_matches_scan,
+    apply_R_move_full_scan,
+    available_moves,
+    unreduced_pair_table,
+)
 from move_oracles import _pair_descriptors as unreduced_pair_descriptors
 
 
@@ -95,6 +105,123 @@ def test_anchored_matcher_agrees_with_scan():
             fast = _match_keys(_full_matches(d, kind, mode))
             slow = _match_keys(_full_matches_scan(d, kind, mode))
             assert fast == slow
+
+
+def _insert_r3(g, model, ins, gaps, bump):
+    """g with the L side of an R3 model spliced in at the ascending
+    insertion indices `ins`; crossing c is marked with the sum of the slot
+    gaps in its mark expression, crossing 0 then raised by `bump`."""
+    marks = [sum(gaps[s] for s in e) for e in model.markexpr]
+    marks[0] += bump
+    arrows, _starts = _splice(
+        g.endpoint_roles(),
+        [a[2:] for a in g.arrows],
+        [(ins[s], model.words["L"][s]) for s in range(3)],
+        [(c, marks[c], model.signs[c] if g.signed else 0) for c in range(3)],
+    )
+    return type(g)(g.K, arrows)
+
+
+@st.composite
+def dense_site_diagrams(draw):
+    """Gauss or arrow diagrams of up to 7 arrows, grown from a random one of
+    at most 2 arrows by R2 insertions and spliced-in R3 configurations.
+    The R3 gaps sum to K, so the markings pass the gap relation unless
+    crossing 0 is bumped: R2 and R3 sites and their near misses abound."""
+    signed = draw(st.booleans())
+    K = draw(st.integers(0, 2))
+    mark = st.integers(-1, 2)
+    n = draw(st.integers(0, 2))
+    pos = draw(st.permutations(list(range(2 * n))))
+    arrows = [
+        (pos[2 * i], pos[2 * i + 1], draw(mark), draw(st.sampled_from((1, -1))) if signed else 0)
+        for i in range(n)
+    ]
+    g = GaussDiagram(K, arrows) if signed else ArrowDiagram(K, arrows)
+    for _ in range(draw(st.integers(1, 3))):
+        kinds = [k for k, extra in (("R2", 2), ("R3", 3)) if g.n + extra <= 7]
+        if not kinds:
+            break
+        size = 2 * g.n
+        ins = sorted(draw(st.integers(0, size)) for _ in range(3))
+        if draw(st.sampled_from(kinds)) == "R2":
+            k = draw(st.integers(0, len(models("R2")) - 1))
+            g = apply_R_move(g, "R2+", tuple(ins[:2]), (k, draw(mark)))
+        else:
+            model = draw(st.sampled_from(models("R3")))
+            g0, g1 = draw(mark), draw(mark)
+            g = _insert_r3(g, model, ins, (g0, g1, K - g0 - g1), draw(st.sampled_from((0, 0, 1))))
+    return g
+
+
+def _match_layout_keys(matches):
+    return sorted(
+        (id(m.model), m.side, m.present, tuple(sorted(m.arrow_map.items())),
+         tuple(m.marks_options), tuple(m.layout.host_word), tuple(m.layout.slot_ranks))
+        for m in matches
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_site_diagrams())
+def test_anchored_matcher_matches_the_scan_with_layouts(d):
+    mode = "gauss" if d.signed else "plain"
+    for kind in ("R2", "R3"):
+        fast = _match_layout_keys(_full_matches(d, kind, mode))
+        assert fast == _match_layout_keys(_full_matches_scan(d, kind, mode))
+
+
+def test_gap_relation_agrees_with_solve_gaps():
+    # every model has one (16 R2, 288 R3); the matcher uses the descriptors'
+    assert len([_gap_relation(m) for kind in ("R2", "R3") for m in models(kind)]) == 304
+    grid = range(-1, 3)
+    for kind in ("R2", "R3"):
+        for mode in ("gauss", "plain"):
+            for model, _side in _full_descriptors(kind, mode):
+                y = _gap_relation(model)
+                crossings = tuple(range(model.ncross))
+                for K in grid:
+                    for marks in product(grid, repeat=model.ncross):
+                        holds = y[0] * K + sum(yc * mc for yc, mc in zip(y[1:], marks)) == 0
+                        solved = _solve_gaps(model, crossings, dict(enumerate(marks)), K)
+                        assert holds == (solved is not None)
+
+
+def test_gap_relation_rejects_a_degenerate_system():
+    r3 = models("R3")[0]
+    same = frozenset({0})
+    flat = LocalModel("R3", 3, 3, r3.signs, (same, same, same), r3.words)
+    with pytest.raises(ValueError, match="more than one left-null vector"):
+        _gap_relation(flat)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DiagramError as e:
+        return "DiagramError: %s" % e
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_site_diagrams())
+def test_site_local_removal_matches_the_full_scan(d):
+    # every census site, then sites that are off by one arrow, position or
+    # order, out of range or of the wrong length: same diagram or same error
+    sites = [
+        (mv, site) for count, decode in move_census(d, {0, 1}) for u in range(count)
+        for mv, site, _params in [decode(u)] if mv in ("R2-", "R3")
+    ]
+    size = 2 * d.n
+    bad = [("R2-", (i, j)) for i in range(-1, d.n + 1) for j in range(-1, d.n + 1)]
+    bad += [("R2-", (0, 1, 2)), ("R3", ((0, 1, 2), 0)), ("R3", ((0, 1, 2), size))]
+    for mv, (triple, anchor) in [s for s in sites if s[0] == "R3"]:
+        bad += [(mv, (triple, (anchor + 1) % size)), (mv, (triple, anchor - size)),
+                (mv, (triple[::-1], anchor)), (mv, (triple[1:] + triple[:1], anchor))]
+    for mv, site in sites + bad:
+        want = _outcome(apply_R_move_full_scan, d, mv, site)
+        assert _outcome(apply_R_move, d, mv, site) == want
+    for mv, site in sites:
+        assert isinstance(apply_R_move(d, mv, site), type(d))
 
 
 def test_instances_are_deduplicated():
