@@ -11,6 +11,14 @@ Four user-facing jobs live here:
   * evaluate: the invariant's value on a decorated Gauss diagram.
   * enumerate_Un / phi_gamma / gv_formula: the planar-chain construction of
     invariants from a collection of nonzero homology classes.
+
+Evaluation reads a rotation-compiled table (Formula.table): every rotation
+of every term is stored under its sorted (tail, head, mark) tuple, so a
+subset of a diagram, renumbered from wherever, finds its term with one dict
+lookup and no canonical form.  Walks (verify_invariance) keep a running
+value: after each move only the subsets that hold a changed arrow are
+scored, and at the end of each trial the running value is checked against
+a full evaluation.
 """
 
 from __future__ import annotations
@@ -23,13 +31,13 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from pathlib import Path
 
-from .diagrams import ArrowDiagram, DiagramError, GaussDiagram, arrows_cross, canonical_arrows
+from .diagrams import ArrowDiagram, DiagramError, GaussDiagram, arrows_cross
 from .lincomb import LinComb, as_lincomb
 from .moves import models
 from .ratlinalg import DiagramIndexedMatrix, kernel
 from .relations import (
     MarkingWindow,
-    apply_R_move,
+    _apply_move,
     enumerate_diagrams,
     gen_all_constraints,
     gen_family,
@@ -69,12 +77,21 @@ class Formula:
         return sorted({k.n for k in self.vector.keys()})
 
     def table(self):
-        """{degree: {canonical arrows: coefficient * |Aut|}}, built on the
-        first call and kept: the lookup `evaluate` matches subsets against."""
+        """{degree: {key: coefficient * |Aut|}}, built on the first call and
+        kept: the lookup `evaluate` matches subsets against.
+
+        The keys of a term are the sorted (tail, head, mark) tuples of all
+        its rotations, so a subdiagram renumbered onto 0..2deg-1 from any
+        starting point is a key of its term, and of no other."""
         if self._table is None:
             table = {}
             for k, c in self.vector.items():
-                table.setdefault(k.n, {})[k.arrows] = c * k.aut_order()
+                terms = table.setdefault(k.n, {})
+                size = 2 * k.n
+                weight = c * k.aut_order()
+                for r in range(max(1, size)):
+                    rotated = (((t - r) % size, (h - r) % size, m) for t, h, m, _s in k.arrows)
+                    terms[tuple(sorted(rotated))] = weight
             object.__setattr__(self, "_table", table)
         return self._table
 
@@ -275,29 +292,38 @@ def evaluate(f, g):
 
     Computed as the sum over subdiagrams of g: a subdiagram whose sign-less
     reduction is a term A of f contributes coeff(A) * |Aut(A)| * (product of
-    its signs).  One subset scan per degree, no sign expansion: each subset
-    is canonicalized as a bare arrow tuple and looked up in `f.table()`."""
+    its signs).  One subset scan per degree, no sign expansion and no
+    canonical form: each subset, renumbered onto 0..2deg-1, is looked up in
+    the rotation-compiled `f.table()`."""
     if not isinstance(g, GaussDiagram):
         raise DiagramError("evaluate expects a Gauss diagram")
     if f.K != g.K:
         raise DiagramError(
             "global marking mismatch: formula K=%d, diagram K=%d" % (f.K, g.K)
         )
+    return _subset_value(f, g.arrows)
+
+
+def _subset_value(f, arrows, touched=(), least=0):
+    """The summed contributions (see evaluate) of the subsets of `arrows`
+    that hold at least `least` of the arrow indices in `touched`."""
+    mine = [arrows[i] for i in touched]
+    rest = [a for i, a in enumerate(arrows) if i not in touched]
     total = Fraction(0)
     for deg, terms in f.table().items():
-        if deg > g.n:
-            continue
-        signed_counts = {}  # matched term -> sum of sign products, an int
-        for sub in combinations(g.arrows, deg):
-            # the sign-less subdiagram, renumbered onto 0..2deg-1
-            pos = sorted(p for a in sub for p in a[:2])
-            renum = {p: q for q, p in enumerate(pos)}
-            key = canonical_arrows(deg, [(renum[t], renum[h], m, 0) for (t, h, m, _s) in sub])[0]
-            if key in terms:
-                prod = 1
-                for a in sub:
-                    prod *= a[3]
-                signed_counts[key] = signed_counts.get(key, 0) + prod
+        signed_counts = {}  # matched key -> sum of sign products, an int
+        for k in range(least, min(deg, len(mine)) + 1):
+            for part in combinations(mine, k):
+                for others in combinations(rest, deg - k):
+                    sub = part + others
+                    pos = sorted(p for a in sub for p in a[:2])
+                    renum = {p: q for q, p in enumerate(pos)}
+                    key = tuple(sorted((renum[t], renum[h], m) for t, h, m, _s in sub))
+                    if key in terms:
+                        prod = 1
+                        for a in sub:
+                            prod *= a[3]
+                        signed_counts[key] = signed_counts.get(key, 0) + prod
         for key, count in signed_counts.items():
             total += terms[key] * count
     return total
@@ -322,6 +348,42 @@ def sample_move(g, marking_set, rng, max_degree=None):
     raise AssertionError("unreachable")
 
 
+def _walk_step(f, g, value, mv):
+    """(g after the move mv, the value of f there), updated from `value`,
+    the value of f on g, by scoring only the subsets that see the change.
+
+    A subset's contribution depends only on the cyclic order of its
+    endpoints and on its arrows' marks and signs: with the rotation-compiled
+    table, its key may differ by a rotation but never its term.
+      * R1+ and R2+ insert endpoints and leave the old arrows in their
+        cyclic order, so the new value adds the subsets of the new diagram
+        holding a created arrow.
+      * R1- and R2- delete, so the new value drops the subsets of the old
+        diagram holding a removed arrow.
+      * R3 swaps the subsets holding at least two of the triple: it removes
+        the triple and creates its reversed copy.  moves.r3_models builds
+        each side-R slot group as the reverse of the side-L group, so every
+        crossing keeps its role, mark and sign, and only the two adjacent
+        endpoints inside each slot group change places.  Both endpoints of
+        a slot group belong to the triple.  A subset holding at most one
+        arrow of the triple sees at most one endpoint of each group, and
+        the host arrows keep their places, so the cyclic order of its
+        endpoints, hence its contribution, is unchanged."""
+    new, arrows, created, removed = _apply_move(g, *mv)
+    least = 2 if mv[0] == "R3" else 1
+    value += _subset_value(f, arrows, created, least) - _subset_value(f, g.arrows, removed, least)
+    return new, value
+
+
+def _guard_running_value(f, g, value):
+    """The end-of-trial guard: the running value must be the full one."""
+    full = evaluate(f, g)
+    if value != full:
+        raise AssertionError(
+            "running value %s differs from the full evaluation %s on %r" % (value, full, g)
+        )
+
+
 def verify_invariance(f, g0, trials, walk_length, seed, marking_set=None, max_degree=None):
     """Random move walks from g0, asserting the evaluation never changes.
 
@@ -329,7 +391,13 @@ def verify_invariance(f, g0, trials, walk_length, seed, marking_set=None, max_de
     bigon markings are drawn from `marking_set` (default: the formula's
     markings plus 0 and K); kink markings are forced by the move itself.
     Degree is capped to keep walks from drifting into ever larger diagrams.
-    Returns a report; a violation records the first offending move."""
+    Returns a report; a violation records the first offending move.
+
+    g0 is evaluated once.  Along a walk the value is kept as a running
+    value, updated after each move from the subsets that hold an arrow the
+    move changed (see _walk_step).  When a trial ends, at its last step or
+    at a violation, the running value is compared with a full evaluate of
+    the diagram reached, and a difference raises AssertionError."""
     if f.K != g0.K:
         raise DiagramError(
             "global marking mismatch: formula K=%d, diagram K=%d" % (f.K, g0.K)
@@ -348,16 +416,18 @@ def verify_invariance(f, g0, trials, walk_length, seed, marking_set=None, max_de
         "violation": None,
     }
     for t in range(trials):
-        g = g0
+        g, value = g0, base
         for step in range(walk_length):
             mv = sample_move(g, marking_set, rng, max_degree)
             if mv is None:
                 break
-            g = apply_R_move(g, *mv)
-            if evaluate(f, g) != base:
+            g, value = _walk_step(f, g, value, mv)
+            if value != base:
+                _guard_running_value(f, g, value)
                 report["constant"] = False
                 report["violation"] = {"trial": t, "step": step, "move": mv}
                 return report
+        _guard_running_value(f, g, value)
     return report
 
 

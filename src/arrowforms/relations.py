@@ -585,21 +585,26 @@ def _full_descriptors(kind, mode):
 
 
 def _full_anchor_table(kind, mode):
-    """Full descriptors indexed by the role pair of their first slot group.
+    """Full descriptors keyed by their slot signature.
 
-    Entry: (model, side, pair, rest, relation) where pair maps the anchored
-    group's two crossings, rest lists the remaining groups as (slot, group)
-    and relation is the model's integer gap relation (_gap_relation)."""
+    The signature of a descriptor is its slot word with the crossings
+    relabelled 0, 1, ... by first appearance, each with its role, plus, in
+    'gauss' mode, the crossings' signs in label order.  Entry: (index in
+    _full_descriptors, model, side, crossings in label order, relation),
+    where relation is the model's integer gap relation (_gap_relation).
+    Each list keeps descriptor order."""
     key = ("anchor", kind, mode)
     if key in _FULL_DESC:
         return _FULL_DESC[key]
     table = {}
-    for model, side in _full_descriptors(kind, mode):
+    for i, (model, side) in enumerate(_full_descriptors(kind, mode)):
         word = model.words[side]
-        (c1, r1), (c2, r2) = word[0]
-        rest = tuple((s, word[s]) for s in range(1, model.nslots))
-        table.setdefault((r1, r2), []).append(
-            (model, side, (c1, c2), rest, _gap_relation(model))
+        order = tuple(dict.fromkeys(c for grp in word for c, _r in grp))
+        label = {c: j for j, c in enumerate(order)}
+        sig = tuple(tuple((label[c], r) for c, r in grp) for grp in word)
+        signs = tuple(model.signs[c] for c in order) if mode == "gauss" else ()
+        table.setdefault((sig, signs), []).append(
+            (i, model, side, order, _gap_relation(model))
         )
     _FULL_DESC[key] = table
     return table
@@ -608,80 +613,89 @@ def _full_anchor_table(kind, mode):
 def _full_matches(d, kind, mode, positions=None):
     """Matches of a complete local model (all crossings visible) inside d.
 
-    Anchored search: every slot group occupies consecutive positions, so
-    fixing the first group on an adjacent endpoint pair (p, p+1 mod 2n)
-    determines the rest.  Matches come in the order of p, over all of
-    0..2n-1 or, when `positions` is given, over those positions only.
+    Anchored search: every slot group is two consecutive endpoints of two
+    different crossings, and the first group sits on an adjacent endpoint
+    pair (p, p+1 mod 2n) of arrows u != v.  Matches come in the order of p,
+    over all of 0..2n-1 or, when `positions` is given, over those positions
+    only; at one p, in descriptor order.
 
-    Two exact shortcuts leave the matches and their order unchanged:
-      * adjacency prefilter: every slot group is two consecutive endpoints
-        of two different crossings.  So an R2 match needs the anchor arrows
-        u, v adjacent (endpoints at q, q+1) at least twice, and an R3 match
-        needs a third arrow adjacent to both; other p are skipped.
-      * integer gap relation: the gap system of a full model is consistent
-        iff its _gap_relation vanishes on (K, markings), which replaces the
-        rational elimination of _solve_gaps.
+    At p the few configurations that can hold a match are read off the
+    circle, and each is looked up by its slot signature (see
+    _full_anchor_table):
+      * R2: the other endpoints x of u and y of v must be adjacent; they
+        form the second group, (x, y) or (y, x).
+      * R3: the other endpoint x of u shares a group with a neighbour,
+        x-1 or x+1, that belongs to a third arrow w; the other endpoint of
+        w must neighbour the other endpoint y of v, forming the last group.
+        The two groups follow the first in the order of their starts after
+        p, as the slots of a model do.
+    The configuration's word relabels u, v, w as 0, 1, 2, which is the
+    first-appearance labelling, so equal signatures mean equal slot words,
+    roles and (in 'gauss' mode) signs.  A hit then holds iff its integer
+    gap relation vanishes on (K, markings), which replaces the rational
+    elimination of _solve_gaps.
 
     The matches' layouts are built lazily (see Match)."""
     table = _full_anchor_table(kind, mode)
-    ncross = 2 if kind == "R2" else 3
-    if d.n < ncross:
+    r3 = kind == "R3"
+    if d.n < (3 if r3 else 2):
         return
     size = 2 * d.n
+    arrows = d.arrows
     ends = d.endpoint_roles()
-    nbrs = [[] for _ in range(d.n)]  # arrow adjacency multigraph
-    for q in range(size):
-        a, b = ends[q][0], ends[(q + 1) % size][0]
-        if a != b:
-            nbrs[a].append(b)
-            nbrs[b].append(a)
+    gauss = mode == "gauss"
     for p in range(size) if positions is None else positions:
         (u, ru), (v, rv) = ends[p], ends[(p + 1) % size]
         if u == v:
             continue
-        if kind == "R2":
-            if nbrs[u].count(v) < 2:
+        x, y = arrows[u][1 - ru], arrows[v][1 - rv]  # the other endpoints
+        first = ((0, ru), (1, rv))
+        if not r3:
+            if y == (x + 1) % size:
+                q0, grp = x, ((0, 1 - ru), (1, 1 - rv))
+            elif x == (y + 1) % size:
+                q0, grp = y, ((1, 1 - rv), (0, 1 - ru))
+            else:
                 continue
-        elif set(nbrs[u]).isdisjoint(nbrs[v]):
+            signs = (arrows[u][3], arrows[v][3]) if gauss else ()
+            for _i, model, side, order, relation in table.get(((first, grp), signs), ()):
+                arrow_map = {order[0]: u, order[1]: v}
+                marks = {c: arrows[arrow_map[c]][2] for c in range(2)}
+                if relation[0] * d.K + relation[1] * marks[0] + relation[2] * marks[1]:
+                    continue
+                yield Match(model, side, (0, 1), arrow_map, [marks], d, [p, q0])
             continue
-        for model, side, pair, rest, relation in table.get((ru, rv), ()):
-            if mode == "gauss" and (
-                d.arrows[u][3] != model.signs[pair[0]]
-                or d.arrows[v][3] != model.signs[pair[1]]
-            ):
+        hits = []
+        for nx in ((x - 1) % size, (x + 1) % size):
+            w, rw = ends[nx]
+            if w == u or w == v:
                 continue
-            arrow_map = {pair[0]: u, pair[1]: v}
-            anchors = [p] + [None] * (model.nslots - 1)
-            ok = True
-            for s, grp in rest:
-                base = next(
-                    (j for j, (c, _r) in enumerate(grp) if c in arrow_map), None
-                )
-                if base is None:
-                    ok = False
-                    break
-                bc, br = grp[base]
-                q0 = (_other_pos(d, arrow_map[bc], br) - base) % size
-                for j, (c, r) in enumerate(grp):
-                    a, ar = ends[(q0 + j) % size]
-                    if ar != r or arrow_map.setdefault(c, a) != a:
-                        ok = False
-                        break
-                if not ok:
-                    break
-                anchors[s] = q0
-            if not ok or len(set(arrow_map.values())) != ncross:
+            ny = arrows[w][1 - rw]
+            if ny == (y - 1) % size:
+                gy = (ny, y)
+            elif ny == (y + 1) % size:
+                gy = (y, ny)
+            else:
                 continue
-            if mode == "gauss" and any(
-                d.arrows[arrow_map[c]][3] != model.signs[c] for c in range(ncross)
-            ):
-                continue
-            if not _cyclic_ordered(anchors, size):
-                continue
-            marks = {c: d.arrows[arrow_map[c]][2] for c in range(ncross)}
-            if relation[0] * d.K + sum(relation[c + 1] * marks[c] for c in range(ncross)):
-                continue
-            yield Match(model, side, tuple(range(ncross)), arrow_map, [marks], d, anchors)
+            gx = (nx, x) if nx == (x - 1) % size else (x, nx)
+            if (gx[0] - p) % size > (gy[0] - p) % size:
+                gx, gy = gy, gx
+            label = {u: 0, v: 1, w: 2}
+            sig = (
+                first,
+                tuple((label[ends[q][0]], ends[q][1]) for q in gx),
+                tuple((label[ends[q][0]], ends[q][1]) for q in gy),
+            )
+            signs = (arrows[u][3], arrows[v][3], arrows[w][3]) if gauss else ()
+            for i, model, side, order, relation in table.get((sig, signs), ()):
+                arrow_map = {order[0]: u, order[1]: v, order[2]: w}
+                marks = {c: arrows[arrow_map[c]][2] for c in range(3)}
+                if relation[0] * d.K + sum(relation[c + 1] * marks[c] for c in range(3)):
+                    continue
+                hits.append((i, Match(model, side, (0, 1, 2), arrow_map, [marks], d, [p, gx[0], gy[0]])))
+        hits.sort(key=lambda h: h[0])
+        for _i, m in hits:
+            yield m
 
 
 def r2_matches(d, mode):
@@ -829,68 +843,104 @@ def apply_R_move(g, move, site, params=()):
              params = (kind 'ht'|'th', sign)
       'R1-'  site = arrow index (isolated, marking 0 or K as the kind demands)
       'R2+'  site = (ins1, ins2) insertion indices, ins1 <= ins2;
-             params = (model index into moves.models('R2'), marking)
+             params = (model index into moves.models('R2'), integer marking)
       'R2-'  site = (arrow_i, arrow_j) forming a bigon pair
       'R3'   site = (arrow triple, anchor position of the first strand)
 
     R2- and R3 sites are checked by matching only where the site says: at
     the four endpoints of the two arrows, or at the R3 anchor.  Any match
     naming the site is anchored there, so a site that is not a bigon or an
-    R3 configuration of g raises DiagramError, as a full scan would.
+    R3 configuration of g raises DiagramError, as a full scan would.  So
+    does a site or marking of the wrong shape or type.
     """
+    return _apply_move(g, move, site, params)[0]
+
+
+def _site_parts(site, count, error):
+    """The `count` entries of a sequence site; `error` when it has another
+    shape."""
+    try:
+        parts = tuple(site)
+    except TypeError:
+        raise error from None
+    if len(parts) != count:
+        raise error
+    return parts
+
+
+def _apply_move(g, move, site, params=()):
+    """apply_R_move, also returning what the move changed:
+    (new diagram, its arrows before canonicalization, indices in those
+    arrows of the arrows the move created, indices in g of the arrows it
+    removed).  An R3 move removes the site's triple and creates its
+    reversed copy; the created arrows are always the last ones."""
     mode = "gauss" if g.signed else "plain"
 
     def insert(groups, new_arrows):
         host = [a[2:] for a in g.arrows]
         arrows, _starts = _splice(g.endpoint_roles(), host, groups, new_arrows)
-        return type(g)(g.K, arrows)
+        k = len(new_arrows)
+        return type(g)(g.K, arrows), arrows, tuple(range(len(arrows) - k, len(arrows))), ()
+
+    def remove(drop):
+        new = g.subdiagram([i for i in range(g.n) if i not in drop])
+        return new, new.arrows, (), tuple(sorted(drop))
 
     if move == "R1+":
         kind, sign = params
         mark = 0 if kind == "ht" else g.K
         order = ((0, HEAD), (0, TAIL)) if kind == "ht" else ((0, TAIL), (0, HEAD))
-        if not 0 <= site <= 2 * g.n:
+        if not isinstance(site, int) or not 0 <= site <= 2 * g.n:
             raise DiagramError("R1 insertion index %r out of range" % (site,))
         return insert([(site, order)], [(0, mark, sign if g.signed else 0)])
     if move == "R1-":
-        hits = dict(r1_matches(g))
-        if site not in hits:
+        if site not in [i for i, _kind in r1_matches(g)]:
             raise DiagramError("arrow %r is not a removable kink" % (site,))
-        return g.subdiagram([i for i in range(g.n) if i != site])
+        return remove({site})
     if move == "R2+":
         k, mark = params
         model = models("R2")[k]
-        ins1, ins2 = site
-        if not (0 <= ins1 <= ins2 <= 2 * g.n):
-            raise DiagramError("R2 insertion indices %r out of range" % (site,))
-        gaps = _solve_gaps(model, (0,), {0: mark}, g.K)
-        if gaps is None:
-            raise DiagramError("marking %r inconsistent with the bigon model" % (mark,))
+        bad = DiagramError("R2 insertion indices %r out of range" % (site,))
+        ins1, ins2 = _site_parts(site, 2, bad)
+        if not (isinstance(ins1, int) and isinstance(ins2, int) and 0 <= ins1 <= ins2 <= 2 * g.n):
+            raise bad
+        # every R2 model marks both crossings with one single gap, so the
+        # gap system (total row [1, 1] plus one unit row) has rank 2 and
+        # every integer marking is consistent with it
+        if not isinstance(mark, int):
+            raise DiagramError("R2 marking %r is not an integer" % (mark,))
         return insert(
             [(ins1, model.words["L"][0]), (ins2, model.words["L"][1])],
             [(c, mark, model.signs[c] if g.signed else 0) for c in (0, 1)],
         )
     if move == "R2-":
         # a match naming these arrows is anchored at one of their endpoints
-        pair = tuple(site)
+        bad = DiagramError("arrows %r do not form a removable bigon" % (site,))
+        try:
+            pair = tuple(site)
+        except TypeError:
+            raise bad from None
         spots = sorted(p for i in range(g.n) if i in pair for p in g.arrows[i][:2])
         for m in _full_matches(g, "R2", mode, positions=spots):
             if (m.arrow_map[0], m.arrow_map[1]) == pair:
-                drop = set(site)
-                return g.subdiagram([i for i in range(g.n) if i not in drop])
-        raise DiagramError("arrows %r do not form a removable bigon" % (site,))
+                return remove(set(pair))
+        raise bad
     if move == "R3":
-        triple, anchor = site
+        bad = DiagramError("no R3 site at %r" % (site,))
+        triple, anchor = _site_parts(site, 2, bad)
+        triple = _site_parts(triple, 3, bad)
         spots = [p for p in range(2 * g.n) if p == anchor]  # see _r3_site
         for m in _full_matches(g, "R3", mode, positions=spots):
-            if _r3_site(m) != (tuple(triple), anchor):
+            if _r3_site(m) != (triple, anchor):
                 continue
             other = "R" if m.side == "L" else "L"
-            return _build_term(
+            arrows, _anchor = _assemble_term(
                 m.layout, m.model, (0, 1, 2), other, m.marks_options[0],
                 "gauss" if g.signed else "arrow",
             )
-        raise DiagramError("no R3 site at %r" % (site,))
+            created = tuple(range(len(arrows) - 3, len(arrows)))
+            return type(g)(g.K, arrows), arrows, created, triple
+        raise bad
     raise ValueError("unknown move %r" % (move,))
 
 

@@ -1,8 +1,8 @@
 """Brute-force move oracles: the explicit move list, the unanchored
-full-model matcher, the unreduced two-crossing descriptor table and the
-full-scan removal of R2/R3 sites, against which the program's counted move
-census, anchored matcher, six-term descriptor classes and site-local
-apply_R_move are tested."""
+full-model matcher, the descriptor-bucket scan, the unreduced two-crossing
+descriptor table and the full-scan removal of R2/R3 sites, against which
+the program's counted move census, signature-keyed matcher, six-term
+descriptor classes and site-local apply_R_move are tested."""
 
 from itertools import permutations
 
@@ -13,6 +13,7 @@ from arrowforms.relations import (
     _build_term,
     _cyclic_ordered,
     _full_descriptors,
+    _gap_relation,
     _normalize_model,
     _other_pos,
     _solve_gaps,
@@ -52,6 +53,112 @@ def _full_matches_scan(d, kind, mode):
                 continue
             arrow_map = dict(enumerate(arrows))
             yield Match(model, side, tuple(range(ncross)), arrow_map, [marks], d, anchors)
+
+
+_BUCKETS = {}
+
+
+def _bucket_table(kind, mode):
+    """Full descriptors indexed by the role pair of their first slot group.
+
+    Entry: (model, side, pair, rest, relation) where pair maps the anchored
+    group's two crossings, rest lists the remaining groups as (slot, group)
+    and relation is the model's integer gap relation (_gap_relation)."""
+    key = (kind, mode)
+    if key in _BUCKETS:
+        return _BUCKETS[key]
+    table = {}
+    for model, side in _full_descriptors(kind, mode):
+        word = model.words[side]
+        (c1, r1), (c2, r2) = word[0]
+        rest = tuple((s, word[s]) for s in range(1, model.nslots))
+        table.setdefault((r1, r2), []).append(
+            (model, side, (c1, c2), rest, _gap_relation(model))
+        )
+    _BUCKETS[key] = table
+    return table
+
+
+def full_matches_bucket_scan(d, kind, mode, positions=None):
+    """The descriptor-bucket scan that relations._full_matches replaced,
+    kept as its oracle.  Matches of a complete local model (all crossings
+    visible) inside d.
+
+    Anchored search: every slot group occupies consecutive positions, so
+    fixing the first group on an adjacent endpoint pair (p, p+1 mod 2n)
+    determines the rest.  Matches come in the order of p, over all of
+    0..2n-1 or, when `positions` is given, over those positions only.
+
+    Two exact shortcuts leave the matches and their order unchanged:
+      * adjacency prefilter: every slot group is two consecutive endpoints
+        of two different crossings.  So an R2 match needs the anchor arrows
+        u, v adjacent (endpoints at q, q+1) at least twice, and an R3 match
+        needs a third arrow adjacent to both; other p are skipped.
+      * integer gap relation: the gap system of a full model is consistent
+        iff its _gap_relation vanishes on (K, markings), which replaces the
+        rational elimination of _solve_gaps.
+
+    The matches' layouts are built lazily (see Match)."""
+    table = _bucket_table(kind, mode)
+    ncross = 2 if kind == "R2" else 3
+    if d.n < ncross:
+        return
+    size = 2 * d.n
+    ends = d.endpoint_roles()
+    nbrs = [[] for _ in range(d.n)]  # arrow adjacency multigraph
+    for q in range(size):
+        a, b = ends[q][0], ends[(q + 1) % size][0]
+        if a != b:
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+    for p in range(size) if positions is None else positions:
+        (u, ru), (v, rv) = ends[p], ends[(p + 1) % size]
+        if u == v:
+            continue
+        if kind == "R2":
+            if nbrs[u].count(v) < 2:
+                continue
+        elif set(nbrs[u]).isdisjoint(nbrs[v]):
+            continue
+        for model, side, pair, rest, relation in table.get((ru, rv), ()):
+            if mode == "gauss" and (
+                d.arrows[u][3] != model.signs[pair[0]]
+                or d.arrows[v][3] != model.signs[pair[1]]
+            ):
+                continue
+            arrow_map = {pair[0]: u, pair[1]: v}
+            anchors = [p] + [None] * (model.nslots - 1)
+            ok = True
+            for s, grp in rest:
+                base = next(
+                    (j for j, (c, _r) in enumerate(grp) if c in arrow_map), None
+                )
+                if base is None:
+                    ok = False
+                    break
+                bc, br = grp[base]
+                q0 = (_other_pos(d, arrow_map[bc], br) - base) % size
+                for j, (c, r) in enumerate(grp):
+                    a, ar = ends[(q0 + j) % size]
+                    if ar != r or arrow_map.setdefault(c, a) != a:
+                        ok = False
+                        break
+                if not ok:
+                    break
+                anchors[s] = q0
+            if not ok or len(set(arrow_map.values())) != ncross:
+                continue
+            if mode == "gauss" and any(
+                d.arrows[arrow_map[c]][3] != model.signs[c] for c in range(ncross)
+            ):
+                continue
+            if not _cyclic_ordered(anchors, size):
+                continue
+            marks = {c: d.arrows[arrow_map[c]][2] for c in range(ncross)}
+            if relation[0] * d.K + sum(relation[c + 1] * marks[c] for c in range(ncross)):
+                continue
+            yield Match(model, side, tuple(range(ncross)), arrow_map, [marks], d, anchors)
+
 
 
 _PAIR_DESC = {}

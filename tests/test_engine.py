@@ -1,12 +1,13 @@
 """Formula solving, evaluation, move walks, and planar chain formulas."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrowforms import engine
+from arrowforms import diagrams, engine
 from arrowforms.diagrams import ArrowDiagram, DiagramError, GaussDiagram
 from arrowforms.engine import (
     ChainPresentation,
@@ -116,7 +117,12 @@ def formula_and_knots(draw):
         GaussDiagram(2, draw(signed_arrows(n)))
         for n in draw(st.lists(st.integers(0, 6), min_size=1, max_size=3))
     ]
-    g = knots[0]
+    return _draw_formula(draw, knots[0]), knots
+
+
+def _draw_formula(draw, g):
+    """A formula over K=2 with terms of degrees 0..3; about half of them
+    are sign-less subdiagrams of g."""
     terms = []
     for _ in range(draw(st.integers(0, 6))):
         if g.n and draw(st.booleans()):
@@ -126,7 +132,15 @@ def formula_and_knots(draw):
             a = ArrowDiagram(2, draw(signed_arrows(draw(st.integers(0, 3)), signed=False)))
         c = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
         terms.append((a, c))
-    return Formula(LinComb(terms), 2), knots
+    return Formula(LinComb(terms), 2)
+
+
+@st.composite
+def formula_and_walk_start(draw):
+    """A Gauss diagram of 0..5 arrows over K=2 and a formula drawn as in
+    formula_and_knots."""
+    g = GaussDiagram(2, draw(signed_arrows(draw(st.integers(0, 5)))))
+    return _draw_formula(draw, g), g
 
 
 @settings(max_examples=150, deadline=None)
@@ -140,6 +154,57 @@ def test_compiled_evaluate_matches_double_angle(drawn):
         )
         assert evaluate(f, g) == expected
     assert f.table() is f.table()
+
+
+def test_running_value_is_the_full_value_after_every_step():
+    kinds = set()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(formula_and_walk_start(), st.integers(0, 2**32 - 1))
+    def walk(drawn, seed):
+        f, g = drawn
+        rng = random.Random(seed)
+        value = evaluate(f, g)
+        max_degree = g.n + 4
+        for _step in range(12):
+            mv = sample_move(g, {0, 1, 2}, rng, max_degree)
+            if mv is None:
+                break
+            g, value = engine._walk_step(f, g, value, mv)
+            assert value == evaluate(f, g)
+            kinds.add(mv[0])
+
+    walk()
+    assert kinds == {"R1+", "R1-", "R2+", "R2-", "R3"}
+
+
+def test_evaluate_builds_no_canonical_form(monkeypatch):
+    g = GaussDiagram(2, [(0, 3, 1, 1), (1, 4, 2, -1), (2, 5, 1, 1)])
+    vector = LinComb([
+        (g.forget_signs(), Fraction(1, 2)),
+        (g.subdiagram([0, 1]).forget_signs(), 1),
+        (g.subdiagram([2]).forget_signs(), -3),
+        (ArrowDiagram(2), 2),
+    ])
+    expected = sum((c * double_angle(a, g) for a, c in vector.items()), Fraction(0))
+    assert expected
+
+    def refuse(*args):
+        raise AssertionError("canonical_arrows called")
+
+    monkeypatch.setattr(diagrams, "canonical_arrows", refuse)
+    assert evaluate(Formula(vector, 2), g) == expected
+
+
+def test_the_end_of_trial_guard_catches_a_wrong_running_value(monkeypatch):
+    f = gv_formula(2, (1, 1, 1))
+    g0 = GaussDiagram(3, [(0, 2, 1, 1), (1, 3, 2, -1)])
+    step = engine._walk_step
+    monkeypatch.setattr(
+        engine, "_walk_step", lambda f, g, value, mv: (step(f, g, value, mv)[0], value + 1)
+    )
+    with pytest.raises(AssertionError, match="running value"):
+        verify_invariance(f, g0, trials=5, walk_length=12, seed=3)
 
 
 def test_evaluate_requires_matching_global_marking():

@@ -1,5 +1,6 @@
 """Relation families, move matching, and Reidemeister rewriting."""
 
+import re
 from itertools import product
 from unittest import mock
 
@@ -37,6 +38,7 @@ from move_oracles import (
     _full_matches_scan,
     apply_R_move_full_scan,
     available_moves,
+    full_matches_bucket_scan,
     unreduced_pair_table,
 )
 from move_oracles import _pair_descriptors as unreduced_pair_descriptors
@@ -171,6 +173,31 @@ def test_anchored_matcher_matches_the_scan_with_layouts(d):
         assert fast == _match_layout_keys(_full_matches_scan(d, kind, mode))
 
 
+def _ordered_match_keys(matches):
+    return [
+        (id(m.model), m.side, m.present, tuple(sorted(m.arrow_map.items())), tuple(m.anchors))
+        for m in matches
+    ]
+
+
+def test_signature_matcher_matches_the_bucket_scan_in_order():
+    # every diagram over 0..1 K=1: the 164 arrow and 1,288 Gauss diagrams of
+    # degree 3 and the 3,388 arrow diagrams of degree 4
+    w = MarkingWindow({0, 1}, 1)
+    sets = [("arrow", 3, 164), ("gauss", 3, 1288), ("arrow", 4, 3388)]
+    found = {"R2": 0, "R3": 0}
+    for species, n, count in sets:
+        diagrams = enumerate_diagrams(species, n, w)
+        assert len(diagrams) == count
+        mode = "gauss" if species == "gauss" else "plain"
+        for d in diagrams:
+            for kind in ("R2", "R3"):
+                fast = _ordered_match_keys(_full_matches(d, kind, mode))
+                assert fast == _ordered_match_keys(full_matches_bucket_scan(d, kind, mode))
+                found[kind] += len(fast)
+    assert found["R2"] and found["R3"]
+
+
 def test_gap_relation_agrees_with_solve_gaps():
     # every model has one (16 R2, 288 R3); the matcher uses the descriptors'
     assert len([_gap_relation(m) for kind in ("R2", "R3") for m in models(kind)]) == 304
@@ -222,6 +249,38 @@ def test_site_local_removal_matches_the_full_scan(d):
         assert _outcome(apply_R_move, d, mv, site) == want
     for mv, site in sites:
         assert isinstance(apply_R_move(d, mv, site), type(d))
+
+
+@pytest.mark.parametrize("move", ["R2+", "R2-", "R3"])
+@pytest.mark.parametrize("site", [5, None, (), (0,), "ab", ((0, 1), 0), (5, 0)])
+def test_a_site_of_the_wrong_shape_is_a_diagram_error(move, site):
+    g = GaussDiagram(2, [(0, 3, 1, 1), (1, 2, 1, -1), (4, 5, 0, 1)])
+    with pytest.raises(DiagramError, match=re.escape(repr(site))):
+        apply_R_move(g, move, site, (0, 1) if move == "R2+" else ())
+
+
+@pytest.mark.parametrize("move, site", [("R1+", None), ("R1+", "0"), ("R1+", 1.0), ("R1-", [0])])
+def test_an_r1_site_of_the_wrong_type_is_a_diagram_error(move, site):
+    g = GaussDiagram(2, [(0, 3, 1, 1), (1, 2, 1, -1), (4, 5, 0, 1)])
+    with pytest.raises(DiagramError, match=re.escape(repr(site))):
+        apply_R_move(g, move, site, ("ht", 1) if move == "R1+" else ())
+
+
+def test_r2_insertion_accepts_exactly_the_integer_markings():
+    # every R2 model marks both crossings with one single gap, so the gap
+    # system has rank 2 and each integer marking is consistent with it
+    rs = models("R2")
+    assert len(rs) == 16
+    for k, model in enumerate(rs):
+        assert model.markexpr[0] == model.markexpr[1] and len(model.markexpr[0]) == 1
+        for K in range(-5, 6):
+            g = GaussDiagram(K, [(0, 1, 0, 1)])
+            for mark in range(-5, 6):
+                assert _solve_gaps(model, (0,), {0: mark}, K) is not None
+                assert apply_R_move(g, "R2+", (0, 1), (k, mark)).n == 3
+            for mark in (0.5, 1.0, "1", None):
+                with pytest.raises(DiagramError, match="not an integer"):
+                    apply_R_move(g, "R2+", (0, 1), (k, mark))
 
 
 def test_instances_are_deduplicated():
