@@ -109,7 +109,7 @@ def _pair_is_monotonic(model, pair):
     raise AssertionError("pair shares no strand")
 
 
-def _parents_at(D, arc, window):
+def _parents_at(D, arc):
     """Parent triple-point instances whose collision at `arc` matches.
 
     Yields (parent_key, based_terms, mu) where based_terms maps
@@ -117,26 +117,25 @@ def _parents_at(D, arc, window):
     the relation so a direct basing of the monotonic shrink carries its
     epsilon."""
     b0 = BasedDiagram(D, arc)
-    for m in r3_pair_matches(D, window, "pairprod", fixed_positions=arc):
-        for marks in m.marks_options:
-            terms = {}
-            for pair in _PAIRS:
-                for side in ("L", "R"):
-                    bt = _based_term(m.layout, m.model, pair, side, marks)
-                    terms[(pair, side)] = (bt, _six_term_coeff(m.model, side, pair, "pairprod"))
-            direct = (tuple(sorted(m.present)), m.side)
-            if terms[direct][0] != b0:
-                raise AssertionError("matched term does not rebuild its own basing")
-            mono = next(p for p in _PAIRS if _pair_is_monotonic(m.model, p))
-            bL, cL = terms[(mono, "L")]
-            bR, cR = terms[(mono, "R")]
-            mu = Fraction(epsilon(bL), cL)
-            if mu != Fraction(epsilon(bR), cR):
-                raise AssertionError("inconsistent normalization across move sides")
-            if DegenerateDiagram(bL) != DegenerateDiagram(bR):
-                raise AssertionError("the two monotonic basings shrink differently")
-            key = frozenset((bt, mu * c) for bt, c in terms.values())
-            yield key, terms, mu, mono, direct
+    for m in r3_pair_matches(D, "pairprod", fixed_positions=arc):
+        terms = {}
+        for pair in _PAIRS:
+            for side in ("L", "R"):
+                bt = _based_term(m.layout, m.model, pair, side, m.marks)
+                terms[(pair, side)] = (bt, _six_term_coeff(m.model, side, pair, "pairprod"))
+        direct = (tuple(sorted(m.present)), m.side)
+        if terms[direct][0] != b0:
+            raise AssertionError("matched term does not rebuild its own basing")
+        mono = next(p for p in _PAIRS if _pair_is_monotonic(m.model, p))
+        bL, cL = terms[(mono, "L")]
+        bR, cR = terms[(mono, "R")]
+        mu = Fraction(epsilon(bL), cL)
+        if mu != Fraction(epsilon(bR), cR):
+            raise AssertionError("inconsistent normalization across move sides")
+        if DegenerateDiagram(bL) != DegenerateDiagram(bR):
+            raise AssertionError("the two monotonic basings shrink differently")
+        key = frozenset((bt, mu * c) for bt, c in terms.values())
+        yield key, terms, mu, mono, direct
 
 
 def _shrink_arcs(dd):
@@ -154,7 +153,7 @@ def a6t_based(dd, window):
     D, arcs = _shrink_arcs(dd)
     vectors = set()
     for arc in arcs:
-        for key, _terms, _mu, _mono, _direct in _parents_at(D, arc, window):
+        for key, _terms, _mu, _mono, _direct in _parents_at(D, arc):
             vectors.add(key)
     if not vectors:
         raise NormalizationError(
@@ -180,7 +179,7 @@ def triangle_relation(dd, window):
     for arc in arcs:
         b = BasedDiagram(D, arc)
         eps = epsilon(b)
-        for key, terms, mu, mono, direct in _parents_at(D, arc, window):
+        for key, terms, mu, mono, direct in _parents_at(D, arc):
             target = DegenerateDiagram(terms[(mono, "L")][0])
             _bt, c = terms[direct]
             u = Fraction(mu * c, eps)

@@ -29,13 +29,9 @@ TAIL, HEAD = 0, 1
 class LocalModel:
     """One oriented, over/under-resolved local move picture."""
 
-    __slots__ = ("kind", "nslots", "ncross", "signs", "markexpr", "words", "key", "uid")
-
-    _counter = [0]
+    __slots__ = ("kind", "nslots", "ncross", "signs", "markexpr", "words", "key")
 
     def __init__(self, kind, nslots, ncross, signs, markexpr, words):
-        self.uid = LocalModel._counter[0]
-        LocalModel._counter[0] += 1
         self.kind = kind
         self.nslots = nslots
         self.ncross = ncross

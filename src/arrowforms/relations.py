@@ -19,7 +19,6 @@ and the move census (move_census) that random invariance walks draw from.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from math import gcd
 
@@ -135,52 +134,7 @@ def enumerate_diagrams(species, n, window):
 
 
 # ---------------------------------------------------------------------------
-# marking arithmetic: solve gap classes from visible markings
-
-
-def _solve_gaps(model, present, marks, K):
-    """Solve the gap classes from the markings of the present crossings.
-
-    Returns None when inconsistent, else (particular, kernel_basis) over the
-    rationals.  The constraint matrices have the consecutive-ones property,
-    so rational consistency with integer data implies integer solutions.
-    """
-    ns = model.nslots
-    rows = [([Fraction(1)] * ns, Fraction(K))]
-    for c in present:
-        coeffs = [Fraction(1) if s in model.markexpr[c] else Fraction(0) for s in range(ns)]
-        rows.append((coeffs, Fraction(marks[c])))
-    # gaussian elimination on at most 3 unknowns
-    mat = [list(co) + [r] for co, r in rows]
-    pivots = []
-    rix = 0
-    for col in range(ns):
-        piv = next((i for i in range(rix, len(mat)) if mat[i][col]), None)
-        if piv is None:
-            continue
-        mat[rix], mat[piv] = mat[piv], mat[rix]
-        mat[rix] = [x / mat[rix][col] for x in mat[rix]]
-        for i in range(len(mat)):
-            if i != rix and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rix])]
-        pivots.append(col)
-        rix += 1
-    for i in range(rix, len(mat)):
-        if mat[i][ns]:
-            return None
-    part = [Fraction(0)] * ns
-    for r, col in enumerate(pivots):
-        part[col] = mat[r][ns]
-    free = [c for c in range(ns) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ns
-        v[f] = Fraction(1)
-        for r, col in enumerate(pivots):
-            v[col] = -mat[r][f]
-        basis.append(v)
-    return part, basis
+# marking arithmetic: the gap relation between K and a model's markings
 
 
 def _det(rows):
@@ -194,14 +148,16 @@ def _det(rows):
 
 
 def _gap_relation(model):
-    """The integer relation between K and the markings of a model whose
-    crossings are all visible.
+    """The integer relation between K and the markings of a model.
 
-    With every crossing present, the gap system of _solve_gaps has one row
-    more than unknowns and full column rank, so it has exactly one left-null
-    vector y, up to scale: the signed maximal minors.  The system is then
-    consistent iff y[0]*K + sum(y[c+1]*mark_c) == 0.  Raises ValueError
-    for a model whose system is not of that shape."""
+    The marking of crossing c is the sum of the gaps (between consecutive
+    slots) in model.markexpr[c], and all gaps sum to K.  With every
+    crossing visible this gap system has one row more than unknowns and
+    full column rank, so it has exactly one left-null vector y, up to
+    scale: the signed maximal minors.  The system is then consistent iff
+    y[0]*K + sum(y[c+1]*mark_c) == 0, which is how matches are checked and
+    how six-term matches complete their hidden crossing (_complete_marks).
+    Raises ValueError for a model whose system is not of that shape."""
     ns = model.nslots
     rows = [[1] * ns] + [[int(s in e) for s in range(ns)] for e in model.markexpr]
     if len(rows) != ns + 1:
@@ -211,47 +167,6 @@ def _gap_relation(model):
         raise ValueError("gap system of %r has more than one left-null vector" % (model,))
     g = gcd(*y)
     return tuple(v // g for v in y)
-
-
-def _expr_values(model, c, solution, window):
-    """Possible markings of crossing c on the solution space, window-filtered:
-    a single-element list when the marking is pinned by the visible ones,
-    else all window values.
-    """
-    part, basis = solution
-    expr = model.markexpr[c]
-    v0 = sum(part[s] for s in expr)
-    if all(sum(b[s] for s in expr) == 0 for b in basis):
-        return [int(v0)] if v0.denominator == 1 else []
-    return sorted(window.allowed)
-
-
-_MARK_CACHE = {}
-
-
-def _mark_options(model, present, marks, K, window):
-    """Window-filtered completions of the visible marking assignment to all
-    crossings of the model; cached, since the same (model, markings) pair
-    recurs across many host diagrams."""
-    key = (model.uid, present, tuple(sorted(marks.items())), K, window)
-    hit = _MARK_CACHE.get(key)
-    if hit is not None:
-        return hit
-    sol = _solve_gaps(model, present, marks, K)
-    options = []
-    if sol is not None:
-        absent = [c for c in range(model.ncross) if c not in present]
-        if not absent:
-            options = [dict(marks)]
-        else:
-            c = absent[0]
-            for mv in _expr_values(model, c, sol, window):
-                full = dict(marks)
-                full[c] = mv
-                if _solve_gaps(model, tuple(range(model.ncross)), full, K) is not None:
-                    options.append(full)
-    _MARK_CACHE[key] = options
-    return options
 
 
 # ---------------------------------------------------------------------------
@@ -265,20 +180,25 @@ class Match:
     The layout (see _Layout) is built from them on first access, since the
     move census reads only arrow_map and the anchors.
 
+    marks: the marking of every crossing of the model, visible or not.  A
+    full match reads them off the host; a six-term match completes its
+    hidden crossing by the model's integer gap relation (_complete_marks),
+    which always has exactly one integer solution.
+
     weight: how many descriptors this match stands for (the size of its
     six-term group, see _pair_descriptors; 1 for full matches)."""
 
     __slots__ = (
-        "model", "side", "present", "arrow_map", "marks_options", "host", "anchors", "weight",
+        "model", "side", "present", "arrow_map", "marks", "host", "anchors", "weight",
         "_layout",
     )
 
-    def __init__(self, model, side, present, arrow_map, marks_options, host, anchors, weight=1):
+    def __init__(self, model, side, present, arrow_map, marks, host, anchors, weight=1):
         self.model = model
         self.side = side
         self.present = present
         self.arrow_map = arrow_map
-        self.marks_options = marks_options
+        self.marks = marks
         self.host = host
         self.anchors = anchors
         self.weight = weight
@@ -482,10 +402,39 @@ def _six_term_signature(model, side, pair, singles, mode):
 _PAIR_DESC = {}
 
 
+def _pair_entry(model, side, pair, singles, weight):
+    """The table entry of one pair descriptor:
+    (model, side, pair, singles, weight, third, relation), where third is
+    the crossing the descriptor does not see and relation the model's
+    _gap_relation.  The relation must have coefficient +-1 on the third
+    crossing, so that every pair of visible markings completes to exactly
+    one integer marking of it (see _complete_marks).  Raises ValueError
+    otherwise."""
+    third = 3 - sum(pair)
+    relation = _gap_relation(model)
+    if relation[third + 1] not in (1, -1):
+        raise ValueError(
+            "gap relation %r of %r does not pin the hidden crossing %d"
+            % (relation, model, third)
+        )
+    return (model, side, pair, singles, weight, third, relation)
+
+
+def _complete_marks(pair, third, y, m1, m2, K):
+    """The markings of all three crossings of a pair descriptor's model,
+    given the markings m1, m2 of its visible pair and its gap relation y:
+    the hidden third crossing gets the one value on which y vanishes, as a
+    dict keyed in the order pair[0], pair[1], third.  Exact in integers,
+    since y[third + 1] is +-1 and so its own inverse."""
+    c1, c2 = pair
+    return {c1: m1, c2: m2, third: -(y[0] * K + y[c1 + 1] * m1 + y[c2 + 1] * m2) * y[third + 1]}
+
+
 def _pair_descriptors(mode):
     """Two-crossing R3 term shapes, indexed by the role pair of the shared
-    adjacent endpoints.  Entries: (model, side, pair, singles, weight) with
-    the shared strand normalized to slot 0 and
+    adjacent endpoints.  Entries (see _pair_entry):
+    (model, side, pair, singles, weight, third, relation) with the shared
+    strand normalized to slot 0 and
     singles = ((crossing, slot, role), (crossing, slot, role)).
 
     The shapes are the (side, normalized model) classes of every R3 model,
@@ -495,7 +444,7 @@ def _pair_descriptors(mode):
     pairs up to one global sign.  So the shapes are grouped by
     _six_term_signature and only the first of each group, in shape order,
     is kept; weight counts the shapes of its group.  Equal signatures match
-    at the same positions, get the same marking options and splice the same
+    at the same positions, complete the same markings and splice the same
     terms, so the grouping is exact.  Keeping the first keeps every
     instance's first occurrence, hence the kept instances and their term
     order: only later copies of an instance go.  ('pairprod': 96 shapes in
@@ -505,9 +454,9 @@ def _pair_descriptors(mode):
     shapes = set()
     groups = {}  # signature -> [first shape, number of shapes]
     for model in models("R3"):
+        normalized = [_normalize_model(model, shared, mode) for shared in range(3)]
         for side in ("L", "R"):
-            for shared in range(3):
-                nm, base_sig = _normalize_model(model, shared, mode)
+            for nm, base_sig in normalized:
                 if (side, base_sig) in shapes:
                     continue
                 shapes.add((side, base_sig))
@@ -518,17 +467,19 @@ def _pair_descriptors(mode):
                 groups.setdefault(sig, [(nm, side, pair, singles), 0])[1] += 1
     out = {(TAIL, TAIL): [], (TAIL, HEAD): [], (HEAD, TAIL): [], (HEAD, HEAD): []}
     for (matching, _six), (desc, weight) in groups.items():
-        out[matching[0]].append(desc + (weight,))
+        out[matching[0]].append(_pair_entry(*desc, weight))
     _PAIR_DESC[mode] = out
     return out
 
 
-def r3_pair_matches(d, window, mode, fixed_positions=None):
+def r3_pair_matches(d, mode, fixed_positions=None):
     """Matches of a two-crossing term of an R3 model inside d.
 
     The two visible crossings share a strand; their endpoints there form an
     adjacent pair, which anchors the search.  `fixed_positions`, when given,
-    restricts the shared pair to that position pair (p, p+1 mod 2n).
+    restricts the shared pair to that position pair (p, p+1 mod 2n).  The
+    hidden third crossing is marked by the model's integer gap relation
+    (_complete_marks), so every located shape is a match.
     """
     n = d.n
     if n < 2:
@@ -542,7 +493,7 @@ def r3_pair_matches(d, window, mode, fixed_positions=None):
         (u, ru), (v, rv) = ends[p], ends[q]
         if u == v:
             continue
-        for model, side, pair, singles, weight in table[(ru, rv)]:
+        for model, side, pair, singles, weight, third, relation in table[(ru, rv)]:
             c1, c2 = pair
             arrow_map = {c1: u, c2: v}
             if mode == "gauss" and (
@@ -554,11 +505,8 @@ def r3_pair_matches(d, window, mode, fixed_positions=None):
                 anchors[s] = _other_pos(d, arrow_map[cc], rr)
             if not _cyclic_ordered(anchors, size):
                 continue
-            marks = {c: d.arrows[arrow_map[c]][2] for c in pair}
-            options = _mark_options(model, pair, marks, d.K, window)
-            if not options:
-                continue
-            yield Match(model, side, pair, arrow_map, options, d, anchors, weight)
+            marks = _complete_marks(pair, third, relation, d.arrows[u][2], d.arrows[v][2], d.K)
+            yield Match(model, side, pair, arrow_map, marks, d, anchors, weight)
 
 
 _FULL_DESC = {}
@@ -572,12 +520,12 @@ def _full_descriptors(kind, mode):
     table = {}
     sides = ("L", "R") if kind == "R3" else ("L",)
     for model in models(kind):
+        best = None
+        for rot in range(model.nslots):
+            nm, base_sig = _normalize_model(model, rot, mode)
+            if best is None or base_sig < best[1]:
+                best = (nm, base_sig)
         for side in sides:
-            best = None
-            for rot in range(model.nslots):
-                nm, base_sig = _normalize_model(model, rot, mode)
-                if best is None or base_sig < best[1]:
-                    best = (nm, base_sig)
             table.setdefault((side, best[1]), (best[0], side))
     out = list(table.values())
     _FULL_DESC[key] = out
@@ -631,9 +579,8 @@ def _full_matches(d, kind, mode, positions=None):
         p, as the slots of a model do.
     The configuration's word relabels u, v, w as 0, 1, 2, which is the
     first-appearance labelling, so equal signatures mean equal slot words,
-    roles and (in 'gauss' mode) signs.  A hit then holds iff its integer
-    gap relation vanishes on (K, markings), which replaces the rational
-    elimination of _solve_gaps.
+    roles and (in 'gauss' mode) signs.  A hit then holds iff the model's
+    integer gap relation (_gap_relation) vanishes on (K, markings).
 
     The matches' layouts are built lazily (see Match)."""
     table = _full_anchor_table(kind, mode)
@@ -663,7 +610,7 @@ def _full_matches(d, kind, mode, positions=None):
                 marks = {c: arrows[arrow_map[c]][2] for c in range(2)}
                 if relation[0] * d.K + relation[1] * marks[0] + relation[2] * marks[1]:
                     continue
-                yield Match(model, side, (0, 1), arrow_map, [marks], d, [p, q0])
+                yield Match(model, side, (0, 1), arrow_map, marks, d, [p, q0])
             continue
         hits = []
         for nx in ((x - 1) % size, (x + 1) % size):
@@ -692,7 +639,7 @@ def _full_matches(d, kind, mode, positions=None):
                 marks = {c: arrows[arrow_map[c]][2] for c in range(3)}
                 if relation[0] * d.K + sum(relation[c + 1] * marks[c] for c in range(3)):
                     continue
-                hits.append((i, Match(model, side, (0, 1, 2), arrow_map, [marks], d, [p, gx[0], gy[0]])))
+                hits.append((i, Match(model, side, (0, 1, 2), arrow_map, marks, d, [p, gx[0], gy[0]])))
         hits.sort(key=lambda h: h[0])
         for _i, m in hits:
             yield m
@@ -774,20 +721,18 @@ def _gen_from_diagrams(family, n, window, skipped, closure=True, hosts=None):
         elif family in ("p3", "g2t", "a2t"):
             presents = ((0, 1, 2),) + (_PAIRS if family == "p3" else ())
             for m in r3_full_matches(d, mode):
-                marks = m.marks_options[0]
                 emit(LinComb(
-                    (_build_term(m.layout, m.model, present, side, marks, species), _SIDE_SIGN[side])
+                    (_build_term(m.layout, m.model, present, side, m.marks, species), _SIDE_SIGN[side])
                     for side in ("L", "R") for present in presents
                 ))
         elif family in ("g6t", "a6t"):
             six_mode = "gauss" if signed else "pairprod"
-            for m in r3_pair_matches(d, window, six_mode):
-                for marks in m.marks_options:
-                    emit(LinComb(
-                        (_build_term(m.layout, m.model, pair, side, marks, species),
-                         _six_term_coeff(m.model, side, pair, six_mode))
-                        for side in ("L", "R") for pair in _PAIRS
-                    ), m.weight)
+            for m in r3_pair_matches(d, six_mode):
+                emit(LinComb(
+                    (_build_term(m.layout, m.model, pair, side, m.marks, species),
+                     _six_term_coeff(m.model, side, pair, six_mode))
+                    for side in ("L", "R") for pair in _PAIRS
+                ), m.weight)
         else:
             raise ValueError("unknown family tag %r" % family)
     return sorted(seen.values(), key=lambda r: r.key())
@@ -935,7 +880,7 @@ def _apply_move(g, move, site, params=()):
                 continue
             other = "R" if m.side == "L" else "L"
             arrows, _anchor = _assemble_term(
-                m.layout, m.model, (0, 1, 2), other, m.marks_options[0],
+                m.layout, m.model, (0, 1, 2), other, m.marks,
                 "gauss" if g.signed else "arrow",
             )
             created = tuple(range(len(arrows) - 3, len(arrows)))
@@ -1022,7 +967,7 @@ def r_relation_vectors(n, window, limit_per_kind=None):
         for m in r3_full_matches(g, "gauss"):
             g2 = _build_term(
                 m.layout, m.model, (0, 1, 2), "R" if m.side == "L" else "L",
-                m.marks_options[0], "gauss",
+                m.marks, "gauss",
             )
             vec = LinComb.single(g2) - LinComb.single(g)
             if vec and _in_window(vec, window):

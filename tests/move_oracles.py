@@ -1,9 +1,11 @@
 """Brute-force move oracles: the explicit move list, the unanchored
 full-model matcher, the descriptor-bucket scan, the unreduced two-crossing
-descriptor table and the full-scan removal of R2/R3 sites, against which
-the program's counted move census, signature-keyed matcher, six-term
-descriptor classes and site-local apply_R_move are tested."""
+descriptor table, the full-scan removal of R2/R3 sites and the rational
+marking completion, against which the program's counted move census,
+signature-keyed matcher, six-term descriptor classes, site-local
+apply_R_move and integer gap relations are tested."""
 
+from fractions import Fraction
 from itertools import permutations
 
 from arrowforms.diagrams import DiagramError
@@ -16,11 +18,102 @@ from arrowforms.relations import (
     _gap_relation,
     _normalize_model,
     _other_pos,
-    _solve_gaps,
+    _pair_entry,
     r1_matches,
     r2_matches,
     r3_full_matches,
 )
+
+
+# ---------------------------------------------------------------------------
+# rational marking completion: the program's closed forms (_gap_relation,
+# _complete_marks) replaced it
+
+
+def _solve_gaps(model, present, marks, K):
+    """Solve the gap classes from the markings of the present crossings.
+
+    Returns None when inconsistent, else (particular, kernel_basis) over the
+    rationals.  The constraint matrices have the consecutive-ones property,
+    so rational consistency with integer data implies integer solutions.
+    """
+    ns = model.nslots
+    rows = [([Fraction(1)] * ns, Fraction(K))]
+    for c in present:
+        coeffs = [Fraction(1) if s in model.markexpr[c] else Fraction(0) for s in range(ns)]
+        rows.append((coeffs, Fraction(marks[c])))
+    # gaussian elimination on at most 3 unknowns
+    mat = [list(co) + [r] for co, r in rows]
+    pivots = []
+    rix = 0
+    for col in range(ns):
+        piv = next((i for i in range(rix, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[rix], mat[piv] = mat[piv], mat[rix]
+        mat[rix] = [x / mat[rix][col] for x in mat[rix]]
+        for i in range(len(mat)):
+            if i != rix and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rix])]
+        pivots.append(col)
+        rix += 1
+    for i in range(rix, len(mat)):
+        if mat[i][ns]:
+            return None
+    part = [Fraction(0)] * ns
+    for r, col in enumerate(pivots):
+        part[col] = mat[r][ns]
+    free = [c for c in range(ns) if c not in pivots]
+    basis = []
+    for f in free:
+        v = [Fraction(0)] * ns
+        v[f] = Fraction(1)
+        for r, col in enumerate(pivots):
+            v[col] = -mat[r][f]
+        basis.append(v)
+    return part, basis
+
+
+def _expr_values(model, c, solution, window):
+    """Possible markings of crossing c on the solution space, window-filtered:
+    a single-element list when the marking is pinned by the visible ones,
+    else all window values.
+    """
+    part, basis = solution
+    expr = model.markexpr[c]
+    v0 = sum(part[s] for s in expr)
+    if all(sum(b[s] for s in expr) == 0 for b in basis):
+        return [int(v0)] if v0.denominator == 1 else []
+    return sorted(window.allowed)
+
+
+_MARK_CACHE = {}
+
+
+def _mark_options(model, present, marks, K, window):
+    """Window-filtered completions of the visible marking assignment to all
+    crossings of the model; cached, since the same (model, markings) pair
+    recurs across many host diagrams."""
+    key = (model.key, present, tuple(sorted(marks.items())), K, window)
+    hit = _MARK_CACHE.get(key)
+    if hit is not None:
+        return hit
+    sol = _solve_gaps(model, present, marks, K)
+    options = []
+    if sol is not None:
+        absent = [c for c in range(model.ncross) if c not in present]
+        if not absent:
+            options = [dict(marks)]
+        else:
+            c = absent[0]
+            for mv in _expr_values(model, c, sol, window):
+                full = dict(marks)
+                full[c] = mv
+                if _solve_gaps(model, tuple(range(model.ncross)), full, K) is not None:
+                    options.append(full)
+    _MARK_CACHE[key] = options
+    return options
 
 
 def _full_matches_scan(d, kind, mode):
@@ -52,7 +145,7 @@ def _full_matches_scan(d, kind, mode):
             if _solve_gaps(model, tuple(range(ncross)), marks, d.K) is None:
                 continue
             arrow_map = dict(enumerate(arrows))
-            yield Match(model, side, tuple(range(ncross)), arrow_map, [marks], d, anchors)
+            yield Match(model, side, tuple(range(ncross)), arrow_map, marks, d, anchors)
 
 
 _BUCKETS = {}
@@ -157,7 +250,7 @@ def full_matches_bucket_scan(d, kind, mode, positions=None):
             marks = {c: d.arrows[arrow_map[c]][2] for c in range(ncross)}
             if relation[0] * d.K + sum(relation[c + 1] * marks[c] for c in range(ncross)):
                 continue
-            yield Match(model, side, tuple(range(ncross)), arrow_map, [marks], d, anchors)
+            yield Match(model, side, tuple(range(ncross)), arrow_map, marks, d, anchors)
 
 
 
@@ -191,9 +284,9 @@ def _pair_descriptors(mode):
 
 
 def unreduced_pair_table(mode):
-    """_pair_descriptors in the program's entry format: every shape kept,
-    with weight 1."""
-    return {k: [e + (1,) for e in v] for k, v in _pair_descriptors(mode).items()}
+    """_pair_descriptors in the program's entry format (_pair_entry): every
+    shape kept, with weight 1."""
+    return {k: [_pair_entry(*e, 1) for e in v] for k, v in _pair_descriptors(mode).items()}
 
 
 def available_moves(g, marking_set, max_degree=None):
@@ -251,7 +344,7 @@ def apply_R_move_full_scan(g, move, site):
             continue
         other = "R" if m.side == "L" else "L"
         return _build_term(
-            m.layout, m.model, (0, 1, 2), other, m.marks_options[0],
+            m.layout, m.model, (0, 1, 2), other, m.marks,
             "gauss" if g.signed else "arrow",
         )
     raise DiagramError("no R3 site at %r" % (site,))

@@ -16,13 +16,14 @@ from arrowforms.relations import (
     _PAIRS,
     MarkingWindow,
     _build_term,
+    _complete_marks,
     _full_descriptors,
     _full_matches,
     _gap_relation,
     _pair_descriptors,
+    _pair_entry,
     _six_term_coeff,
     _six_term_signature,
-    _solve_gaps,
     _splice,
     apply_R_move,
     enumerate_diagrams,
@@ -36,6 +37,8 @@ from arrowforms.relations import (
 from conftest import random_arrow_diagram, random_gauss_diagram, seeded
 from move_oracles import (
     _full_matches_scan,
+    _mark_options,
+    _solve_gaps,
     apply_R_move_full_scan,
     available_moves,
     full_matches_bucket_scan,
@@ -47,7 +50,7 @@ from move_oracles import _pair_descriptors as unreduced_pair_descriptors
 def _match_keys(matches):
     return sorted(
         (id(m.model), m.side, m.present, tuple(sorted(m.arrow_map.items())),
-         tuple(m.marks_options))
+         tuple(m.marks.items()))
         for m in matches
     )
 
@@ -159,7 +162,7 @@ def dense_site_diagrams(draw):
 def _match_layout_keys(matches):
     return sorted(
         (id(m.model), m.side, m.present, tuple(sorted(m.arrow_map.items())),
-         tuple(m.marks_options), tuple(m.layout.host_word), tuple(m.layout.slot_ranks))
+         tuple(m.marks.items()), tuple(m.layout.host_word), tuple(m.layout.slot_ranks))
         for m in matches
     )
 
@@ -220,6 +223,62 @@ def test_gap_relation_rejects_a_degenerate_system():
     flat = LocalModel("R3", 3, 3, r3.signs, (same, same, same), r3.words)
     with pytest.raises(ValueError, match="more than one left-null vector"):
         _gap_relation(flat)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    K=st.integers(-6, 6),
+    marks=st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+    allowed=st.sets(st.integers(-6, 6), min_size=1, max_size=5),
+)
+def test_closed_form_completion_matches_the_rational_oracle(K, marks, allowed):
+    # the same option dicts with the same key order as the Fraction
+    # elimination, for every descriptor (12 + 96 classes, 96 + 192 shapes)
+    window = MarkingWindow(allowed, K)
+    entries = [
+        e
+        for mode in ("pairprod", "gauss")
+        for table in (_pair_descriptors(mode), unreduced_pair_table(mode))
+        for v in table.values() for e in v
+    ]
+    assert len(entries) == 12 + 96 + 96 + 192
+    for model, _side, pair, _singles, _weight, third, y in entries:
+        assert third not in pair and len(set(pair)) == 2
+        got = [_complete_marks(pair, third, y, marks[0], marks[1], K)]
+        want = _mark_options(model, pair, dict(zip(pair, marks)), K, window)
+        assert [list(o.items()) for o in got] == [list(o.items()) for o in want]
+
+
+@pytest.mark.parametrize("coefficient", [0, 2])
+def test_a_pair_descriptor_that_does_not_pin_its_hidden_crossing_is_rejected(coefficient):
+    r3 = models("R3")[0]
+    if coefficient == 0:
+        # crossings 0 and 1 mark the same gap: crossing 2's marking is free
+        # once they are seen, and the gap relation is (0, -1, 1, 0)
+        gaps = (frozenset({0}), frozenset({0}), frozenset({1}))
+        flat = LocalModel("R3", 3, 3, r3.signs, gaps, r3.words)
+        patch = mock.patch.object(relations, "models", lambda _kind: [flat])
+    else:
+        # a relation that pins each crossing only up to a factor 2
+        patch = mock.patch.object(relations, "_gap_relation", lambda _m: (1, 2, 2, 2))
+    for mode in ("pairprod", "gauss"):
+        with mock.patch.dict(relations._PAIR_DESC, clear=True), patch:
+            with pytest.raises(ValueError, match="does not pin the hidden crossing"):
+                _pair_descriptors(mode)
+
+
+def test_descriptor_tables_normalize_each_model_once_per_rotation():
+    # 288 R3 models x 3 rotations; normalizing once per side would make 1,728
+    assert len(models("R3")) == 288
+    builds = [(_pair_descriptors, ("pairprod",))]
+    builds += [(_full_descriptors, ("R3", mode)) for mode in ("gauss", "plain")]
+    for build, args in builds:
+        with mock.patch.dict(relations._PAIR_DESC, clear=True), \
+                mock.patch.dict(relations._FULL_DESC, clear=True), \
+                mock.patch.object(relations, "_normalize_model",
+                                  wraps=relations._normalize_model) as spy:
+            build(*args)
+        assert spy.call_count == 864
 
 
 def _outcome(fn, *args):
@@ -459,22 +518,21 @@ def test_six_term_families_match_the_unreduced_table(family):
     assert compared > 200
 
 
-def _six_term_vectors(d, window, mode, p, entry):
+def _six_term_vectors(d, mode, p, entry):
     """The 6-term vectors one pair descriptor builds at position p."""
     model, side = entry[0], entry[1]
     anchor = model.words[side][0]
     table = {(r1, r2): [] for r1 in (TAIL, HEAD) for r2 in (TAIL, HEAD)}
-    table[(anchor[0][1], anchor[1][1])].append(tuple(entry[:4]) + (1,))
+    table[(anchor[0][1], anchor[1][1])].append(_pair_entry(*entry[:4], 1))
     species = "gauss" if mode == "gauss" else "arrow"
     with mock.patch.object(relations, "_pair_descriptors", lambda _mode: table):
         return [
             LinComb(
-                (_build_term(m.layout, m.model, pair, sd, marks, species),
+                (_build_term(m.layout, m.model, pair, sd, m.marks, species),
                  _six_term_coeff(m.model, sd, pair, mode))
                 for sd in ("L", "R") for pair in _PAIRS
             )
-            for m in r3_pair_matches(d, window, mode, fixed_positions=p)
-            for marks in m.marks_options
+            for m in r3_pair_matches(d, mode, fixed_positions=p)
         ]
 
 
@@ -494,7 +552,6 @@ def six_term_hosts(draw):
 @given(six_term_hosts())
 def test_every_descriptor_builds_its_class_representatives_terms(d):
     mode = "gauss" if d.signed else "pairprod"
-    window = MarkingWindow(range(-1, 3), d.K)
     reps = {
         _six_term_signature(*e[:4], mode): e
         for entries in _pair_descriptors(mode).values() for e in entries
@@ -505,8 +562,8 @@ def test_every_descriptor_builds_its_class_representatives_terms(d):
             for entry in entries:
                 sig = _six_term_signature(*entry, mode)
                 if sig not in rep_vectors:
-                    rep_vectors[sig] = _six_term_vectors(d, window, mode, p, reps[sig])
-                got = _six_term_vectors(d, window, mode, p, entry)
+                    rep_vectors[sig] = _six_term_vectors(d, mode, p, reps[sig])
+                got = _six_term_vectors(d, mode, p, entry)
                 want = rep_vectors[sig]
                 assert len(got) == len(want)
                 for g, w in zip(got, want):
