@@ -18,7 +18,7 @@ diagram in monotonic ones.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 
 from .diagrams import (
     ArrowDiagram,
@@ -41,7 +41,8 @@ from .relations import (
 
 
 class NormalizationError(DiagramError):
-    """A triangle rewrite would need diagrams outside the marking window."""
+    """A triangle rewrite would need diagrams outside the marking window,
+    or a diagram has no triple-point completion to rewrite it with."""
 
 
 def is_nice(b):
@@ -73,10 +74,6 @@ def d_based(b):
     if not is_nice(b):
         return LinComb.zero()
     return LinComb.single(DegenerateDiagram(b), epsilon(b))
-
-
-def is_monotonic(dd):
-    return dd.is_monotonic()
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +143,7 @@ def _shrink_arcs(dd):
     ]
 
 
-def a6t_based(dd, window):
+def a6t_based(dd):
     """The based 6-term combination attached to a monotonic diagram."""
     if not dd.is_monotonic():
         raise DiagramError("based 6-term combinations attach to monotonic diagrams")
@@ -157,7 +154,7 @@ def a6t_based(dd, window):
             vectors.add(key)
     if not vectors:
         raise NormalizationError(
-            "no triple-point completion for %r within the window" % (dd,)
+            "no triple-point completion for %r" % (dd,)
         )
     if len(vectors) > 1:
         raise AssertionError("monotonic diagram with several parent instances")
@@ -165,7 +162,7 @@ def a6t_based(dd, window):
     return LinComb(sorted(vectors.pop()))
 
 
-def triangle_relation(dd, window):
+def triangle_relation(dd):
     """The unique relation containing the non-monotonic diagram dd, as a
     vector with coefficient 1 on dd.  Fused endpoints of a single arrow give
     the one-term relation dd = 0."""
@@ -190,7 +187,7 @@ def triangle_relation(dd, window):
                 rewrites[key] = (target, u)
     if not rewrites:
         raise NormalizationError(
-            "no triangle relation for %r within the window" % (dd,)
+            "no triangle relation for %r" % (dd,)
         )
     out = {dd: Fraction(1)}
     for target, u in rewrites.values():
@@ -198,11 +195,11 @@ def triangle_relation(dd, window):
     return LinComb._of(out)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _triangle_rewrite(dd, window):
     """dd (non-monotonic) as a combination of monotonic diagrams."""
     out = {dd: Fraction(1)}
-    _add_into(out, triangle_relation(dd, window).scale(-1).terms)
+    _add_into(out, triangle_relation(dd).scale(-1).terms)
     out = LinComb._of(out)
     for k in out.keys():
         if not all(a[2] in window.allowed for a in k.arrows):
@@ -241,7 +238,7 @@ def based_6T_pairing_check(b, dd, window):
     """Duality check (d(b), dd) = (b, based-6T(dd)) for monotonic dd."""
     lhs = pair_ortho(normalize_triangle(d_based(b), window), LinComb.single(dd))
     try:
-        rel = a6t_based(dd, window)
+        rel = a6t_based(dd)
     except NormalizationError:
         rel = LinComb.zero()
     rhs = rel.coeff(b)
@@ -262,7 +259,7 @@ def gen_degenerate_family(family, n, window, skipped):
                 if family == "triangle":
                     if dd.is_monotonic():
                         continue
-                    vec = triangle_relation(dd, window)
+                    vec = triangle_relation(dd)
                     ok = all(
                         all(a[2] in window.allowed for a in k.arrows) for k in vec.keys()
                     )
@@ -271,7 +268,7 @@ def gen_degenerate_family(family, n, window, skipped):
                 elif family == "based6t":
                     if not is_nice(b) or not dd.is_monotonic():
                         continue
-                    vec = a6t_based(dd, window)
+                    vec = a6t_based(dd)
                 else:
                     raise ValueError("unknown family tag %r" % family)
             except NormalizationError:

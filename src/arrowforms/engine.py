@@ -27,11 +27,11 @@ import hashlib
 import os
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from itertools import combinations, permutations, product
 from pathlib import Path
 
-from .diagrams import ArrowDiagram, DiagramError, GaussDiagram, arrows_cross
+from .diagrams import ArrowDiagram, DiagramError, GaussDiagram, arrows_cross, canonical_arrows
 from .lincomb import LinComb, as_lincomb
 from .moves import models
 from .ratlinalg import DiagramIndexedMatrix, kernel
@@ -129,6 +129,7 @@ def homogeneous_components(f):
 # formula-space solver
 
 
+@cache
 def _template_hash():
     """Digest of the local move tables; a table change invalidates caches."""
     blob = repr([sorted(m.key for m in models(k)) for k in ("R1", "R2", "R3")])
@@ -483,7 +484,12 @@ def _left_arcs(t, h, size):
 class ChainPresentation:
     """Planar (non-crossing) oriented chord diagram with its n+1 regions
     numbered 1..n+1, increasing across every arrow from its left side to its
-    right side.  Canonical up to rotation; reflections are distinct."""
+    right side.  Canonical up to rotation; reflections are distinct.
+
+    The rotation is the canonical one (diagrams.canonical_arrows) of the
+    chord diagram whose arrow t -> h is marked with the numbers of the
+    regions on its left and right, (arc_numbers[h], arc_numbers[t]).  Arc p
+    follows endpoint p, so these marks fix every arc's number."""
 
     __slots__ = ("n", "arrows", "arc_numbers", "_key", "_hash")
 
@@ -505,28 +511,25 @@ class ChainPresentation:
             num = arc_numbers[arc]
             if by_region.setdefault(r, num) != num:
                 raise DiagramError("inconsistent numbers within one region")
-        if sorted(by_region.values()) != list(range(1, n + 2)):
+        # the empty diagram has one region but no arc to carry its number
+        if n and sorted(by_region.values()) != list(range(1, n + 2)):
             raise DiagramError("region numbers must be a bijection onto 1..n+1")
         for t, h in arrows:
             if arc_numbers[h] >= arc_numbers[t]:
                 raise DiagramError(
                     "numbering must increase from the left of an arrow to its right"
                 )
-        best = None
-        for r in range(max(1, size)):
-            word = tuple(sorted(
-                (((t - r) % size, (h - r) % size) for (t, h) in arrows),
-                key=min,
-            ))
-            nums = tuple(arc_numbers[(i + r) % size] for i in range(size))
-            cand = (word, nums)
-            if best is None or cand < best:
-                best = cand
+        marked = [(t, h, (arc_numbers[h], arc_numbers[t]), 0) for t, h in arrows]
+        canon, r, _aut = canonical_arrows(n, marked)
+        key = (
+            tuple((t, h) for t, h, _m, _s in canon),
+            tuple(arc_numbers[(i + r) % size] for i in range(size)),
+        )
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "arrows", best[0])
-        object.__setattr__(self, "arc_numbers", best[1])
-        object.__setattr__(self, "_key", best)
-        object.__setattr__(self, "_hash", hash(best))
+        object.__setattr__(self, "arrows", key[0])
+        object.__setattr__(self, "arc_numbers", key[1])
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
 
     def __setattr__(self, *a):
         raise AttributeError("chain presentations are immutable")
@@ -549,7 +552,7 @@ class ChainPresentation:
         return sorted({self.arc_numbers[a] for a in _left_arcs(t, h, 2 * self.n)})
 
 
-@lru_cache(maxsize=None)
+@cache
 def enumerate_Un(n):
     """All chain presentations of degree n, sorted canonically."""
     if n == 0:

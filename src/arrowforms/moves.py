@@ -21,6 +21,7 @@ with the local crossings removed.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import permutations, product
 
 TAIL, HEAD = 0, 1
@@ -154,10 +155,6 @@ def r3_models():
     return list(models.values())
 
 
-_CACHE = {}
-
-
+@cache
 def models(kind):
-    if kind not in _CACHE:
-        _CACHE[kind] = {"R1": r1_models, "R2": r2_models, "R3": r3_models}[kind]()
-    return _CACHE[kind]
+    return {"R1": r1_models, "R2": r2_models, "R3": r3_models}[kind]()

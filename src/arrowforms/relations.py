@@ -6,7 +6,7 @@ the model into the same host.  The host is everything the local picture
 does not see: its arrows keep their decorations across all terms of an
 instance.
 
-Families (CLI tags):
+Families (the tags gen_family takes):
 
   p1, p2, p2h1, p2h2, p3      relations among Gauss diagrams
   g6t, g2t                    homogeneous projections of p3
@@ -19,6 +19,7 @@ and the move census (move_census) that random invariance walks draw from.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 from math import gcd
 
@@ -399,9 +400,6 @@ def _six_term_signature(model, side, pair, singles, mode):
     return matching, tuple(six)
 
 
-_PAIR_DESC = {}
-
-
 def _pair_entry(model, side, pair, singles, weight):
     """The table entry of one pair descriptor:
     (model, side, pair, singles, weight, third, relation), where third is
@@ -430,6 +428,7 @@ def _complete_marks(pair, third, y, m1, m2, K):
     return {c1: m1, c2: m2, third: -(y[0] * K + y[c1 + 1] * m1 + y[c2 + 1] * m2) * y[third + 1]}
 
 
+@cache
 def _pair_descriptors(mode):
     """Two-crossing R3 term shapes, indexed by the role pair of the shared
     adjacent endpoints.  Entries (see _pair_entry):
@@ -449,8 +448,6 @@ def _pair_descriptors(mode):
     instance's first occurrence, hence the kept instances and their term
     order: only later copies of an instance go.  ('pairprod': 96 shapes in
     12 groups; 'gauss': 192 in 96.)"""
-    if mode in _PAIR_DESC:
-        return _PAIR_DESC[mode]
     shapes = set()
     groups = {}  # signature -> [first shape, number of shapes]
     for model in models("R3"):
@@ -468,7 +465,6 @@ def _pair_descriptors(mode):
     out = {(TAIL, TAIL): [], (TAIL, HEAD): [], (HEAD, TAIL): [], (HEAD, HEAD): []}
     for (matching, _six), (desc, weight) in groups.items():
         out[matching[0]].append(_pair_entry(*desc, weight))
-    _PAIR_DESC[mode] = out
     return out
 
 
@@ -509,14 +505,9 @@ def r3_pair_matches(d, mode, fixed_positions=None):
             yield Match(model, side, pair, arrow_map, marks, d, anchors, weight)
 
 
-_FULL_DESC = {}
-
-
+@cache
 def _full_descriptors(kind, mode):
     """Deduplicated complete local model shapes: list of (model, side)."""
-    key = (kind, mode)
-    if key in _FULL_DESC:
-        return _FULL_DESC[key]
     table = {}
     sides = ("L", "R") if kind == "R3" else ("L",)
     for model in models(kind):
@@ -527,11 +518,10 @@ def _full_descriptors(kind, mode):
                 best = (nm, base_sig)
         for side in sides:
             table.setdefault((side, best[1]), (best[0], side))
-    out = list(table.values())
-    _FULL_DESC[key] = out
-    return out
+    return list(table.values())
 
 
+@cache
 def _full_anchor_table(kind, mode):
     """Full descriptors keyed by their slot signature.
 
@@ -541,9 +531,6 @@ def _full_anchor_table(kind, mode):
     _full_descriptors, model, side, crossings in label order, relation),
     where relation is the model's integer gap relation (_gap_relation).
     Each list keeps descriptor order."""
-    key = ("anchor", kind, mode)
-    if key in _FULL_DESC:
-        return _FULL_DESC[key]
     table = {}
     for i, (model, side) in enumerate(_full_descriptors(kind, mode)):
         word = model.words[side]
@@ -554,7 +541,6 @@ def _full_anchor_table(kind, mode):
         table.setdefault((sig, signs), []).append(
             (i, model, side, order, _gap_relation(model))
         )
-    _FULL_DESC[key] = table
     return table
 
 
@@ -645,14 +631,6 @@ def _full_matches(d, kind, mode, positions=None):
             yield m
 
 
-def r2_matches(d, mode):
-    return _full_matches(d, "R2", mode)
-
-
-def r3_full_matches(d, mode):
-    return _full_matches(d, "R3", mode)
-
-
 def r1_matches(d):
     """Isolated arrows carrying the kink markings."""
     out = []
@@ -707,20 +685,20 @@ def _gen_from_diagrams(family, n, window, skipped, closure=True, hosts=None):
             for _i, _kind in r1_matches(d):
                 emit(LinComb.single(d))
         elif family in ("p2h2", "ap2"):
-            for _m in r2_matches(d, mode):
+            for _m in _full_matches(d, "R2", mode):
                 emit(LinComb.single(d))
         elif family == "p2h1":
             for i in range(d.n):
                 emit(LinComb([(d, 1), (_flip_sign(d, i), 1)]))
         elif family == "p2":
-            for m in r2_matches(d, mode):
+            for m in _full_matches(d, "R2", mode):
                 i, j = m.arrow_map[0], m.arrow_map[1]
                 keep_i = d.subdiagram([k for k in range(d.n) if k != j])
                 keep_j = d.subdiagram([k for k in range(d.n) if k != i])
                 emit(LinComb([(d, 1), (keep_i, 1), (keep_j, 1)]))
         elif family in ("p3", "g2t", "a2t"):
             presents = ((0, 1, 2),) + (_PAIRS if family == "p3" else ())
-            for m in r3_full_matches(d, mode):
+            for m in _full_matches(d, "R3", mode):
                 emit(LinComb(
                     (_build_term(m.layout, m.model, present, side, m.marks, species), _SIDE_SIGN[side])
                     for side in ("L", "R") for present in presents
@@ -796,14 +774,14 @@ def apply_R_move(g, move, site, params=()):
     the four endpoints of the two arrows, or at the R3 anchor.  Any match
     naming the site is anchored there, so a site that is not a bigon or an
     R3 configuration of g raises DiagramError, as a full scan would.  So
-    does a site or marking of the wrong shape or type.
+    does a site, parameter tuple or marking of the wrong shape or type.
     """
     return _apply_move(g, move, site, params)[0]
 
 
 def _site_parts(site, count, error):
-    """The `count` entries of a sequence site; `error` when it has another
-    shape."""
+    """The `count` entries of a sequence site (or parameter tuple); `error`
+    when it has another shape."""
     try:
         parts = tuple(site)
     except TypeError:
@@ -832,7 +810,10 @@ def _apply_move(g, move, site, params=()):
         return new, new.arrows, (), tuple(sorted(drop))
 
     if move == "R1+":
-        kind, sign = params
+        bad = DiagramError("R1 parameters %r are not (kind 'ht' or 'th', sign)" % (params,))
+        kind, sign = _site_parts(params, 2, bad)
+        if kind not in ("ht", "th"):
+            raise bad
         mark = 0 if kind == "ht" else g.K
         order = ((0, HEAD), (0, TAIL)) if kind == "ht" else ((0, TAIL), (0, HEAD))
         if not isinstance(site, int) or not 0 <= site <= 2 * g.n:
@@ -843,8 +824,14 @@ def _apply_move(g, move, site, params=()):
             raise DiagramError("arrow %r is not a removable kink" % (site,))
         return remove({site})
     if move == "R2+":
-        k, mark = params
-        model = models("R2")[k]
+        r2 = models("R2")
+        bad = DiagramError(
+            "R2 parameters %r are not (model index 0..%d, marking)" % (params, len(r2) - 1)
+        )
+        k, mark = _site_parts(params, 2, bad)
+        if not (isinstance(k, int) and 0 <= k < len(r2)):
+            raise bad
+        model = r2[k]
         bad = DiagramError("R2 insertion indices %r out of range" % (site,))
         ins1, ins2 = _site_parts(site, 2, bad)
         if not (isinstance(ins1, int) and isinstance(ins2, int) and 0 <= ins1 <= ins2 <= 2 * g.n):
@@ -921,8 +908,8 @@ def move_census(g, marking_set, max_degree=None):
         return ("R2+", (ins1, ins1 + site), (k, marks[mi]))
 
     kinks = r1_matches(g)
-    bigons = list(dict.fromkeys((m.arrow_map[0], m.arrow_map[1]) for m in r2_matches(g, mode)))
-    triples = list(dict.fromkeys(_r3_site(m) for m in r3_full_matches(g, mode)))
+    bigons = list(dict.fromkeys((m.arrow_map[0], m.arrow_map[1]) for m in _full_matches(g, "R2", mode)))
+    triples = list(dict.fromkeys(_r3_site(m) for m in _full_matches(g, "R3", mode)))
     return [
         (M * 2 * len(signs) if fits(1) else 0, r1_insert),
         (len(kinks), lambda u: ("R1-", kinks[u][0], ())),
@@ -938,33 +925,30 @@ def move_census(g, marking_set, max_degree=None):
 
 def r_relation_vectors(n, window, limit_per_kind=None):
     """Differences g_after - g_before for moves within degree <= n, window-
-    internal, enumerated deterministically."""
+    internal, enumerated deterministically: the R1+ and R2+ blocks of
+    move_census, in census order, on every Gauss diagram of degree < n,
+    then one R3 move per diagram of degree n.  A kink whose forced marking
+    (0 or K) is outside the window is left out.  Once a kind has
+    limit_per_kind vectors, the next diagrams add none of it."""
     out = []
     counts = {"R1": 0, "R2": 0, "R3": 0}
     for deg in range(0, n):
         for g in enumerate_diagrams("gauss", deg, window):
-            if deg + 1 <= n and (limit_per_kind is None or counts["R1"] < limit_per_kind):
-                for ins in range(max(1, 2 * g.n)):
-                    for kind in ("ht", "th"):
-                        mark = 0 if kind == "ht" else window.K
-                        if mark not in window.allowed:
-                            continue
-                        for sign in (1, -1):
-                            g2 = apply_R_move(g, "R1+", ins, (kind, sign))
-                            out.append(("R1", LinComb.single(g2) - LinComb.single(g)))
-                            counts["R1"] += 1
-            if deg + 2 <= n and (limit_per_kind is None or counts["R2"] < limit_per_kind):
-                for ins1 in range(max(1, 2 * g.n)):
-                    for ins2 in range(ins1, max(1, 2 * g.n)):
-                        for k in range(len(models("R2"))):
-                            for m in window.values():
-                                g2 = apply_R_move(g, "R2+", (ins1, ins2), (k, m))
-                                out.append(("R2", LinComb.single(g2) - LinComb.single(g)))
-                                counts["R2"] += 1
+            census = move_census(g, window.values(), n)
+            for kind, (count, decode) in (("R1", census[0]), ("R2", census[2])):
+                if limit_per_kind is not None and counts[kind] >= limit_per_kind:
+                    continue
+                for u in range(count):
+                    move, site, params = decode(u)
+                    if kind == "R1" and (0 if params[0] == "ht" else window.K) not in window:
+                        continue
+                    g2 = apply_R_move(g, move, site, params)
+                    out.append((kind, LinComb.single(g2) - LinComb.single(g)))
+                    counts[kind] += 1
     for g in enumerate_diagrams("gauss", n, window) if n >= 3 else ():
         if limit_per_kind is not None and counts["R3"] >= limit_per_kind:
             break
-        for m in r3_full_matches(g, "gauss"):
+        for m in _full_matches(g, "R3", "gauss"):
             g2 = _build_term(
                 m.layout, m.model, (0, 1, 2), "R" if m.side == "L" else "L",
                 m.marks, "gauss",

@@ -1,27 +1,32 @@
-"""Brute-force move oracles: the explicit move list, the unanchored
-full-model matcher, the descriptor-bucket scan, the unreduced two-crossing
-descriptor table, the full-scan removal of R2/R3 sites and the rational
-marking completion, against which the program's counted move census,
-signature-keyed matcher, six-term descriptor classes, site-local
-apply_R_move and integer gap relations are tested."""
+"""Brute-force move oracles: the explicit move list, the explicit
+insertion loops of the R-relation vectors, the unanchored full-model
+matcher, the descriptor-bucket scan, the unreduced two-crossing descriptor
+table, the full-scan removal of R2/R3 sites and the rational marking
+completion, against which the program's counted move census (also behind
+r_relation_vectors), signature-keyed matcher, six-term descriptor classes,
+site-local apply_R_move and integer gap relations are tested."""
 
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 
 from arrowforms.diagrams import DiagramError
+from arrowforms.lincomb import LinComb
 from arrowforms.moves import HEAD, TAIL, models
 from arrowforms.relations import (
     Match,
     _build_term,
     _cyclic_ordered,
     _full_descriptors,
+    _full_matches,
     _gap_relation,
+    _in_window,
     _normalize_model,
     _other_pos,
     _pair_entry,
+    apply_R_move,
+    enumerate_diagrams,
     r1_matches,
-    r2_matches,
-    r3_full_matches,
 )
 
 
@@ -148,18 +153,13 @@ def _full_matches_scan(d, kind, mode):
             yield Match(model, side, tuple(range(ncross)), arrow_map, marks, d, anchors)
 
 
-_BUCKETS = {}
-
-
+@cache
 def _bucket_table(kind, mode):
     """Full descriptors indexed by the role pair of their first slot group.
 
     Entry: (model, side, pair, rest, relation) where pair maps the anchored
     group's two crossings, rest lists the remaining groups as (slot, group)
     and relation is the model's integer gap relation (_gap_relation)."""
-    key = (kind, mode)
-    if key in _BUCKETS:
-        return _BUCKETS[key]
     table = {}
     for model, side in _full_descriptors(kind, mode):
         word = model.words[side]
@@ -168,7 +168,6 @@ def _bucket_table(kind, mode):
         table.setdefault((r1, r2), []).append(
             (model, side, (c1, c2), rest, _gap_relation(model))
         )
-    _BUCKETS[key] = table
     return table
 
 
@@ -310,13 +309,13 @@ def available_moves(g, marking_set, max_degree=None):
                     for m in sorted(marking_set):
                         out.append(("R2+", (ins1, ins2), (k, m)))
     seen_pairs = set()
-    for m in r2_matches(g, "gauss" if g.signed else "plain"):
+    for m in _full_matches(g, "R2", "gauss" if g.signed else "plain"):
         pair = (m.arrow_map[0], m.arrow_map[1])
         if pair not in seen_pairs:
             seen_pairs.add(pair)
             out.append(("R2-", pair, ()))
     seen_r3 = set()
-    for m in r3_full_matches(g, "gauss" if g.signed else "plain"):
+    for m in _full_matches(g, "R3", "gauss" if g.signed else "plain"):
         word = m.model.words[m.side][0]
         first = m.arrow_map[word[0][0]]
         pos = _other_pos(g, first, word[0][1])
@@ -331,13 +330,13 @@ def apply_R_move_full_scan(g, move, site):
     """apply_R_move for 'R2-' and 'R3', re-matching over the whole circle."""
     mode = "gauss" if g.signed else "plain"
     if move == "R2-":
-        for m in r2_matches(g, mode):
+        for m in _full_matches(g, "R2", mode):
             if (m.arrow_map[0], m.arrow_map[1]) == tuple(site):
                 drop = set(site)
                 return g.subdiagram([i for i in range(g.n) if i not in drop])
         raise DiagramError("arrows %r do not form a removable bigon" % (site,))
     triple, anchor = site
-    for m in r3_full_matches(g, mode):
+    for m in _full_matches(g, "R3", mode):
         word = m.model.words[m.side][0]
         pos = _other_pos(g, m.arrow_map[word[0][0]], word[0][1])
         if (tuple(m.arrow_map[c] for c in (0, 1, 2)), pos) != (tuple(triple), anchor):
@@ -348,3 +347,46 @@ def apply_R_move_full_scan(g, move, site):
             "gauss" if g.signed else "arrow",
         )
     raise DiagramError("no R3 site at %r" % (site,))
+
+
+def r_relation_vectors_explicit(n, window, limit_per_kind=None):
+    """relations.r_relation_vectors with its R1+/R2+ moves listed by explicit
+    insertion loops, as before it read them off move_census; kept as its
+    oracle.  Differences g_after - g_before for moves within degree <= n,
+    window-internal, enumerated deterministically."""
+    out = []
+    counts = {"R1": 0, "R2": 0, "R3": 0}
+    for deg in range(0, n):
+        for g in enumerate_diagrams("gauss", deg, window):
+            if deg + 1 <= n and (limit_per_kind is None or counts["R1"] < limit_per_kind):
+                for ins in range(max(1, 2 * g.n)):
+                    for kind in ("ht", "th"):
+                        mark = 0 if kind == "ht" else window.K
+                        if mark not in window.allowed:
+                            continue
+                        for sign in (1, -1):
+                            g2 = apply_R_move(g, "R1+", ins, (kind, sign))
+                            out.append(("R1", LinComb.single(g2) - LinComb.single(g)))
+                            counts["R1"] += 1
+            if deg + 2 <= n and (limit_per_kind is None or counts["R2"] < limit_per_kind):
+                for ins1 in range(max(1, 2 * g.n)):
+                    for ins2 in range(ins1, max(1, 2 * g.n)):
+                        for k in range(len(models("R2"))):
+                            for m in window.values():
+                                g2 = apply_R_move(g, "R2+", (ins1, ins2), (k, m))
+                                out.append(("R2", LinComb.single(g2) - LinComb.single(g)))
+                                counts["R2"] += 1
+    for g in enumerate_diagrams("gauss", n, window) if n >= 3 else ():
+        if limit_per_kind is not None and counts["R3"] >= limit_per_kind:
+            break
+        for m in _full_matches(g, "R3", "gauss"):
+            g2 = _build_term(
+                m.layout, m.model, (0, 1, 2), "R" if m.side == "L" else "L",
+                m.marks, "gauss",
+            )
+            vec = LinComb.single(g2) - LinComb.single(g)
+            if vec and _in_window(vec, window):
+                out.append(("R3", vec))
+                counts["R3"] += 1
+                break
+    return out

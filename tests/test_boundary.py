@@ -74,7 +74,7 @@ def test_triangle_relation_structure():
         if dd.is_monotonic():
             continue
         try:
-            rel = triangle_relation(dd, WIDE)
+            rel = triangle_relation(dd)
         except NormalizationError:
             continue
         # the relation rewrites dd into at most two monotonic diagrams
@@ -159,7 +159,7 @@ def test_triangle_normalization_matches_the_unreduced_descriptor_table():
         out = []
         for dd in collided:
             try:
-                out.append(list(triangle_relation(dd, WIDE).items()))
+                out.append(list(triangle_relation(dd).items()))
             except NormalizationError as e:
                 out.append(str(e))
         out += [list(boundary_d(a, WIDE).items()) for a in combos]

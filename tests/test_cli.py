@@ -133,6 +133,19 @@ def test_gv_accepts_repeated_classes(tmp_path, capsys):
     assert "terms=" in capsys.readouterr().err
 
 
+def test_gv_of_degree_zero_is_the_empty_diagram(tmp_path, knot_file, capsys):
+    out = tmp_path / "gv0.txt"
+    rc = main(["gv", "--gamma", "3", "-o", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().err == "terms=1 K=3\n"
+    f = textio.parse_formula(out.read_text())
+    assert f.vector == LinComb.single(ArrowDiagram(3))
+    assert main(["check", str(out), "--markings", "0..3"]) == 0
+    assert "passes = true" in capsys.readouterr().out
+    assert main(["eval", str(out), knot_file]) == 0
+    assert capsys.readouterr().out == "value=1/1\n"
+
+
 def test_gv_rejects_zero_class(capsys):
     rc = main(["gv", "--gamma", "1,0,2"])
     assert rc == 2

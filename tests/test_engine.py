@@ -247,9 +247,19 @@ def test_invariance_walk_detects_a_fake():
 
 
 def test_chain_presentation_counts():
-    assert len(enumerate_Un(1)) == 1
-    assert len(enumerate_Un(2)) == 3
+    assert [len(enumerate_Un(n)) for n in range(5)] == [1, 1, 3, 20, 210]
     assert len(set(enumerate_Un(3))) == len(enumerate_Un(3))
+
+
+def test_chain_presentation_is_rotation_invariant():
+    for cp in enumerate_Un(3):
+        size = 2 * cp.n
+        for r in range(size):
+            arrows = [((t + r) % size, (h + r) % size) for t, h in cp.arrows]
+            nums = [cp.arc_numbers[(i - r) % size] for i in range(size)]
+            rotated = ChainPresentation(arrows, nums)
+            assert rotated == cp
+            assert (rotated.arrows, rotated.arc_numbers) == (cp.arrows, cp.arc_numbers)
 
 
 def test_chain_presentation_validation():

@@ -8,8 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrowforms import relations
-from arrowforms.diagrams import ArrowDiagram, DiagramError, GaussDiagram
+from arrowforms import boundary, engine, moves, relations
+from arrowforms.diagrams import (
+    ArrowDiagram,
+    BasedDiagram,
+    DegenerateDiagram,
+    DiagramError,
+    GaussDiagram,
+)
 from arrowforms.lincomb import LinComb
 from arrowforms.moves import HEAD, TAIL, LocalModel, models
 from arrowforms.relations import (
@@ -17,6 +23,7 @@ from arrowforms.relations import (
     MarkingWindow,
     _build_term,
     _complete_marks,
+    _full_anchor_table,
     _full_descriptors,
     _full_matches,
     _gap_relation,
@@ -32,19 +39,30 @@ from arrowforms.relations import (
     move_census,
     r1_matches,
     r3_pair_matches,
+    r_relation_vectors,
 )
 
 from conftest import random_arrow_diagram, random_gauss_diagram, seeded
 from move_oracles import (
+    _bucket_table,
     _full_matches_scan,
     _mark_options,
     _solve_gaps,
     apply_R_move_full_scan,
     available_moves,
     full_matches_bucket_scan,
+    r_relation_vectors_explicit,
     unreduced_pair_table,
 )
 from move_oracles import _pair_descriptors as unreduced_pair_descriptors
+
+
+def _clear_descriptor_tables():
+    """Drop the descriptor tables and the tables built from them, so that
+    their next use rebuilds them all from one set of model objects (the
+    matchers' outputs are compared by model identity)."""
+    for table in (_pair_descriptors, _full_descriptors, _full_anchor_table, _bucket_table):
+        table.cache_clear()
 
 
 def _match_keys(matches):
@@ -262,9 +280,13 @@ def test_a_pair_descriptor_that_does_not_pin_its_hidden_crossing_is_rejected(coe
         # a relation that pins each crossing only up to a factor 2
         patch = mock.patch.object(relations, "_gap_relation", lambda _m: (1, 2, 2, 2))
     for mode in ("pairprod", "gauss"):
-        with mock.patch.dict(relations._PAIR_DESC, clear=True), patch:
-            with pytest.raises(ValueError, match="does not pin the hidden crossing"):
-                _pair_descriptors(mode)
+        _pair_descriptors.cache_clear()
+        try:
+            with patch:
+                with pytest.raises(ValueError, match="does not pin the hidden crossing"):
+                    _pair_descriptors(mode)
+        finally:
+            _pair_descriptors.cache_clear()
 
 
 def test_descriptor_tables_normalize_each_model_once_per_rotation():
@@ -272,13 +294,72 @@ def test_descriptor_tables_normalize_each_model_once_per_rotation():
     assert len(models("R3")) == 288
     builds = [(_pair_descriptors, ("pairprod",))]
     builds += [(_full_descriptors, ("R3", mode)) for mode in ("gauss", "plain")]
-    for build, args in builds:
-        with mock.patch.dict(relations._PAIR_DESC, clear=True), \
-                mock.patch.dict(relations._FULL_DESC, clear=True), \
-                mock.patch.object(relations, "_normalize_model",
-                                  wraps=relations._normalize_model) as spy:
-            build(*args)
-        assert spy.call_count == 864
+    try:
+        for build, args in builds:
+            build.cache_clear()
+            with mock.patch.object(relations, "_normalize_model",
+                                   wraps=relations._normalize_model) as spy:
+                build(*args)
+            assert spy.call_count == 864
+    finally:
+        _clear_descriptor_tables()
+
+
+def _plain(x):
+    """x with every local model replaced by its key and every dict by its
+    item list, for comparing tables built at different times entry by
+    entry, in order."""
+    if isinstance(x, LocalModel):
+        return x.key
+    if isinstance(x, dict):
+        return [(_plain(k), _plain(v)) for k, v in x.items()]
+    if isinstance(x, (list, tuple)):
+        return [_plain(v) for v in x]
+    return x
+
+
+def _rewritable_degenerate_diagram():
+    """The first non-monotonic degenerate diagram of degree 2 over {1, 2},
+    K=3, whose triangle rewrite is nonzero, and its normalization window."""
+    w = MarkingWindow({1, 2}, 3)
+    wide = engine.normalization_window(w)
+    for d in enumerate_diagrams("arrow", 2, w):
+        for arc in range(2 * d.n):
+            dd = DegenerateDiagram(BasedDiagram(d, arc))
+            if not dd.is_monotonic() and boundary._triangle_rewrite(dd, wide):
+                return dd, wide
+    raise AssertionError("no rewritable diagram")
+
+
+_CACHED_TABLES = (
+    [(moves.models, (kind,)) for kind in ("R1", "R2", "R3")]
+    + [(_pair_descriptors, (mode,)) for mode in ("pairprod", "gauss")]
+    + [
+        (table, (kind, mode))
+        for table in (_full_descriptors, _full_anchor_table)
+        for kind in ("R2", "R3") for mode in ("gauss", "plain")
+    ]
+    + [(engine._template_hash, ()), (engine.enumerate_Un, (3,)), (boundary._triangle_rewrite, None)]
+)
+
+
+@pytest.mark.parametrize(
+    "table, args", _CACHED_TABLES,
+    ids=["-".join([t.__name__] + [str(x) for x in a or ()]) for t, a in _CACHED_TABLES],
+)
+def test_a_cached_table_is_built_once_and_rebuilds_equal(table, args):
+    if args is None:
+        args = _rewritable_degenerate_diagram()
+    first = table(*args)
+    try:
+        assert table(*args) is first
+        table.cache_clear()
+        again = table(*args)
+        assert again is not first
+        assert _plain(again) == _plain(first)
+    finally:
+        # models feed every descriptor table
+        _clear_descriptor_tables()
 
 
 def _outcome(fn, *args):
@@ -323,6 +404,37 @@ def test_an_r1_site_of_the_wrong_type_is_a_diagram_error(move, site):
     g = GaussDiagram(2, [(0, 3, 1, 1), (1, 2, 1, -1), (4, 5, 0, 1)])
     with pytest.raises(DiagramError, match=re.escape(repr(site))):
         apply_R_move(g, move, site, ("ht", 1) if move == "R1+" else ())
+
+
+@pytest.mark.parametrize("move, site, params", [
+    ("R1+", 0, ("bogus", 1)),
+    ("R1+", 0, ("ht",)),
+    ("R1+", 0, ()),
+    ("R1+", 0, None),
+    ("R2+", (0, 1), (99, 1)),
+    ("R2+", (0, 1), (-1, 1)),
+    ("R2+", (0, 1), (16, 1)),
+    ("R2+", (0, 1), ("0", 1)),
+    ("R2+", (0, 1), (0,)),
+    ("R2+", (0, 1), (0, 1, 2)),
+])
+def test_bad_insertion_parameters_are_a_diagram_error(move, site, params):
+    g = GaussDiagram(2, [(0, 3, 1, 1), (1, 2, 1, -1), (4, 5, 0, 1)])
+    with pytest.raises(DiagramError, match=re.escape(repr(params))):
+        apply_R_move(g, move, site, params)
+
+
+@pytest.mark.parametrize("n, markings, K, limit, kinds", [
+    (3, "1", 1, 20, "R1 R2 R3"), (3, "0..1", 1, 5, "R1 R2 R3"), (1, "0..2", 2, None, "R1"),
+    (2, "0..2", 2, None, "R1 R2"), (3, "0..2", 2, None, "R1 R2 R3"),
+])
+def test_r_relation_vectors_match_the_explicit_insertion_loops(n, markings, K, limit, kinds):
+    # the span benchmark's three windows and criterion 09's; K=1 over {1}
+    # leaves out every head-then-tail kink (its forced marking 0)
+    w = MarkingWindow.parse(markings, K)
+    got = r_relation_vectors(n, w, limit)
+    assert got == r_relation_vectors_explicit(n, w, limit)
+    assert sorted({kind for kind, _v in got}) == kinds.split()
 
 
 def test_r2_insertion_accepts_exactly_the_integer_markings():
