@@ -33,6 +33,7 @@ from .moves import HEAD
 from .relations import (
     _PAIRS,
     _assemble_term,
+    _in_window,
     _six_term_coeff,
     RelationInstance,
     enumerate_diagrams,
@@ -80,19 +81,20 @@ def d_based(b):
 # parent triple-point configurations of a degenerate diagram
 
 
-def _based_term(layout, model, pair, side, marks):
-    """The based diagram of one two-crossing term, based at the shared arc."""
+def _based_term(m, pair, side):
+    """The based diagram of one two-crossing term of match m, based at the
+    shared arc."""
     shared = next(
         s for s in range(3)
-        if sum(1 for (c, _r) in model.words[side][s] if c in pair) == 2
+        if sum(1 for (c, _r) in m.model.words[side][s] if c in pair) == 2
     )
-    arrows, anchor = _assemble_term(layout, model, pair, side, marks, "arrow")
+    arrows, anchor = _assemble_term(m, pair, side)
     # a based diagram has no rotation freedom: rotate the assembled word so
     # the shared arc sits between positions 2n-1 and 0, no canonical form
     size = 2 * len(arrows)
     shift = lambda p: (p - anchor[shared] - 1) % size
     return BasedDiagram.from_word(
-        layout.K, [(shift(t), shift(h), m, s) for (t, h, m, s) in arrows]
+        m.host.K, [(shift(t), shift(h), mark, s) for (t, h, mark, s) in arrows]
     )
 
 
@@ -114,12 +116,12 @@ def _parents_at(D, arc):
     the relation so a direct basing of the monotonic shrink carries its
     epsilon."""
     b0 = BasedDiagram(D, arc)
-    for m in r3_pair_matches(D, "pairprod", fixed_positions=arc):
+    for m in r3_pair_matches(D, fixed_positions=arc):
         terms = {}
         for pair in _PAIRS:
             for side in ("L", "R"):
-                bt = _based_term(m.layout, m.model, pair, side, m.marks)
-                terms[(pair, side)] = (bt, _six_term_coeff(m.model, side, pair, "pairprod"))
+                bt = _based_term(m, pair, side)
+                terms[(pair, side)] = (bt, _six_term_coeff(m.model, side, pair, D.signed))
         direct = (tuple(sorted(m.present)), m.side)
         if terms[direct][0] != b0:
             raise AssertionError("matched term does not rebuild its own basing")
@@ -201,11 +203,11 @@ def _triangle_rewrite(dd, window):
     out = {dd: Fraction(1)}
     _add_into(out, triangle_relation(dd).scale(-1).terms)
     out = LinComb._of(out)
+    if not _in_window(out, window):
+        raise NormalizationError(
+            "rewriting %r needs a marking outside the window" % (dd,)
+        )
     for k in out.keys():
-        if not all(a[2] in window.allowed for a in k.arrows):
-            raise NormalizationError(
-                "rewriting %r needs a marking outside the window" % (dd,)
-            )
         if not k.is_monotonic():
             raise AssertionError("triangle rewrite produced a non-monotonic diagram")
     return out
@@ -260,10 +262,7 @@ def gen_degenerate_family(family, n, window, skipped):
                     if dd.is_monotonic():
                         continue
                     vec = triangle_relation(dd)
-                    ok = all(
-                        all(a[2] in window.allowed for a in k.arrows) for k in vec.keys()
-                    )
-                    if not ok:
+                    if not _in_window(vec, window):
                         raise NormalizationError("out of window")
                 elif family == "based6t":
                     if not is_nice(b) or not dd.is_monotonic():

@@ -33,6 +33,7 @@ from pathlib import Path
 
 from .diagrams import ArrowDiagram, DiagramError, GaussDiagram, arrows_cross, canonical_arrows
 from .lincomb import LinComb, as_lincomb
+from .maps import pair_norm
 from .moves import models
 from .ratlinalg import DiagramIndexedMatrix, kernel
 from .relations import (
@@ -221,16 +222,6 @@ def _matching_count(n):
 # static checking
 
 
-def _pair_with(f, inst):
-    """<f, instance>: coefficients multiplied with the automorphism count."""
-    total = Fraction(0)
-    for k, c in inst.vector.items():
-        cf = f.vector.coeff(k)
-        if cf:
-            total += cf * c * k.aut_order()
-    return total
-
-
 def normalization_window(window):
     """A window wide enough to normalize triangle rewrites of diagrams
     supported in `window`: rewrite targets carry markings that are signed
@@ -265,7 +256,7 @@ def check_formula(f, window):
             # anchoring the generator there is exhaustive for this check
             instances = gen_family(fam, deg, window, closure=False, hosts=support)
             for i, inst in enumerate(instances):
-                pairing = _pair_with(f, inst)
+                pairing = pair_norm(f.vector, inst.vector)
                 if pairing and first is None:
                     first = {"family": fam, "degree": deg, "index": i, "instance": inst}
                 worst = max(worst, abs(pairing))

@@ -4,7 +4,10 @@ Every relation instance is produced by matching a local move model
 (module `moves`) inside a concrete diagram and splicing the other terms of
 the model into the same host.  The host is everything the local picture
 does not see: its arrows keep their decorations across all terms of an
-instance.
+instance.  A match (Match) carries its host diagram, so the term builders
+take the match, and both they and the matchers read the diagram class, K
+and whether crossings carry signs off that host: only the descriptor-table
+builders name a sign mode.
 
 Families (the tags gen_family takes):
 
@@ -177,9 +180,13 @@ def _gap_relation(model):
 class Match:
     """A local model term located inside a concrete diagram.
 
+    host: the diagram matched in.  The term builders (_assemble_term,
+    _build_term, boundary._based_term) take the match and read the diagram
+    class, K and whether crossings carry signs off the host.
+
     anchors[s]: position in `host` of the first endpoint of slot group s.
-    The layout (see _Layout) is built from them on first access, since the
-    move census reads only arrow_map and the anchors.
+    The layout (see _extract_layout) is built from them on first access,
+    since the move census reads only arrow_map and the anchors.
 
     marks: the marking of every crossing of the model, visible or not.  A
     full match reads them off the host; a six-term match completes its
@@ -212,21 +219,12 @@ class Match:
         return self._layout
 
 
-class _Layout:
-    """Host data shared by all terms of one instance: the invisible arrows,
-    their cyclic word, and where each model slot attaches to it."""
-
-    __slots__ = ("K", "host_arrows", "host_word", "slot_ranks")
-
-    def __init__(self, K, host_arrows, host_word, slot_ranks):
-        self.K = K
-        self.host_arrows = host_arrows
-        self.host_word = host_word
-        self.slot_ranks = slot_ranks
-
-
 def _extract_layout(d, arrow_map, anchors):
-    """Cut the matched arrows out of d, remembering the attachment slots."""
+    """Cut the matched arrows out of d, remembering the attachment slots.
+
+    Returns the host data shared by all terms of one instance: (the
+    invisible arrows as (mark, sign), their cyclic word, where each model
+    slot attaches to it)."""
     visible = set(arrow_map.values())
     ends = d.endpoint_roles()
     host_idx = {}
@@ -246,7 +244,7 @@ def _extract_layout(d, arrow_map, anchors):
     for p_s in anchors:
         ins = sum(1 for q in host_pos if q < p_s)
         slot_ranks.append((ins, p_s))
-    return _Layout(d.K, host_arrows, host_word, slot_ranks)
+    return host_arrows, host_word, slot_ranks
 
 
 def _splice(host_word, host_arrows, groups, new_arrows):
@@ -286,38 +284,28 @@ def _splice(host_word, host_arrows, groups, new_arrows):
     return arrows, starts
 
 
-def _assemble_term(layout, model, present, side, marks, species):
-    """Splice the model term for (present, side) into the layout's host.
+def _assemble_term(m, present, side):
+    """Splice the model term for (present, side) of match m into its host.
 
     Returns (arrows, slot_anchor): arrows in an un-rotated word whose
     positions are meaningful, slot_anchor[s] = position of the first spliced
     endpoint of slot s (None when the slot's group is empty)."""
-    order = sorted(range(model.nslots), key=lambda s: layout.slot_ranks[s])
+    host_arrows, host_word, slot_ranks = m.layout
+    model = m.model
+    order = sorted(range(model.nslots), key=lambda s: slot_ranks[s])
     groups = [
-        (layout.slot_ranks[s][0], [(c, r) for (c, r) in model.words[side][s] if c in present])
+        (slot_ranks[s][0], [(c, r) for (c, r) in model.words[side][s] if c in present])
         for s in order
     ]
-    new = [(c, marks[c], model.signs[c] if species == "gauss" else 0) for c in sorted(present)]
-    arrows, starts = _splice(layout.host_word, layout.host_arrows, groups, new)
+    signed = m.host.signed
+    new = [(c, m.marks[c], model.signs[c] if signed else 0) for c in sorted(present)]
+    arrows, starts = _splice(host_word, host_arrows, groups, new)
     return arrows, dict(zip(order, starts))
 
 
-def _build_term(layout, model, present, side, marks, species):
-    arrows, _anchor = _assemble_term(layout, model, present, side, marks, species)
-    cls = GaussDiagram if species == "gauss" else ArrowDiagram
-    return cls(layout.K, arrows)
-
-
-def _cyclic_ordered(anchors, size):
-    """True iff the anchor positions occur in slot order around the circle."""
-    a0 = anchors[0]
-    rel = [(a - a0) % size for a in anchors]
-    return all(rel[i] < rel[i + 1] for i in range(1, len(rel) - 1)) and all(r > 0 for r in rel[1:])
-
-
-def _other_pos(d, arrow, role):
-    a = d.arrows[arrow]
-    return a[0] if role == TAIL else a[1]
+def _build_term(m, present, side):
+    arrows, _anchor = _assemble_term(m, present, side)
+    return type(m.host)(m.host.K, arrows)
 
 
 def _normalize_model(model, rot, mode):
@@ -363,11 +351,11 @@ _PAIRS = ((0, 1), (0, 2), (1, 2))
 _SIDE_SIGN = {"L": 1, "R": -1}
 
 
-def _six_term_coeff(model, side, pair, mode):
-    """Coefficient of the (side, pair) term of a 6-term relation; without
-    signs ('pairprod') the sign product of the pair enters it."""
+def _six_term_coeff(model, side, pair, signed):
+    """Coefficient of the (side, pair) term of a 6-term relation; on
+    unsigned hosts the sign product of the pair enters it."""
     c = _SIDE_SIGN[side]
-    if mode == "pairprod":
+    if not signed:
         c *= model.signs[pair[0]] * model.signs[pair[1]]
     return c
 
@@ -395,19 +383,20 @@ def _six_term_signature(model, side, pair, singles, mode):
         for p in _PAIRS:
             words = tuple(tuple((label[c], r) for c, r in g if c in p) for g in model.words[sd])
             signs = tuple(sorted((label[c], model.signs[c]) for c in p)) if gauss else ()
-            terms.append((_six_term_coeff(model, sd, p, mode), words, signs))
+            terms.append((_six_term_coeff(model, sd, p, gauss), words, signs))
     six = min(sorted(terms), sorted((-c, w, sg) for c, w, sg in terms))
     return matching, tuple(six)
 
 
 def _pair_entry(model, side, pair, singles, weight):
     """The table entry of one pair descriptor:
-    (model, side, pair, singles, weight, third, relation), where third is
-    the crossing the descriptor does not see and relation the model's
-    _gap_relation.  The relation must have coefficient +-1 on the third
-    crossing, so that every pair of visible markings completes to exactly
-    one integer marking of it (see _complete_marks).  Raises ValueError
-    otherwise."""
+    (model, side, pair, singles, weight, third, relation, x_first), where
+    third is the crossing the descriptor does not see, relation the
+    model's _gap_relation and x_first whether slot 1 holds the other
+    endpoint of pair[0] (slot 2 then holds that of pair[1]).  The relation
+    must have coefficient +-1 on the third crossing, so that every pair of
+    visible markings completes to exactly one integer marking of it (see
+    _complete_marks).  Raises ValueError otherwise."""
     third = 3 - sum(pair)
     relation = _gap_relation(model)
     if relation[third + 1] not in (1, -1):
@@ -415,7 +404,8 @@ def _pair_entry(model, side, pair, singles, weight):
             "gap relation %r of %r does not pin the hidden crossing %d"
             % (relation, model, third)
         )
-    return (model, side, pair, singles, weight, third, relation)
+    x_first = any(c == pair[0] and s == 1 for c, s, _r in singles)
+    return (model, side, pair, singles, weight, third, relation, x_first)
 
 
 def _complete_marks(pair, third, y, m1, m2, K):
@@ -432,7 +422,7 @@ def _complete_marks(pair, third, y, m1, m2, K):
 def _pair_descriptors(mode):
     """Two-crossing R3 term shapes, indexed by the role pair of the shared
     adjacent endpoints.  Entries (see _pair_entry):
-    (model, side, pair, singles, weight, third, relation) with the shared
+    (model, side, pair, singles, weight, third, relation, x_first) with the shared
     strand normalized to slot 0 and
     singles = ((crossing, slot, role), (crossing, slot, role)).
 
@@ -468,41 +458,40 @@ def _pair_descriptors(mode):
     return out
 
 
-def r3_pair_matches(d, mode, fixed_positions=None):
+def r3_pair_matches(d, fixed_positions=None):
     """Matches of a two-crossing term of an R3 model inside d.
 
     The two visible crossings share a strand; their endpoints there form an
-    adjacent pair, which anchors the search.  `fixed_positions`, when given,
-    restricts the shared pair to that position pair (p, p+1 mod 2n).  The
-    hidden third crossing is marked by the model's integer gap relation
-    (_complete_marks), so every located shape is a match.
-    """
+    adjacent pair (p, p+1 mod 2n) of arrows u != v, which anchors the
+    search.  `fixed_positions`, when given, restricts p to that position.
+    The other endpoints x of u and y of v start slots 1 and 2 in the order
+    in which they follow p, so a descriptor (read from the table for d's
+    sign mode) matches iff its x_first flag (see _pair_entry) agrees with
+    that order and, on a signed host, with the pair's signs.  The hidden
+    third crossing is marked by the model's integer gap relation
+    (_complete_marks), so every located shape is a match."""
     n = d.n
     if n < 2:
         return
-    ends = d.endpoint_roles()
     size = 2 * n
-    table = _pair_descriptors(mode)
-    pos_range = [fixed_positions] if fixed_positions is not None else list(range(size))
-    for p in pos_range:
-        q = (p + 1) % size
-        (u, ru), (v, rv) = ends[p], ends[q]
+    arrows = d.arrows
+    ends = d.endpoint_roles()
+    table = _pair_descriptors("gauss" if d.signed else "pairprod")
+    for p in range(size) if fixed_positions is None else [fixed_positions]:
+        (u, ru), (v, rv) = ends[p], ends[(p + 1) % size]
         if u == v:
             continue
-        for model, side, pair, singles, weight, third, relation in table[(ru, rv)]:
+        x, y = arrows[u][1 - ru], arrows[v][1 - rv]  # the other endpoints
+        x_first = (x - p) % size < (y - p) % size
+        anchors = [p, x, y] if x_first else [p, y, x]  # shared by this p's matches
+        for model, side, pair, _singles, weight, third, relation, flag in table[(ru, rv)]:
             c1, c2 = pair
-            arrow_map = {c1: u, c2: v}
-            if mode == "gauss" and (
-                d.arrows[u][3] != model.signs[c1] or d.arrows[v][3] != model.signs[c2]
+            if flag != x_first or d.signed and (
+                arrows[u][3] != model.signs[c1] or arrows[v][3] != model.signs[c2]
             ):
                 continue
-            anchors = [p, None, None]
-            for cc, s, rr in singles:
-                anchors[s] = _other_pos(d, arrow_map[cc], rr)
-            if not _cyclic_ordered(anchors, size):
-                continue
-            marks = _complete_marks(pair, third, relation, d.arrows[u][2], d.arrows[v][2], d.K)
-            yield Match(model, side, pair, arrow_map, marks, d, anchors, weight)
+            marks = _complete_marks(pair, third, relation, arrows[u][2], arrows[v][2], d.K)
+            yield Match(model, side, pair, {c1: u, c2: v}, marks, d, anchors, weight)
 
 
 @cache
@@ -544,7 +533,7 @@ def _full_anchor_table(kind, mode):
     return table
 
 
-def _full_matches(d, kind, mode, positions=None):
+def _full_matches(d, kind, positions=None):
     """Matches of a complete local model (all crossings visible) inside d.
 
     Anchored search: every slot group is two consecutive endpoints of two
@@ -565,18 +554,19 @@ def _full_matches(d, kind, mode, positions=None):
         p, as the slots of a model do.
     The configuration's word relabels u, v, w as 0, 1, 2, which is the
     first-appearance labelling, so equal signatures mean equal slot words,
-    roles and (in 'gauss' mode) signs.  A hit then holds iff the model's
-    integer gap relation (_gap_relation) vanishes on (K, markings).
+    roles and, on a signed host ('gauss' mode), signs.  A hit then holds
+    iff the model's integer gap relation (_gap_relation) vanishes on
+    (K, markings).
 
     The matches' layouts are built lazily (see Match)."""
-    table = _full_anchor_table(kind, mode)
+    gauss = d.signed
+    table = _full_anchor_table(kind, "gauss" if gauss else "plain")
     r3 = kind == "R3"
     if d.n < (3 if r3 else 2):
         return
     size = 2 * d.n
     arrows = d.arrows
     ends = d.endpoint_roles()
-    gauss = mode == "gauss"
     for p in range(size) if positions is None else positions:
         (u, ru), (v, rv) = ends[p], ends[(p + 1) % size]
         if u == v:
@@ -662,7 +652,6 @@ def _in_window(vec, window):
 
 def _gen_from_diagrams(family, n, window, skipped, closure=True, hosts=None):
     species = FAMILY_SPECIES[family]
-    signed = species == "gauss"
     seen = {}
 
     def emit(vec, weight=1):
@@ -680,35 +669,32 @@ def _gen_from_diagrams(family, n, window, skipped, closure=True, hosts=None):
     else:
         hosts = [d for d in hosts if d.n == n]
     for d in hosts:
-        mode = "gauss" if signed else "plain"
         if family in ("p1", "ap1"):
             for _i, _kind in r1_matches(d):
                 emit(LinComb.single(d))
         elif family in ("p2h2", "ap2"):
-            for _m in _full_matches(d, "R2", mode):
+            for _m in _full_matches(d, "R2"):
                 emit(LinComb.single(d))
         elif family == "p2h1":
             for i in range(d.n):
                 emit(LinComb([(d, 1), (_flip_sign(d, i), 1)]))
         elif family == "p2":
-            for m in _full_matches(d, "R2", mode):
+            for m in _full_matches(d, "R2"):
                 i, j = m.arrow_map[0], m.arrow_map[1]
                 keep_i = d.subdiagram([k for k in range(d.n) if k != j])
                 keep_j = d.subdiagram([k for k in range(d.n) if k != i])
                 emit(LinComb([(d, 1), (keep_i, 1), (keep_j, 1)]))
         elif family in ("p3", "g2t", "a2t"):
             presents = ((0, 1, 2),) + (_PAIRS if family == "p3" else ())
-            for m in _full_matches(d, "R3", mode):
+            for m in _full_matches(d, "R3"):
                 emit(LinComb(
-                    (_build_term(m.layout, m.model, present, side, m.marks, species), _SIDE_SIGN[side])
+                    (_build_term(m, present, side), _SIDE_SIGN[side])
                     for side in ("L", "R") for present in presents
                 ))
         elif family in ("g6t", "a6t"):
-            six_mode = "gauss" if signed else "pairprod"
-            for m in r3_pair_matches(d, six_mode):
+            for m in r3_pair_matches(d):
                 emit(LinComb(
-                    (_build_term(m.layout, m.model, pair, side, m.marks, species),
-                     _six_term_coeff(m.model, side, pair, six_mode))
+                    (_build_term(m, pair, side), _six_term_coeff(m.model, side, pair, d.signed))
                     for side in ("L", "R") for pair in _PAIRS
                 ), m.weight)
         else:
@@ -758,6 +744,12 @@ def _r3_site(m):
     return tuple(m.arrow_map[i] for i in (0, 1, 2)), m.anchors[0]
 
 
+def _reversed_r3(m):
+    """The arrows of an R3 match's host with the other side of its model
+    spliced in, in an un-rotated word; the three crossings come last."""
+    return _assemble_term(m, (0, 1, 2), "R" if m.side == "L" else "L")[0]
+
+
 def apply_R_move(g, move, site, params=()):
     """Rewrite g by one Reidemeister move.
 
@@ -797,7 +789,6 @@ def _apply_move(g, move, site, params=()):
     arrows of the arrows the move created, indices in g of the arrows it
     removed).  An R3 move removes the site's triple and creates its
     reversed copy; the created arrows are always the last ones."""
-    mode = "gauss" if g.signed else "plain"
 
     def insert(groups, new_arrows):
         host = [a[2:] for a in g.arrows]
@@ -848,12 +839,9 @@ def _apply_move(g, move, site, params=()):
     if move == "R2-":
         # a match naming these arrows is anchored at one of their endpoints
         bad = DiagramError("arrows %r do not form a removable bigon" % (site,))
-        try:
-            pair = tuple(site)
-        except TypeError:
-            raise bad from None
+        pair = _site_parts(site, 2, bad)
         spots = sorted(p for i in range(g.n) if i in pair for p in g.arrows[i][:2])
-        for m in _full_matches(g, "R2", mode, positions=spots):
+        for m in _full_matches(g, "R2", positions=spots):
             if (m.arrow_map[0], m.arrow_map[1]) == pair:
                 return remove(set(pair))
         raise bad
@@ -862,33 +850,23 @@ def _apply_move(g, move, site, params=()):
         triple, anchor = _site_parts(site, 2, bad)
         triple = _site_parts(triple, 3, bad)
         spots = [p for p in range(2 * g.n) if p == anchor]  # see _r3_site
-        for m in _full_matches(g, "R3", mode, positions=spots):
+        for m in _full_matches(g, "R3", positions=spots):
             if _r3_site(m) != (triple, anchor):
                 continue
-            other = "R" if m.side == "L" else "L"
-            arrows, _anchor = _assemble_term(
-                m.layout, m.model, (0, 1, 2), other, m.marks,
-                "gauss" if g.signed else "arrow",
-            )
+            arrows = _reversed_r3(m)
             created = tuple(range(len(arrows) - 3, len(arrows)))
             return type(g)(g.K, arrows), arrows, created, triple
         raise bad
     raise ValueError("unknown move %r" % (move,))
 
 
-def move_census(g, marking_set, max_degree=None):
-    """Every move applicable to g, as counted blocks [(count, decode)].
-
-    Blocks come in the order R1+, R1-, R2+, R2-, R3; decode(u) for
-    0 <= u < count is the u-th (move, site, params) of its block, ready for
-    apply_R_move.  Insertion blocks are counted arithmetically and never
-    listed.  R1 markings are forced by the kink (0 or K); R2 markings come
-    from `marking_set`.  Moves that would exceed max_degree are left out."""
+def _insertion_blocks(g, marking_set, max_degree):
+    """The R1+ and R2+ blocks of move_census(g, marking_set, max_degree),
+    counted arithmetically: [(count, decode), (count, decode)]."""
     M = max(1, 2 * g.n)
     signs = (1, -1) if g.signed else (0,)
     marks = sorted(marking_set)
     nmod = len(models("R2"))
-    mode = "gauss" if g.signed else "plain"
 
     def fits(extra):
         return max_degree is None or g.n + extra <= max_degree
@@ -907,13 +885,29 @@ def move_census(g, marking_set, max_degree=None):
             ins1 += 1
         return ("R2+", (ins1, ins1 + site), (k, marks[mi]))
 
-    kinks = r1_matches(g)
-    bigons = list(dict.fromkeys((m.arrow_map[0], m.arrow_map[1]) for m in _full_matches(g, "R2", mode)))
-    triples = list(dict.fromkeys(_r3_site(m) for m in _full_matches(g, "R3", mode)))
     return [
         (M * 2 * len(signs) if fits(1) else 0, r1_insert),
-        (len(kinks), lambda u: ("R1-", kinks[u][0], ())),
         (M * (M + 1) // 2 * nmod * len(marks) if fits(2) else 0, r2_insert),
+    ]
+
+
+def move_census(g, marking_set, max_degree=None):
+    """Every move applicable to g, as counted blocks [(count, decode)].
+
+    Blocks come in the order R1+, R1-, R2+, R2-, R3; decode(u) for
+    0 <= u < count is the u-th (move, site, params) of its block, ready for
+    apply_R_move.  Insertion blocks are counted arithmetically and never
+    listed (_insertion_blocks).  R1 markings are forced by the kink (0 or
+    K); R2 markings come from `marking_set`.  Moves that would exceed
+    max_degree are left out."""
+    r1_plus, r2_plus = _insertion_blocks(g, marking_set, max_degree)
+    kinks = r1_matches(g)
+    bigons = list(dict.fromkeys((m.arrow_map[0], m.arrow_map[1]) for m in _full_matches(g, "R2")))
+    triples = list(dict.fromkeys(_r3_site(m) for m in _full_matches(g, "R3")))
+    return [
+        r1_plus,
+        (len(kinks), lambda u: ("R1-", kinks[u][0], ())),
+        r2_plus,
         (len(bigons), lambda u: ("R2-", bigons[u], ())),
         (len(triples), lambda u: ("R3", triples[u], ())),
     ]
@@ -926,16 +920,17 @@ def move_census(g, marking_set, max_degree=None):
 def r_relation_vectors(n, window, limit_per_kind=None):
     """Differences g_after - g_before for moves within degree <= n, window-
     internal, enumerated deterministically: the R1+ and R2+ blocks of
-    move_census, in census order, on every Gauss diagram of degree < n,
-    then one R3 move per diagram of degree n.  A kink whose forced marking
+    move_census (_insertion_blocks), in census order, on every Gauss
+    diagram of degree < n, then one R3 move per diagram of degree n.  No
+    other move is matched below degree n.  A kink whose forced marking
     (0 or K) is outside the window is left out.  Once a kind has
     limit_per_kind vectors, the next diagrams add none of it."""
     out = []
     counts = {"R1": 0, "R2": 0, "R3": 0}
     for deg in range(0, n):
         for g in enumerate_diagrams("gauss", deg, window):
-            census = move_census(g, window.values(), n)
-            for kind, (count, decode) in (("R1", census[0]), ("R2", census[2])):
+            blocks = _insertion_blocks(g, window.values(), n)
+            for kind, (count, decode) in zip(("R1", "R2"), blocks):
                 if limit_per_kind is not None and counts[kind] >= limit_per_kind:
                     continue
                 for u in range(count):
@@ -948,11 +943,8 @@ def r_relation_vectors(n, window, limit_per_kind=None):
     for g in enumerate_diagrams("gauss", n, window) if n >= 3 else ():
         if limit_per_kind is not None and counts["R3"] >= limit_per_kind:
             break
-        for m in _full_matches(g, "R3", "gauss"):
-            g2 = _build_term(
-                m.layout, m.model, (0, 1, 2), "R" if m.side == "L" else "L",
-                m.marks, "gauss",
-            )
+        for m in _full_matches(g, "R3"):
+            g2 = GaussDiagram(g.K, _reversed_r3(m))
             vec = LinComb.single(g2) - LinComb.single(g)
             if vec and _in_window(vec, window):
                 out.append(("R3", vec))

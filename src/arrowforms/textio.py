@@ -63,14 +63,19 @@ def print_diagram(d):
     return "\n".join(lines)
 
 
+def _numbered(text):
+    """The nonblank lines of text, stripped, as (file line number, line)."""
+    return [(i, l) for i, l in enumerate((s.strip() for s in text.splitlines()), 1) if l]
+
+
 def _parse_diagram_block(lines, start):
-    """Parse one diagram block; returns (diagram, next line index)."""
-    lineno = start + 1
-    header = lines[start].split(None, 1)
-    species = header[0]
+    """Parse one diagram block off numbered lines (see _numbered); returns
+    (diagram, next line index)."""
+    lineno, text = lines[start]
+    species = text.split(None, 1)[0]
     if species not in ("gauss", "arrow", "degenerate"):
         raise ParseError("unknown species %r" % species, lineno)
-    hf = _fields(lines[start][len(species):], lineno, ("K", "n"))
+    hf = _fields(text[len(species):], lineno, ("K", "n"))
     try:
         K, n = int(hf["K"]), int(hf["n"])
     except ValueError:
@@ -79,16 +84,17 @@ def _parse_diagram_block(lines, start):
     i = start + 1
     for j in range(n):
         if i >= len(lines):
-            raise ParseError("expected %d arrow lines, got %d" % (n, j), len(lines))
+            raise ParseError("expected %d arrow lines, got %d" % (n, j), lines[-1][0])
+        lineno, text = lines[i]
         names = ("tail", "head", "sign", "mark") if species == "gauss" else ("tail", "head", "mark")
-        f = _fields(lines[i], i + 1, names)
+        f = _fields(text, lineno, names)
         try:
             t, h, m = int(f["tail"]), int(f["head"]), int(f["mark"])
         except ValueError:
-            raise ParseError("tail/head/mark must be integers", i + 1)
+            raise ParseError("tail/head/mark must be integers", lineno)
         if species == "gauss":
             if f["sign"] not in ("+", "-"):
-                raise ParseError("sign must be + or -", i + 1)
+                raise ParseError("sign must be + or -", lineno)
             s = 1 if f["sign"] == "+" else -1
         else:
             s = 0
@@ -102,12 +108,12 @@ def _parse_diagram_block(lines, start):
 
 
 def parse_diagram(text):
-    lines = [l for l in (s.strip() for s in text.splitlines()) if l]
+    lines = _numbered(text)
     if not lines:
         raise ParseError("empty diagram", 1)
     d, i = _parse_diagram_block(lines, 0)
     if i != len(lines):
-        raise ParseError("trailing content after diagram", i + 1)
+        raise ParseError("trailing content after diagram", lines[i][0])
     return d
 
 
@@ -119,21 +125,19 @@ def print_lincomb(vec):
     return "\n---\n".join(chunks)
 
 
-def parse_lincomb(text, _lines=None, _start=0):
-    from .lincomb import LinComb
-
-    lines = _lines if _lines is not None else [
-        l for l in (s.strip() for s in text.splitlines()) if l
-    ]
+def _parse_terms(lines, start):
+    """The entries of a linear combination from numbered line `start` on:
+    [(diagram, coefficient, line number of the diagram's header)]."""
     terms = []
-    i = _start
+    i = start
     while i < len(lines):
-        if lines[i] == "---":
+        lineno, text = lines[i]
+        if text == "---":
             i += 1
             continue
-        if not lines[i].startswith("coef="):
-            raise ParseError("expected coef=<p>/<q>, got %r" % lines[i], i + 1)
-        body = lines[i][5:]
+        if not text.startswith("coef="):
+            raise ParseError("expected coef=<p>/<q>, got %r" % text, lineno)
+        body = text[5:]
         try:
             if "/" in body:
                 p, q = body.split("/", 1)
@@ -141,10 +145,17 @@ def parse_lincomb(text, _lines=None, _start=0):
             else:
                 c = Fraction(int(body))
         except (ValueError, ZeroDivisionError):
-            raise ParseError("bad coefficient %r" % body, i + 1)
-        d, i = _parse_diagram_block(lines, i + 1)
-        terms.append((d, c))
-    return LinComb(terms)
+            raise ParseError("bad coefficient %r" % body, lineno)
+        at = i + 1
+        d, i = _parse_diagram_block(lines, at)
+        terms.append((d, c, lines[at][0]))
+    return terms
+
+
+def parse_lincomb(text):
+    from .lincomb import LinComb
+
+    return LinComb([(d, c) for d, c, _lineno in _parse_terms(_numbered(text), 0)])
 
 
 def print_formula(f):
@@ -153,22 +164,30 @@ def print_formula(f):
 
 
 def parse_formula(text):
-    from .engine import Formula
+    return _parse_formula_lines(_numbered(text))
 
-    lines = [l for l in (s.strip() for s in text.splitlines()) if l]
-    if not lines or not lines[0].startswith("formula"):
-        raise ParseError("expected 'formula K=<int>' header", 1)
-    hf = _fields(lines[0][len("formula"):], 1, ("K",))
+
+def _parse_formula_lines(lines):
+    """parse_formula off numbered lines (see _numbered)."""
+    from .engine import Formula
+    from .lincomb import LinComb
+
+    if not lines or not lines[0][1].startswith("formula"):
+        raise ParseError("expected 'formula K=<int>' header", lines[0][0] if lines else 1)
+    lineno, header = lines[0]
+    hf = _fields(header[len("formula"):], lineno, ("K",))
     try:
         K = int(hf["K"])
     except ValueError:
-        raise ParseError("K must be an integer", 1)
-    vec = parse_lincomb(None, _lines=lines, _start=1)
+        raise ParseError("K must be an integer", lineno)
+    terms = _parse_terms(lines, 1)
+    vec = LinComb([(d, c) for d, c, _lineno in terms])
+    where = {d: at for d, _c, at in reversed(terms)}  # a term's first header line
     for k in vec.keys():
         if not isinstance(k, ArrowDiagram) or isinstance(k, GaussDiagram):
-            raise ParseError("formula terms must be arrow diagrams", 1)
+            raise ParseError("formula terms must be arrow diagrams", where[k])
         if k.K != K:
-            raise ParseError("term K=%d does not match header K=%d" % (k.K, K), 1)
+            raise ParseError("term K=%d does not match header K=%d" % (k.K, K), where[k])
     return Formula(vec, K, provenance="file")
 
 
@@ -191,21 +210,13 @@ def parse_basis(text):
     except ValueError:
         raise ParseError("count must be an integer", 1)
     blocks = []
-    current = None
-    for l in lines[1:]:
-        l = l.strip()
-        if not l:
-            continue
-        if l.startswith("formula"):
-            if current is not None:
-                blocks.append(current)
-            current = [l]
-        elif current is not None:
-            current.append(l)
+    for entry in _numbered(text)[1:]:
+        if entry[1].startswith("formula"):
+            blocks.append([entry])
+        elif blocks:
+            blocks[-1].append(entry)
         else:
-            raise ParseError("content before first formula", 2)
-    if current is not None:
-        blocks.append(current)
+            raise ParseError("content before first formula", entry[0])
     if len(blocks) != count:
         raise ParseError("header says count=%d, found %d formulas" % (count, len(blocks)), 1)
-    return [parse_formula("\n".join(b)) for b in blocks]
+    return [_parse_formula_lines(b) for b in blocks]

@@ -1,10 +1,15 @@
 """Brute-force move oracles: the explicit move list, the explicit
 insertion loops of the R-relation vectors, the unanchored full-model
-matcher, the descriptor-bucket scan, the unreduced two-crossing descriptor
-table, the full-scan removal of R2/R3 sites and the rational marking
-completion, against which the program's counted move census (also behind
-r_relation_vectors), signature-keyed matcher, six-term descriptor classes,
-site-local apply_R_move and integer gap relations are tested."""
+matcher, the descriptor-bucket scan, the six-term slot scan, the unreduced
+two-crossing descriptor table, the full-scan removal of R2/R3 sites and
+the rational marking completion, against which the program's counted move
+census (whose insertion blocks are also behind r_relation_vectors),
+signature-keyed matcher, order-flag six-term matcher, six-term descriptor
+classes, site-local apply_R_move and integer gap relations are tested.
+
+_cyclic_ordered and _other_pos, the slot-order test and endpoint lookup
+these scans share, live here: the program's matchers read the slot order
+off the other endpoints of the anchor arrows instead."""
 
 from fractions import Fraction
 from functools import cache
@@ -16,18 +21,30 @@ from arrowforms.moves import HEAD, TAIL, models
 from arrowforms.relations import (
     Match,
     _build_term,
-    _cyclic_ordered,
+    _complete_marks,
     _full_descriptors,
     _full_matches,
     _gap_relation,
     _in_window,
     _normalize_model,
-    _other_pos,
+    _pair_descriptors as _reduced_pair_descriptors,
     _pair_entry,
     apply_R_move,
     enumerate_diagrams,
     r1_matches,
 )
+
+
+def _cyclic_ordered(anchors, size):
+    """True iff the anchor positions occur in slot order around the circle."""
+    a0 = anchors[0]
+    rel = [(a - a0) % size for a in anchors]
+    return all(rel[i] < rel[i + 1] for i in range(1, len(rel) - 1)) and all(r > 0 for r in rel[1:])
+
+
+def _other_pos(d, arrow, role):
+    a = d.arrows[arrow]
+    return a[0] if role == TAIL else a[1]
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +269,39 @@ def full_matches_bucket_scan(d, kind, mode, positions=None):
             yield Match(model, side, tuple(range(ncross)), arrow_map, marks, d, anchors)
 
 
+def r3_pair_matches_scan(d, mode, fixed_positions=None):
+    """The slot scan that relations.r3_pair_matches replaced, kept as its
+    oracle: each descriptor of the program's six-term table places its
+    singles by endpoint lookup and keeps the shapes whose slot anchors are
+    cyclically ordered.  Reads the table's x_first flag not at all, and
+    takes the sign mode as given rather than from the host."""
+    n = d.n
+    if n < 2:
+        return
+    ends = d.endpoint_roles()
+    size = 2 * n
+    table = _reduced_pair_descriptors(mode)
+    pos_range = [fixed_positions] if fixed_positions is not None else list(range(size))
+    for p in pos_range:
+        q = (p + 1) % size
+        (u, ru), (v, rv) = ends[p], ends[q]
+        if u == v:
+            continue
+        for model, side, pair, singles, weight, third, relation, _x_first in table[(ru, rv)]:
+            c1, c2 = pair
+            arrow_map = {c1: u, c2: v}
+            if mode == "gauss" and (
+                d.arrows[u][3] != model.signs[c1] or d.arrows[v][3] != model.signs[c2]
+            ):
+                continue
+            anchors = [p, None, None]
+            for cc, s, rr in singles:
+                anchors[s] = _other_pos(d, arrow_map[cc], rr)
+            if not _cyclic_ordered(anchors, size):
+                continue
+            marks = _complete_marks(pair, third, relation, d.arrows[u][2], d.arrows[v][2], d.K)
+            yield Match(model, side, pair, arrow_map, marks, d, anchors, weight)
+
 
 _PAIR_DESC = {}
 
@@ -309,13 +359,13 @@ def available_moves(g, marking_set, max_degree=None):
                     for m in sorted(marking_set):
                         out.append(("R2+", (ins1, ins2), (k, m)))
     seen_pairs = set()
-    for m in _full_matches(g, "R2", "gauss" if g.signed else "plain"):
+    for m in _full_matches(g, "R2"):
         pair = (m.arrow_map[0], m.arrow_map[1])
         if pair not in seen_pairs:
             seen_pairs.add(pair)
             out.append(("R2-", pair, ()))
     seen_r3 = set()
-    for m in _full_matches(g, "R3", "gauss" if g.signed else "plain"):
+    for m in _full_matches(g, "R3"):
         word = m.model.words[m.side][0]
         first = m.arrow_map[word[0][0]]
         pos = _other_pos(g, first, word[0][1])
@@ -328,24 +378,19 @@ def available_moves(g, marking_set, max_degree=None):
 
 def apply_R_move_full_scan(g, move, site):
     """apply_R_move for 'R2-' and 'R3', re-matching over the whole circle."""
-    mode = "gauss" if g.signed else "plain"
     if move == "R2-":
-        for m in _full_matches(g, "R2", mode):
+        for m in _full_matches(g, "R2"):
             if (m.arrow_map[0], m.arrow_map[1]) == tuple(site):
                 drop = set(site)
                 return g.subdiagram([i for i in range(g.n) if i not in drop])
         raise DiagramError("arrows %r do not form a removable bigon" % (site,))
     triple, anchor = site
-    for m in _full_matches(g, "R3", mode):
+    for m in _full_matches(g, "R3"):
         word = m.model.words[m.side][0]
         pos = _other_pos(g, m.arrow_map[word[0][0]], word[0][1])
         if (tuple(m.arrow_map[c] for c in (0, 1, 2)), pos) != (tuple(triple), anchor):
             continue
-        other = "R" if m.side == "L" else "L"
-        return _build_term(
-            m.layout, m.model, (0, 1, 2), other, m.marks,
-            "gauss" if g.signed else "arrow",
-        )
+        return _build_term(m, (0, 1, 2), "R" if m.side == "L" else "L")
     raise DiagramError("no R3 site at %r" % (site,))
 
 
@@ -379,11 +424,8 @@ def r_relation_vectors_explicit(n, window, limit_per_kind=None):
     for g in enumerate_diagrams("gauss", n, window) if n >= 3 else ():
         if limit_per_kind is not None and counts["R3"] >= limit_per_kind:
             break
-        for m in _full_matches(g, "R3", "gauss"):
-            g2 = _build_term(
-                m.layout, m.model, (0, 1, 2), "R" if m.side == "L" else "L",
-                m.marks, "gauss",
-            )
+        for m in _full_matches(g, "R3"):
+            g2 = _build_term(m, (0, 1, 2), "R" if m.side == "L" else "L")
             vec = LinComb.single(g2) - LinComb.single(g)
             if vec and _in_window(vec, window):
                 out.append(("R3", vec))

@@ -51,6 +51,7 @@ from move_oracles import (
     apply_R_move_full_scan,
     available_moves,
     full_matches_bucket_scan,
+    r3_pair_matches_scan,
     r_relation_vectors_explicit,
     unreduced_pair_table,
 )
@@ -125,7 +126,7 @@ def test_anchored_matcher_agrees_with_scan():
             d = random_gauss_diagram(rng, n, 2)
             mode = "gauss"
         for kind in ("R2", "R3"):
-            fast = _match_keys(_full_matches(d, kind, mode))
+            fast = _match_keys(_full_matches(d, kind))
             slow = _match_keys(_full_matches_scan(d, kind, mode))
             assert fast == slow
 
@@ -180,7 +181,7 @@ def dense_site_diagrams(draw):
 def _match_layout_keys(matches):
     return sorted(
         (id(m.model), m.side, m.present, tuple(sorted(m.arrow_map.items())),
-         tuple(m.marks.items()), tuple(m.layout.host_word), tuple(m.layout.slot_ranks))
+         tuple(m.marks.items()), tuple(m.layout[1]), tuple(m.layout[2]))
         for m in matches
     )
 
@@ -190,7 +191,7 @@ def _match_layout_keys(matches):
 def test_anchored_matcher_matches_the_scan_with_layouts(d):
     mode = "gauss" if d.signed else "plain"
     for kind in ("R2", "R3"):
-        fast = _match_layout_keys(_full_matches(d, kind, mode))
+        fast = _match_layout_keys(_full_matches(d, kind))
         assert fast == _match_layout_keys(_full_matches_scan(d, kind, mode))
 
 
@@ -213,7 +214,7 @@ def test_signature_matcher_matches_the_bucket_scan_in_order():
         mode = "gauss" if species == "gauss" else "plain"
         for d in diagrams:
             for kind in ("R2", "R3"):
-                fast = _ordered_match_keys(_full_matches(d, kind, mode))
+                fast = _ordered_match_keys(_full_matches(d, kind))
                 assert fast == _ordered_match_keys(full_matches_bucket_scan(d, kind, mode))
                 found[kind] += len(fast)
     assert found["R2"] and found["R3"]
@@ -260,7 +261,7 @@ def test_closed_form_completion_matches_the_rational_oracle(K, marks, allowed):
         for v in table.values() for e in v
     ]
     assert len(entries) == 12 + 96 + 96 + 192
-    for model, _side, pair, _singles, _weight, third, y in entries:
+    for model, _side, pair, _singles, _weight, third, y, _x_first in entries:
         assert third not in pair and len(set(pair)) == 2
         got = [_complete_marks(pair, third, y, marks[0], marks[1], K)]
         want = _mark_options(model, pair, dict(zip(pair, marks)), K, window)
@@ -435,6 +436,20 @@ def test_r_relation_vectors_match_the_explicit_insertion_loops(n, markings, K, l
     got = r_relation_vectors(n, w, limit)
     assert got == r_relation_vectors_explicit(n, w, limit)
     assert sorted({kind for kind, _v in got}) == kinds.split()
+
+
+@pytest.mark.parametrize("n, markings, K, limit, full_calls", [
+    (3, "1", 1, 20, 164), (3, "0..2", 2, None, 4332),
+])
+def test_r_relation_vectors_match_only_the_degree_n_diagrams(n, markings, K, limit, full_calls):
+    # the insertion moves below degree n need no matching: no kink scan,
+    # and every full-model match is an R3 search on a degree-n diagram
+    with mock.patch.object(relations, "r1_matches", wraps=relations.r1_matches) as r1, \
+            mock.patch.object(relations, "_full_matches", wraps=relations._full_matches) as full:
+        r_relation_vectors(n, MarkingWindow.parse(markings, K), limit)
+    assert r1.call_count == 0
+    assert full.call_count == full_calls
+    assert {(c.args[0].n, c.args[1]) for c in full.call_args_list} == {(n, "R3")}
 
 
 def test_r2_insertion_accepts_exactly_the_integer_markings():
@@ -630,22 +645,22 @@ def test_six_term_families_match_the_unreduced_table(family):
     assert compared > 200
 
 
-def _six_term_vectors(d, mode, p, entry):
+def _six_term_vectors(d, p, entry):
     """The 6-term vectors one pair descriptor builds at position p."""
     model, side = entry[0], entry[1]
     anchor = model.words[side][0]
     table = {(r1, r2): [] for r1 in (TAIL, HEAD) for r2 in (TAIL, HEAD)}
     table[(anchor[0][1], anchor[1][1])].append(_pair_entry(*entry[:4], 1))
-    species = "gauss" if mode == "gauss" else "arrow"
     with mock.patch.object(relations, "_pair_descriptors", lambda _mode: table):
-        return [
-            LinComb(
-                (_build_term(m.layout, m.model, pair, sd, m.marks, species),
-                 _six_term_coeff(m.model, sd, pair, mode))
-                for sd in ("L", "R") for pair in _PAIRS
-            )
-            for m in r3_pair_matches(d, mode, fixed_positions=p)
-        ]
+        matches = list(r3_pair_matches(d, fixed_positions=p))
+    assert all(m.model is model for m in matches)  # the patched table reached the matcher
+    return [
+        LinComb(
+            (_build_term(m, pair, sd), _six_term_coeff(m.model, sd, pair, d.signed))
+            for sd in ("L", "R") for pair in _PAIRS
+        )
+        for m in matches
+    ]
 
 
 @st.composite
@@ -674,9 +689,28 @@ def test_every_descriptor_builds_its_class_representatives_terms(d):
             for entry in entries:
                 sig = _six_term_signature(*entry, mode)
                 if sig not in rep_vectors:
-                    rep_vectors[sig] = _six_term_vectors(d, mode, p, reps[sig])
-                got = _six_term_vectors(d, mode, p, entry)
+                    rep_vectors[sig] = _six_term_vectors(d, p, reps[sig])
+                got = _six_term_vectors(d, p, entry)
                 want = rep_vectors[sig]
                 assert len(got) == len(want)
                 for g, w in zip(got, want):
                     assert g in (w, -w)
+
+
+def _pair_match_keys(matches):
+    return [
+        (id(m.model), m.side, m.present, list(m.arrow_map.items()), list(m.marks.items()),
+         list(m.anchors), m.weight)
+        for m in matches
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(six_term_hosts())
+def test_order_flag_matcher_matches_the_slot_scan(d):
+    # the same matches in the same order, over the whole circle and at
+    # every fixed position
+    mode = "gauss" if d.signed else "pairprod"
+    for p in [None] + list(range(2 * d.n)):
+        fast = _pair_match_keys(r3_pair_matches(d, fixed_positions=p))
+        assert fast == _pair_match_keys(r3_pair_matches_scan(d, mode, p))

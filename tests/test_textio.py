@@ -103,3 +103,39 @@ def test_formula_terms_must_be_sign_free():
     bad = "formula K=2\ncoef=1\ngauss K=2 n=1\ntail=0 head=1 sign=+ mark=0"
     with pytest.raises(textio.ParseError):
         textio.parse_formula(bad)
+
+
+_KINK = "arrow K=2 n=1\ntail=0 head=1 mark=0"
+
+
+@pytest.mark.parametrize(
+    "parse, text, lineno",
+    [
+        # a bad marking on file line 7, after two blank lines
+        (textio.parse_formula,
+         "\n\nformula K=2\ncoef=1/1\narrow K=2 n=2\ntail=0 head=2 mark=1\ntail=1 head=3 mark=q",
+         7),
+        # a bad coefficient on line 7, in the second formula of a basis
+        (textio.parse_basis,
+         "basis count=2\nformula K=2\ncoef=1/1\n%s\nformula K=2\ncoef=1/x\n%s" % (_KINK, _KINK),
+         7),
+        # a signed term: the line of its diagram header
+        (textio.parse_formula,
+         "formula K=2\ncoef=1\n%s\n---\n\ncoef=1\ngauss K=2 n=1\ntail=0 head=1 sign=+ mark=0"
+         % _KINK,
+         8),
+        # a term whose K differs from the header's, in a basis file
+        (textio.parse_basis,
+         "basis count=1\n\nformula K=3\ncoef=1\narrow K=3 n=0\n---\ncoef=2\n%s" % _KINK,
+         8),
+        (textio.parse_basis, "basis count=1\n\n\ncoef=1\nformula K=2", 4),
+        (textio.parse_formula, "\n\nformula\n", 3),
+        (textio.parse_diagram, "\n%s\n\nextra" % _KINK, 5),
+        (textio.parse_diagram, "\narrow K=2 n=2\n\ntail=0 head=1 mark=0\n\n", 4),
+    ],
+)
+def test_parse_errors_name_the_file_line(parse, text, lineno):
+    with pytest.raises(textio.ParseError) as e:
+        parse(text)
+    assert e.value.lineno == lineno
+    assert str(e.value).startswith("line %d: " % lineno)
