@@ -116,7 +116,7 @@ def _parents_at(D, arc):
     the relation so a direct basing of the monotonic shrink carries its
     epsilon."""
     b0 = BasedDiagram(D, arc)
-    for m in r3_pair_matches(D, fixed_positions=arc):
+    for m in r3_pair_matches(D, positions=[arc]):
         terms = {}
         for pair in _PAIRS:
             for side in ("L", "R"):

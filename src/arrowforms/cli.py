@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: enumerate, solve, check, boundary, eval, verify, gv, selftest.
-All outputs are deterministic given --seed; files use the plain-text formats
-of the textio module.  Exit code 0 means success / all checks passed; a
-nonzero exit carries a diagnostic naming the first failure.
+Each takes only those of the shared flags (_FLAGS) that its handler reads;
+any other flag is a usage error with exit code 2.  All outputs are
+deterministic given --seed; files use the plain-text formats of the textio
+module.  Exit code 0 means success / all checks passed; a nonzero exit
+carries a diagnostic naming the first failure.
 """
 
 from __future__ import annotations
@@ -25,9 +27,7 @@ class CliError(Exception):
     pass
 
 
-def _window(args, K=None):
-    if K is None:
-        K = args.K
+def _window(args, K):
     if K is None:
         raise CliError("--K is required")
     if args.markings is None:
@@ -45,9 +45,7 @@ def _nonnegative(value, flag):
 
 
 def _cache_dir(args):
-    if args.cache_dir:
-        return args.cache_dir
-    return os.environ.get(CACHE_ENV) or None
+    return args.cache_dir or os.environ.get(CACHE_ENV) or None
 
 
 def _read(path):
@@ -92,7 +90,7 @@ def cmd_enumerate(args):
 
     if args.species not in ("gauss", "arrow"):
         raise CliError("--species must be gauss or arrow")
-    w = _window(args)
+    w = _window(args, args.K)
     ds = enumerate_diagrams(args.species, _nonnegative(args.degree, "--degree"), w)
     lines = ["count=%d" % len(ds)]
     for d in ds:
@@ -104,7 +102,7 @@ def cmd_enumerate(args):
 
 
 def cmd_solve(args):
-    w = _window(args)
+    w = _window(args, args.K)
     basis = _solve(_nonnegative(args.degree, "--degree"), w, args)
     header = " degree=%d K=%d markings=%s" % (
         args.degree, w.K, ",".join(str(v) for v in w.values()),
@@ -116,9 +114,7 @@ def cmd_solve(args):
 
 def cmd_check(args):
     f = _load_formula(args.formula)
-    w = _window(args, K=args.K if args.K is not None else f.K)
-    if w.K != f.K:
-        raise CliError("formula has K=%d but --K is %d" % (f.K, w.K))
+    w = _window(args, f.K)
     report = engine.check_formula(f, w)
     for fam in ("ap1", "ap2", "a6t"):
         print("%s max |pairing| = %s" % (fam, report["families"][fam]))
@@ -145,7 +141,7 @@ def cmd_boundary(args):
 
     f = _load_formula(args.formula)
     if args.markings is not None:
-        w = _window(args, K=f.K)
+        w = _window(args, f.K)
     else:
         marks = f.markings()
         w = MarkingWindow(set(marks) | {0, f.K}, f.K)
@@ -167,9 +163,7 @@ def cmd_eval(args):
 def cmd_verify(args):
     f = _load_formula(args.formula)
     g = _load_gauss(args.knot)
-    marking_set = None
-    if args.markings is not None:
-        marking_set = set(MarkingWindow.parse(args.markings, f.K).allowed)
+    marking_set = None if args.markings is None else set(_window(args, f.K).allowed)
     report = engine.verify_invariance(
         f, g, trials=_nonnegative(args.trials, "--trials"),
         walk_length=_nonnegative(args.walk_length, "--walk-length"),
@@ -278,55 +272,51 @@ def cmd_selftest(args):
     return 0
 
 
+# The shared flags, keyed by destination: each subcommand names those its
+# handler reads.
+_FLAGS = {
+    "K": (("--K",), dict(type=int, help="global circle marking")),
+    "markings": (("--markings",), dict(help="marking window: lo..hi or a,b,c")),
+    "seed": (("--seed",), dict(type=int, default=0, help="random seed")),
+    "cache_dir": (("--cache-dir",), dict(help="solver cache directory (or $%s)" % CACHE_ENV)),
+    "output": (("-o", "--output"), dict(help="write to file instead of stdout")),
+}
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="arrowforms",
         description="Arrow-diagram invariants of virtual knots in the annulus.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--K", type=int, default=None, help="global circle marking")
-    common.add_argument("--markings", default=None, help="marking window: lo..hi or a,b,c")
-    common.add_argument("--seed", type=int, default=0, help="random seed")
-    common.add_argument("--cache-dir", default=None,
-                        help="solver cache directory (or $%s)" % CACHE_ENV)
-    common.add_argument("-o", "--output", default=None, help="write to file instead of stdout")
     sub = p.add_subparsers(dest="command", required=True)
 
-    q = sub.add_parser("enumerate", parents=[common], help="list canonical diagrams")
+    def command(name, func, help, flags, *positionals):
+        q = sub.add_parser(name, help=help)
+        for flag in flags:
+            names, kwargs = _FLAGS[flag]
+            q.add_argument(*names, **kwargs)
+        for arg in positionals:
+            q.add_argument(arg)
+        q.set_defaults(func=func)
+        return q
+
+    q = command("enumerate", cmd_enumerate, "list canonical diagrams", ("K", "markings", "output"))
     q.add_argument("--degree", type=int, required=True)
     q.add_argument("--species", default="arrow")
-    q.set_defaults(func=cmd_enumerate)
-
-    q = sub.add_parser("solve", parents=[common], help="basis of the formula space")
+    q = command("solve", cmd_solve, "basis of the formula space",
+                ("K", "markings", "cache_dir", "output"))
     q.add_argument("--degree", type=int, required=True)
-    q.set_defaults(func=cmd_solve)
-
-    q = sub.add_parser("check", parents=[common], help="static checks on a formula file")
-    q.add_argument("formula")
-    q.set_defaults(func=cmd_check)
-
-    q = sub.add_parser("boundary", parents=[common], help="boundary of a formula file")
-    q.add_argument("formula")
-    q.set_defaults(func=cmd_boundary)
-
-    q = sub.add_parser("eval", parents=[common], help="evaluate a formula on a knot")
-    q.add_argument("formula")
-    q.add_argument("knot")
-    q.set_defaults(func=cmd_eval)
-
-    q = sub.add_parser("verify", parents=[common], help="randomized move-invariance check")
-    q.add_argument("formula")
-    q.add_argument("knot")
+    command("check", cmd_check, "static checks on a formula file", ("markings",), "formula")
+    command("boundary", cmd_boundary, "boundary of a formula file", ("markings", "output"),
+            "formula")
+    command("eval", cmd_eval, "evaluate a formula on a knot", (), "formula", "knot")
+    q = command("verify", cmd_verify, "randomized move-invariance check", ("markings", "seed"),
+                "formula", "knot")
     q.add_argument("--trials", type=int, default=100)
     q.add_argument("--walk-length", type=int, default=20)
-    q.set_defaults(func=cmd_verify)
-
-    q = sub.add_parser("gv", parents=[common], help="planar chain formula from classes")
+    q = command("gv", cmd_gv, "planar chain formula from classes", ("output",))
     q.add_argument("--gamma", required=True, help="comma list of nonzero integers")
-    q.set_defaults(func=cmd_gv)
-
-    q = sub.add_parser("selftest", parents=[common], help="quick internal battery")
-    q.set_defaults(func=cmd_selftest)
+    command("selftest", cmd_selftest, "quick internal battery", ("seed", "cache_dir"))
     return p
 
 

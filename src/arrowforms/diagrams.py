@@ -224,20 +224,20 @@ class BasedDiagram:
         object.__setattr__(self, "_hash", hash(("based", diagram.K, self.arrows, diagram.signed)))
 
     @classmethod
-    def from_word(cls, K, arrows, signed=False):
-        """Based diagram from arrows already in the based rotation (the base
-        arc between endpoint positions 2n-1 and 0)."""
+    def from_word(cls, K, arrows):
+        """Sign-free based diagram from arrows already in the based rotation
+        (the base arc between endpoint positions 2n-1 and 0)."""
         arrows = tuple(tuple(a) for a in arrows)
         n = len(arrows)
         if n == 0:
             raise DiagramError("the empty diagram has no arcs to base")
-        _validate(n, arrows, signed)
+        _validate(n, arrows, False)
         moved = tuple(sorted(arrows, key=lambda a: min(a[0], a[1])))
         b = cls.__new__(cls)
         object.__setattr__(b, "K", int(K))
         object.__setattr__(b, "arrows", moved)
-        object.__setattr__(b, "signed", signed)
-        object.__setattr__(b, "_hash", hash(("based", int(K), moved, signed)))
+        object.__setattr__(b, "signed", False)
+        object.__setattr__(b, "_hash", hash(("based", int(K), moved, False)))
         return b
 
     def __setattr__(self, *a):

@@ -201,7 +201,7 @@ def solve_formula_space(n, window, cache_dir=None):
     columns = enumerate_diagrams("arrow", n, window)
     colset = set(columns)
     mat = DiagramIndexedMatrix(columns)
-    for inst in gen_all_constraints(n, window, closure=False):
+    for inst in gen_all_constraints(n, window):
         row = {k: c * k.aut_order() for k, c in inst.vector.items() if k in colset}
         if row:
             mat.add_row(row)
@@ -376,14 +376,15 @@ def _guard_running_value(f, g, value):
         )
 
 
-def verify_invariance(f, g0, trials, walk_length, seed, marking_set=None, max_degree=None):
+def verify_invariance(f, g0, trials, walk_length, seed, marking_set=None):
     """Random move walks from g0, asserting the evaluation never changes.
 
     Each trial is an independent walk of `walk_length` uniform moves.  New
     bigon markings are drawn from `marking_set` (default: the formula's
     markings plus 0 and K); kink markings are forced by the move itself.
-    Degree is capped to keep walks from drifting into ever larger diagrams.
-    Returns a report; a violation records the first offending move.
+    Degree is capped at g0's plus the formula's top degree plus 4, to keep
+    walks from drifting into ever larger diagrams.  Returns a report; a
+    violation records the first offending move.
 
     g0 is evaluated once.  Along a walk the value is kept as a running
     value, updated after each move from the subsets that hold an arrow the
@@ -396,8 +397,7 @@ def verify_invariance(f, g0, trials, walk_length, seed, marking_set=None, max_de
         )
     if marking_set is None:
         marking_set = set(f.markings()) | {0, f.K}
-    if max_degree is None:
-        max_degree = g0.n + max(f.degrees(), default=0) + 4
+    max_degree = g0.n + max(f.degrees(), default=0) + 4
     rng = random.Random(seed)
     base = evaluate(f, g0)
     report = {

@@ -77,6 +77,10 @@ class Echelon:
     def rank(self):
         return len(self.pivots)
 
+    def spans(self, v):
+        """True iff the sparse vector v lies in the span of the stored rows."""
+        return not self.reduce(_int_row(v))
+
     def back_substitute(self):
         """Make every pivot column the only nonzero in its pivot row."""
         for lead in sorted(self.pivots, reverse=True):
@@ -113,8 +117,8 @@ class DiagramIndexedMatrix:
 
 
 def echelon_of(rows):
-    """Echelon of a list of sparse vectors, prebuilt for repeated in_span
-    queries."""
+    """Echelon of a list of sparse vectors, prebuilt for repeated
+    Echelon.spans queries."""
     ech = Echelon()
     for r in rows:
         ech.insert(_int_row(r))
@@ -126,11 +130,9 @@ def rank(rows):
     return echelon_of(rows).rank()
 
 
-def in_span(v, rows, _ech_cache=None):
+def in_span(v, rows):
     """True iff v lies in the rational span of the rows."""
-    if _ech_cache is None:
-        _ech_cache = echelon_of(rows)
-    return not _ech_cache.reduce(_int_row(v))
+    return echelon_of(rows).spans(v)
 
 
 def kernel(m):

@@ -458,12 +458,12 @@ def _pair_descriptors(mode):
     return out
 
 
-def r3_pair_matches(d, fixed_positions=None):
+def r3_pair_matches(d, positions=None):
     """Matches of a two-crossing term of an R3 model inside d.
 
     The two visible crossings share a strand; their endpoints there form an
     adjacent pair (p, p+1 mod 2n) of arrows u != v, which anchors the
-    search.  `fixed_positions`, when given, restricts p to that position.
+    search, over all p or, when `positions` is given, over those only.
     The other endpoints x of u and y of v start slots 1 and 2 in the order
     in which they follow p, so a descriptor (read from the table for d's
     sign mode) matches iff its x_first flag (see _pair_entry) agrees with
@@ -477,7 +477,7 @@ def r3_pair_matches(d, fixed_positions=None):
     arrows = d.arrows
     ends = d.endpoint_roles()
     table = _pair_descriptors("gauss" if d.signed else "pairprod")
-    for p in range(size) if fixed_positions is None else [fixed_positions]:
+    for p in range(size) if positions is None else positions:
         (u, ru), (v, rv) = ends[p], ends[(p + 1) % size]
         if u == v:
             continue
@@ -726,11 +726,12 @@ def gen_family(family, n, window, skipped=None, closure=True, hosts=None):
     return _gen_from_diagrams(family, n, window, skipped, closure, hosts)
 
 
-def gen_all_constraints(n, window, skipped=None, closure=True):
-    """The constraint set whose kernel is the degree-n formula space."""
+def gen_all_constraints(n, window, skipped=None):
+    """The constraint set whose kernel is the degree-n formula space: every
+    instance is kept, as gen_family does with closure=False."""
     out = []
     for family in ("ap1", "ap2", "a6t"):
-        out.extend(gen_family(family, n, window, skipped, closure))
+        out.extend(gen_family(family, n, window, skipped, closure=False))
     return out
 
 
@@ -956,7 +957,7 @@ def r_relation_vectors(n, window, limit_per_kind=None):
 def check_I_span_compat(n, window, limit_per_kind=None):
     """Verify I(r) lies in the span of the P-relation instances for every
     R-relation vector r at degree <= n.  Returns a report dict."""
-    from .ratlinalg import echelon_of, in_span
+    from .ratlinalg import echelon_of
 
     rows = []
     skipped = {}
@@ -970,6 +971,6 @@ def check_I_span_compat(n, window, limit_per_kind=None):
     for kind, r in r_relation_vectors(n, window, limit_per_kind):
         vec = subdiagram_expand_I(r)
         checked += 1
-        if not in_span(vec, None, _ech_cache=ech):
+        if not ech.spans(vec):
             failures.append((kind, r))
     return {"checked": checked, "failures": failures, "skipped": skipped}

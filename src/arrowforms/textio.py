@@ -80,6 +80,8 @@ def _parse_diagram_block(lines, start):
         K, n = int(hf["K"]), int(hf["n"])
     except ValueError:
         raise ParseError("K and n must be integers", lineno)
+    if n < 0:
+        raise ParseError("n must be nonnegative", lineno)
     arrows = []
     i = start + 1
     for j in range(n):
@@ -147,6 +149,8 @@ def _parse_terms(lines, start):
         except (ValueError, ZeroDivisionError):
             raise ParseError("bad coefficient %r" % body, lineno)
         at = i + 1
+        if at == len(lines):
+            raise ParseError("no diagram after %r" % text, lineno)
         d, i = _parse_diagram_block(lines, at)
         terms.append((d, c, lines[at][0]))
     return terms

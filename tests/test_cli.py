@@ -1,9 +1,12 @@
 """Exit codes and output formats of the command-line front end."""
 
+import shlex
+from pathlib import Path
+
 import pytest
 
 from arrowforms import textio
-from arrowforms.cli import main
+from arrowforms.cli import build_parser, main
 from arrowforms.engine import gv_formula, null_pair_formula
 from arrowforms.lincomb import LinComb
 from arrowforms.diagrams import ArrowDiagram
@@ -235,3 +238,76 @@ def test_selftest(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out.count("PASS") >= 6
+
+
+@pytest.mark.parametrize(
+    "argv, text, err",
+    [
+        (["check", "{}", "--markings", "0..2"], "formula K=2\ncoef=1\n",
+         "error: line 2: no diagram after 'coef=1'\n"),
+        (["eval", "{}", "{knot}"], "formula K=2\ncoef=1/1\narrow K=2 n=-1\n",
+         "error: line 3: n must be nonnegative\n"),
+    ],
+)
+def test_a_malformed_formula_file_is_one_error_line(tmp_path, knot_file, argv, text, err, capsys):
+    path = tmp_path / "formula.txt"
+    path.write_text(text)
+    rc = main([a.format(path, knot=knot_file) for a in argv])
+    assert rc == 2
+    out, got = capsys.readouterr()
+    assert got == err and out == ""
+
+
+# flag -> (argv value, destination, parsed value)
+_SHARED_FLAGS = {
+    "--K": ("2", "K", 2),
+    "--markings": ("1..2", "markings", "1..2"),
+    "--seed": ("3", "seed", 3),
+    "--cache-dir": ("cache", "cache_dir", "cache"),
+    "-o": ("out.txt", "output", "out.txt"),
+}
+# command -> (its other arguments, the shared flags its handler reads)
+_COMMAND_FLAGS = {
+    "enumerate": (["--degree", "1"], {"--K", "--markings", "-o"}),
+    "solve": (["--degree", "1"], {"--K", "--markings", "--cache-dir", "-o"}),
+    "check": (["f.txt"], {"--markings"}),
+    "boundary": (["f.txt"], {"--markings", "-o"}),
+    "eval": (["f.txt", "k.gd"], set()),
+    "verify": (["f.txt", "k.gd"], {"--markings", "--seed"}),
+    "gv": (["--gamma", "1,1"], {"-o"}),
+    "selftest": ([], {"--seed", "--cache-dir"}),
+}
+
+
+@pytest.mark.parametrize("flag", list(_SHARED_FLAGS))
+@pytest.mark.parametrize("command", list(_COMMAND_FLAGS))
+def test_each_command_takes_only_the_shared_flags_it_reads(command, flag, capsys):
+    rest, reads = _COMMAND_FLAGS[command]
+    value, dest, parsed = _SHARED_FLAGS[flag]
+    argv = [command] + rest + [flag, value]
+    if flag in reads:
+        assert getattr(build_parser().parse_args(argv), dest) == parsed
+    else:
+        with pytest.raises(SystemExit) as e:
+            build_parser().parse_args(argv)
+        assert e.value.code == 2
+        assert "unrecognized arguments: %s %s" % (flag, value) in capsys.readouterr().err
+
+
+def test_verify_names_a_bad_markings_value(formula_file, knot_file, capsys):
+    rc = main(["verify", formula_file, knot_file, "--markings", "1..x"])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: bad --markings value: ") and out == ""
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    argvs = [
+        shlex.split(line, comments=True)[1:]
+        for line in block.splitlines() if line.startswith("arrowforms ")
+    ]
+    assert {argv[0] for argv in argvs} == set(_COMMAND_FLAGS)
+    for argv in argvs:
+        build_parser().parse_args(argv)

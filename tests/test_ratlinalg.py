@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrowforms.lincomb import LinComb
-from arrowforms.ratlinalg import DiagramIndexedMatrix, in_span, kernel, rank
+from arrowforms.ratlinalg import DiagramIndexedMatrix, echelon_of, in_span, kernel, rank
 
 
 def _oracle_rank(rows, ncols):
@@ -77,6 +77,7 @@ def test_in_span_matches_rank_test(rows, extra):
     v = LinComb((c, x) for c, x in zip(range(4), extra) if x)
     expected = _oracle_rank(rows + [extra], 4) == _oracle_rank(rows, 4)
     assert in_span(v, vecs) == expected
+    assert echelon_of(vecs).spans(v) == expected
 
 
 def test_zero_vector_edge_cases():

@@ -595,6 +595,17 @@ def test_constraint_catalog_families():
     assert "a6t" in fams
 
 
+def test_constraints_keep_the_instances_with_terms_outside_the_window():
+    # the formula space is the kernel of every instance restricted to the
+    # window, so none is dropped: gen_family's closure=False lists, in order
+    w = MarkingWindow({1, 2}, 3)
+    want = [
+        (i.key(), list(i.vector.items()))
+        for fam in ("ap1", "ap2", "a6t") for i in gen_family(fam, 2, w, closure=False)
+    ]
+    assert [(i.key(), list(i.vector.items())) for i in gen_all_constraints(2, w)] == want
+
+
 # ---------------------------------------------------------------------------
 # six-term descriptor classes against the unreduced descriptor table
 
@@ -652,7 +663,7 @@ def _six_term_vectors(d, p, entry):
     table = {(r1, r2): [] for r1 in (TAIL, HEAD) for r2 in (TAIL, HEAD)}
     table[(anchor[0][1], anchor[1][1])].append(_pair_entry(*entry[:4], 1))
     with mock.patch.object(relations, "_pair_descriptors", lambda _mode: table):
-        matches = list(r3_pair_matches(d, fixed_positions=p))
+        matches = list(r3_pair_matches(d, positions=[p]))
     assert all(m.model is model for m in matches)  # the patched table reached the matcher
     return [
         LinComb(
@@ -712,5 +723,5 @@ def test_order_flag_matcher_matches_the_slot_scan(d):
     # every fixed position
     mode = "gauss" if d.signed else "pairprod"
     for p in [None] + list(range(2 * d.n)):
-        fast = _pair_match_keys(r3_pair_matches(d, fixed_positions=p))
+        fast = _pair_match_keys(r3_pair_matches(d, positions=None if p is None else [p]))
         assert fast == _pair_match_keys(r3_pair_matches_scan(d, mode, p))

@@ -132,6 +132,11 @@ _KINK = "arrow K=2 n=1\ntail=0 head=1 mark=0"
         (textio.parse_formula, "\n\nformula\n", 3),
         (textio.parse_diagram, "\n%s\n\nextra" % _KINK, 5),
         (textio.parse_diagram, "\narrow K=2 n=2\n\ntail=0 head=1 mark=0\n\n", 4),
+        # a coefficient with no diagram after it: the line of the coefficient
+        (textio.parse_lincomb, "coef=1", 1),
+        (textio.parse_formula, "formula K=2\ncoef=1\n%s\n---\n\ncoef=2" % _KINK, 7),
+        # a negative arrow count: the line of the diagram header
+        (textio.parse_formula, "formula K=2\ncoef=1/1\n\narrow K=2 n=-1", 4),
     ],
 )
 def test_parse_errors_name_the_file_line(parse, text, lineno):
