@@ -2,7 +2,8 @@
 
 Subcommands: enumerate, solve, check, boundary, eval, verify, gv, selftest.
 Each takes only those of the shared flags (_FLAGS) that its handler reads;
-any other flag is a usage error with exit code 2.  All outputs are
+any other flag is a usage error with exit code 2, reported by the
+subcommand's own parser.  All outputs are
 deterministic given --seed; files use the plain-text formats of the textio
 module.  Exit code 0 means success / all checks passed; a nonzero exit
 carries a diagnostic naming the first failure.
@@ -15,6 +16,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import engine, textio
 from .diagrams import DiagramError, GaussDiagram
@@ -283,7 +285,9 @@ _FLAGS = {
 }
 
 
+@cache
 def build_parser():
+    """The argument parser, built once per process."""
     p = argparse.ArgumentParser(
         prog="arrowforms",
         description="Arrow-diagram invariants of virtual knots in the annulus.",
@@ -297,7 +301,7 @@ def build_parser():
             q.add_argument(*names, **kwargs)
         for arg in positionals:
             q.add_argument(arg)
-        q.set_defaults(func=func)
+        q.set_defaults(func=func, parser=q)
         return q
 
     q = command("enumerate", cmd_enumerate, "list canonical diagrams", ("K", "markings", "output"))
@@ -321,7 +325,10 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        # rejected by the subcommand's own parser, so the usage line names it
+        args.parser.error("unrecognized arguments: %s" % " ".join(extra))
     try:
         return args.func(args)
     except (CliError, textio.ParseError, DiagramError, ValueError) as e:

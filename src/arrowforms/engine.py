@@ -39,8 +39,8 @@ from .ratlinalg import DiagramIndexedMatrix, kernel
 from .relations import (
     MarkingWindow,
     _apply_move,
+    _constraints,
     enumerate_diagrams,
-    gen_all_constraints,
     gen_family,
     move_census,
 )
@@ -201,7 +201,7 @@ def solve_formula_space(n, window, cache_dir=None):
     columns = enumerate_diagrams("arrow", n, window)
     colset = set(columns)
     mat = DiagramIndexedMatrix(columns)
-    for inst in gen_all_constraints(n, window):
+    for inst in _constraints(n, window, columns):
         row = {k: c * k.aut_order() for k, c in inst.vector.items() if k in colset}
         if row:
             mat.add_row(row)

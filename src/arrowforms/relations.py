@@ -26,7 +26,7 @@ from functools import cache
 from itertools import product
 from math import gcd
 
-from .diagrams import ArrowDiagram, DiagramError, GaussDiagram
+from .diagrams import ArrowDiagram, DiagramError, GaussDiagram, canonical_arrows
 from .lincomb import LinComb
 from .maps import subdiagram_expand_I
 from .moves import HEAD, TAIL, models
@@ -120,20 +120,36 @@ def _chord_matchings(points):
             yield ((a, b),) + sub
 
 
+@cache
+def _shapes(n):
+    """One canonical undecorated oriented chord diagram of degree n per
+    rotation class, as (tail, head) pairs, sorted: 1, 4, 22 and 218 classes
+    for n = 1..4, out of 2, 12, 120 and 1,680 labelled shapes."""
+    out = set()
+    for matching in _chord_matchings(list(range(2 * n))):
+        for orient in product((0, 1), repeat=n):
+            arrows = [(p[o], p[1 - o], 0, 0) for p, o in zip(matching, orient)]
+            out.add(tuple(a[:2] for a in canonical_arrows(n, arrows)[0]))
+    return sorted(out)
+
+
 def enumerate_diagrams(species, n, window):
-    """Sorted list of all canonical diagrams of one degree over the window."""
+    """Sorted list of all canonical diagrams of one degree over the window.
+
+    Only the representative of each shape class (_shapes) is decorated:
+    every labelled decorated diagram is a rotation of a decoration of its
+    shape's representative, so it has the same canonical form.  The set
+    merges the decorations that a rotation fixing the shape identifies."""
     cls = GaussDiagram if species == "gauss" else ArrowDiagram
     if n == 0:
         return [cls(window.K)]
     marks = window.values()
-    signs = ((1,), (-1,)) if species == "gauss" else ((0,),)
+    signs = (1, -1) if species == "gauss" else (0,)
     out = set()
-    for matching in _chord_matchings(list(range(2 * n))):
-        for orient in product((0, 1), repeat=n):
-            ends = [(p[o], p[1 - o]) for p, o in zip(matching, orient)]
-            for ms in product(marks, repeat=n):
-                for ss in product(signs, repeat=n):
-                    out.add(cls(window.K, [(t, h, m, s[0]) for (t, h), m, s in zip(ends, ms, ss)]))
+    for ends in _shapes(n):
+        for ms in product(marks, repeat=n):
+            for ss in product(signs, repeat=n):
+                out.add(cls(window.K, [(t, h, m, s) for (t, h), m, s in zip(ends, ms, ss)]))
     return sorted(out)
 
 
@@ -729,9 +745,15 @@ def gen_family(family, n, window, skipped=None, closure=True, hosts=None):
 def gen_all_constraints(n, window, skipped=None):
     """The constraint set whose kernel is the degree-n formula space: every
     instance is kept, as gen_family does with closure=False."""
+    return _constraints(n, window, enumerate_diagrams("arrow", n, window), skipped)
+
+
+def _constraints(n, window, columns, skipped=None):
+    """gen_all_constraints anchored on `columns`, the degree-n arrow
+    diagrams over the window, which every family shares as its hosts."""
     out = []
     for family in ("ap1", "ap2", "a6t"):
-        out.extend(gen_family(family, n, window, skipped, closure=False))
+        out.extend(gen_family(family, n, window, skipped, closure=False, hosts=columns))
     return out
 
 
@@ -926,10 +948,18 @@ def r_relation_vectors(n, window, limit_per_kind=None):
     other move is matched below degree n.  A kink whose forced marking
     (0 or K) is outside the window is left out.  Once a kind has
     limit_per_kind vectors, the next diagrams add none of it."""
+    return _r_vectors(
+        n, window, limit_per_kind, lambda deg: enumerate_diagrams("gauss", deg, window)
+    )
+
+
+def _r_vectors(n, window, limit_per_kind, diagrams):
+    """r_relation_vectors over diagrams(deg), the Gauss diagrams of degree
+    deg over the window, which it asks for in increasing degree."""
     out = []
     counts = {"R1": 0, "R2": 0, "R3": 0}
     for deg in range(0, n):
-        for g in enumerate_diagrams("gauss", deg, window):
+        for g in diagrams(deg):
             blocks = _insertion_blocks(g, window.values(), n)
             for kind, (count, decode) in zip(("R1", "R2"), blocks):
                 if limit_per_kind is not None and counts[kind] >= limit_per_kind:
@@ -941,7 +971,7 @@ def r_relation_vectors(n, window, limit_per_kind=None):
                     g2 = apply_R_move(g, move, site, params)
                     out.append((kind, LinComb.single(g2) - LinComb.single(g)))
                     counts[kind] += 1
-    for g in enumerate_diagrams("gauss", n, window) if n >= 3 else ():
+    for g in diagrams(n) if n >= 3 else ():
         if limit_per_kind is not None and counts["R3"] >= limit_per_kind:
             break
         for m in _full_matches(g, "R3"):
@@ -959,16 +989,19 @@ def check_I_span_compat(n, window, limit_per_kind=None):
     R-relation vector r at degree <= n.  Returns a report dict."""
     from .ratlinalg import echelon_of
 
+    # each degree's Gauss diagrams, enumerated once for the P-relation
+    # hosts and the R-relation moves
+    diagrams = [enumerate_diagrams("gauss", deg, window) for deg in range(n + 1)]
     rows = []
     skipped = {}
     for deg in range(1, n + 1):
         for family in ("p1", "p2", "p3"):
-            for inst in gen_family(family, deg, window, skipped):
+            for inst in gen_family(family, deg, window, skipped, hosts=diagrams[deg]):
                 rows.append(inst.vector)
     ech = echelon_of(rows)
     failures = []
     checked = 0
-    for kind, r in r_relation_vectors(n, window, limit_per_kind):
+    for kind, r in _r_vectors(n, window, limit_per_kind, diagrams.__getitem__):
         vec = subdiagram_expand_I(r)
         checked += 1
         if not ech.spans(vec):

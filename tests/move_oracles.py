@@ -1,11 +1,12 @@
 """Brute-force move oracles: the explicit move list, the explicit
 insertion loops of the R-relation vectors, the unanchored full-model
 matcher, the descriptor-bucket scan, the six-term slot scan, the unreduced
-two-crossing descriptor table, the full-scan removal of R2/R3 sites and
-the rational marking completion, against which the program's counted move
-census (whose insertion blocks are also behind r_relation_vectors),
-signature-keyed matcher, order-flag six-term matcher, six-term descriptor
-classes, site-local apply_R_move and integer gap relations are tested.
+two-crossing descriptor table, the full-scan removal of R2/R3 sites, the
+rational marking completion and the labelled diagram enumeration, against
+which the program's counted move census (whose insertion blocks are also
+behind r_relation_vectors), signature-keyed matcher, order-flag six-term
+matcher, six-term descriptor classes, site-local apply_R_move, integer gap
+relations and shape-class enumeration are tested.
 
 _cyclic_ordered and _other_pos, the slot-order test and endpoint lookup
 these scans share, live here: the program's matchers read the slot order
@@ -13,14 +14,15 @@ off the other endpoints of the anchor arrows instead."""
 
 from fractions import Fraction
 from functools import cache
-from itertools import permutations
+from itertools import permutations, product
 
-from arrowforms.diagrams import DiagramError
+from arrowforms.diagrams import ArrowDiagram, DiagramError, GaussDiagram
 from arrowforms.lincomb import LinComb
 from arrowforms.moves import HEAD, TAIL, models
 from arrowforms.relations import (
     Match,
     _build_term,
+    _chord_matchings,
     _complete_marks,
     _full_descriptors,
     _full_matches,
@@ -432,3 +434,26 @@ def r_relation_vectors_explicit(n, window, limit_per_kind=None):
                 counts["R3"] += 1
                 break
     return out
+
+
+# ---------------------------------------------------------------------------
+# labelled enumeration: enumerate_diagrams decorates one shape per rotation
+# class instead
+
+
+def enumerate_diagrams_labelled(species, n, window):
+    """Sorted list of all canonical diagrams of one degree over the window,
+    canonicalizing every labelled decorated diagram."""
+    cls = GaussDiagram if species == "gauss" else ArrowDiagram
+    if n == 0:
+        return [cls(window.K)]
+    marks = window.values()
+    signs = ((1,), (-1,)) if species == "gauss" else ((0,),)
+    out = set()
+    for matching in _chord_matchings(list(range(2 * n))):
+        for orient in product((0, 1), repeat=n):
+            ends = [(p[o], p[1 - o]) for p, o in zip(matching, orient)]
+            for ms in product(marks, repeat=n):
+                for ss in product(signs, repeat=n):
+                    out.add(cls(window.K, [(t, h, m, s[0]) for (t, h), m, s in zip(ends, ms, ss)]))
+    return sorted(out)

@@ -294,6 +294,23 @@ def test_each_command_takes_only_the_shared_flags_it_reads(command, flag, capsys
         assert "unrecognized arguments: %s %s" % (flag, value) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", list(_COMMAND_FLAGS))
+def test_an_unread_flag_is_rejected_by_its_subcommand(command, capsys):
+    rest, reads = _COMMAND_FLAGS[command]
+    flag = min(set(_SHARED_FLAGS) - reads)
+    value = _SHARED_FLAGS[flag][0]
+    with pytest.raises(SystemExit) as e:
+        main([command] + rest + [flag, value])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: arrowforms %s " % command)
+    assert "arrowforms %s: error: unrecognized arguments: %s %s" % (command, flag, value) in err
+
+
+def test_the_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
 def test_verify_names_a_bad_markings_value(formula_file, knot_file, capsys):
     rc = main(["verify", formula_file, knot_file, "--markings", "1..x"])
     assert rc == 2

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrowforms import diagrams, engine
+from arrowforms import diagrams, engine, relations
 from arrowforms.diagrams import ArrowDiagram, DiagramError, GaussDiagram
 from arrowforms.engine import (
     ChainPresentation,
@@ -47,6 +47,20 @@ def test_solver_small_window():
     assert len(basis) == 2
     for f in basis:
         assert check_formula(f, w)["passes"]
+
+
+def test_a_solve_enumerates_its_columns_once(monkeypatch):
+    calls = []
+    real = relations.enumerate_diagrams
+
+    def counted(species, n, window):
+        calls.append((species, n))
+        return real(species, n, window)
+
+    monkeypatch.setattr(engine, "enumerate_diagrams", counted)
+    monkeypatch.setattr(relations, "enumerate_diagrams", counted)
+    assert len(solve_formula_space(2, MarkingWindow({1, 2}, 3))) == 2
+    assert calls == [("arrow", 2)]
 
 
 def test_solver_cache_round_trip(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrowforms import boundary, engine, moves, relations
+from arrowforms import boundary, diagrams, engine, moves, relations
 from arrowforms.diagrams import (
     ArrowDiagram,
     BasedDiagram,
@@ -29,6 +29,7 @@ from arrowforms.relations import (
     _gap_relation,
     _pair_descriptors,
     _pair_entry,
+    _shapes,
     _six_term_coeff,
     _six_term_signature,
     _splice,
@@ -50,6 +51,7 @@ from move_oracles import (
     _solve_gaps,
     apply_R_move_full_scan,
     available_moves,
+    enumerate_diagrams_labelled,
     full_matches_bucket_scan,
     r3_pair_matches_scan,
     r_relation_vectors_explicit,
@@ -112,6 +114,67 @@ def test_degree_zero_enumeration_is_the_empty_diagram():
     w = MarkingWindow({1}, 2)
     ds = enumerate_diagrams("arrow", 0, w)
     assert len(ds) == 1 and ds[0].n == 0
+
+
+def _listing(ds):
+    return [(type(d), d.K, d.arrows, d.aut_order()) for d in ds]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(("arrow", "gauss")),
+    st.integers(0, 3),
+    st.sets(st.integers(-3, 3), min_size=1, max_size=3),
+    st.integers(-2, 4),
+)
+def test_shape_class_enumeration_matches_the_labelled_oracle(species, n, marks, K):
+    w = MarkingWindow(marks, K)
+    assert _listing(enumerate_diagrams(species, n, w)) == _listing(
+        enumerate_diagrams_labelled(species, n, w)
+    )
+
+
+def test_degree_four_shape_class_enumeration_matches_the_labelled_oracle():
+    w = MarkingWindow({1, 2}, 3)
+    got = enumerate_diagrams("arrow", 4, w)
+    assert _listing(got) == _listing(enumerate_diagrams_labelled("arrow", 4, w))
+    assert len(got) == 3388
+
+
+def test_shape_classes_per_degree():
+    assert [len(_shapes(n)) for n in (1, 2, 3, 4)] == [1, 4, 22, 218]
+
+
+def test_enumeration_canonicalizes_each_shape_class_decoration_once(monkeypatch):
+    # 22 shape classes x 4**3 markings, plus the 120 labelled shapes of the
+    # table; the labelled enumeration makes 120 x 4**3 = 7,680 calls
+    calls = []
+    real = diagrams.canonical_arrows
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    _shapes.cache_clear()
+    monkeypatch.setattr(diagrams, "canonical_arrows", counted)
+    monkeypatch.setattr(relations, "canonical_arrows", counted)
+    ds = enumerate_diagrams("arrow", 3, MarkingWindow(range(1, 5), 5))
+    assert len(ds) == 1288
+    assert len(calls) <= 22 * 4 ** 3 + 120
+
+
+def test_a_span_check_enumerates_each_degree_once(monkeypatch):
+    calls = []
+    real = relations.enumerate_diagrams
+
+    def counted(species, n, window):
+        calls.append((species, n))
+        return real(species, n, window)
+
+    monkeypatch.setattr(relations, "enumerate_diagrams", counted)
+    rep = relations.check_I_span_compat(3, MarkingWindow({1}, 1), limit_per_kind=5)
+    assert rep["checked"] > 0 and not rep["failures"]
+    assert calls == [("gauss", n) for n in range(4)]
 
 
 def test_anchored_matcher_agrees_with_scan():
