@@ -110,6 +110,15 @@ def canonical_arrows(n, arrows):
     return tuple(a for a in by_first if a is not None), best_r, aut
 
 
+def _induced(arrows, indices):
+    """The arrows at the given ascending indices, their endpoints renumbered
+    onto 0..2k-1 in circle order: the subdiagram before canonicalization."""
+    kept = [arrows[i] for i in indices]
+    pos = sorted(p for (t, h, _m, _s) in kept for p in (t, h))
+    renum = {p: q for q, p in enumerate(pos)}
+    return [(renum[t], renum[h], m, s) for (t, h, m, s) in kept]
+
+
 class _BaseDiagram:
     """Shared machinery for Gauss and arrow diagrams (canonical storage)."""
 
@@ -120,10 +129,22 @@ class _BaseDiagram:
         arrows = tuple(tuple(a) for a in arrows)
         _validate(len(arrows), arrows, self.signed)
         canon, _r, aut = canonical_arrows(len(arrows), arrows)
-        object.__setattr__(self, "K", int(K))
+        self._store(int(K), canon, aut)
+
+    @classmethod
+    def _canonical(cls, K, arrows, aut):
+        """The diagram whose canonical arrows and |Aut| canonical_arrows has
+        already returned for valid input: neither validated nor searched
+        again.  Equal to cls(K, arrows), hash and aut_order() included."""
+        d = cls.__new__(cls)
+        d._store(K, arrows, aut)
+        return d
+
+    def _store(self, K, canon, aut):
+        object.__setattr__(self, "K", K)
         object.__setattr__(self, "arrows", canon)
         object.__setattr__(self, "_aut", aut)
-        object.__setattr__(self, "_hash", hash((self.signed, self.K, self.arrows)))
+        object.__setattr__(self, "_hash", hash((self.signed, K, canon)))
 
     def __setattr__(self, *a):
         raise AttributeError("diagrams are immutable")
@@ -159,11 +180,7 @@ class _BaseDiagram:
 
     def subdiagram(self, indices):
         """Induced diagram on a subset of arrow indices (canonicalized)."""
-        indices = sorted(set(indices))
-        kept = [self.arrows[i] for i in indices]
-        pos = sorted(p for (t, h, _m, _s) in kept for p in (t, h))
-        renum = {p: q for q, p in enumerate(pos)}
-        return type(self)(self.K, [(renum[t], renum[h], m, s) for (t, h, m, s) in kept])
+        return type(self)(self.K, _induced(self.arrows, sorted(set(indices))))
 
 
 class GaussDiagram(_BaseDiagram):

@@ -5,7 +5,10 @@ Four user-facing jobs live here:
   * solve_formula_space: basis of the space of degree-n arrow combinations
     (markings in a finite window) annihilating the kink, bigon, and 6-term
     constraint families; such a combination evaluates to a virtual knot
-    invariant through the subset-counting bracket.
+    invariant through the subset-counting bracket.  Its constraint rows are
+    integer rows keyed by column index, built on the tuple core of
+    relation generation: a term outside the window is never canonicalized,
+    and no diagram object is built for a term or an instance.
   * check_formula / verify_invariance: static and randomized validation of
     a candidate formula.
   * evaluate: the invariant's value on a decorated Gauss diagram.
@@ -35,11 +38,11 @@ from .diagrams import ArrowDiagram, DiagramError, GaussDiagram, arrows_cross, ca
 from .lincomb import LinComb, as_lincomb
 from .maps import pair_norm
 from .moves import models
-from .ratlinalg import DiagramIndexedMatrix, kernel
+from .ratlinalg import index_kernel
 from .relations import (
     MarkingWindow,
     _apply_move,
-    _constraints,
+    _constraint_rows,
     enumerate_diagrams,
     gen_family,
     move_census,
@@ -183,7 +186,9 @@ def solve_formula_space(n, window, cache_dir=None):
     the kernel consists exactly of the window-supported combinations
     annihilating every kink, bigon, and 6-term instance.  Instances with
     terms outside the window are restricted to the window columns: that
-    restriction is the exact pairing against window-supported vectors."""
+    restriction is the exact pairing against window-supported vectors.
+    The rows are integer rows keyed by column index
+    (relations._constraint_rows), eliminated by ratlinalg.index_kernel."""
     from . import textio
 
     path = None
@@ -199,13 +204,11 @@ def solve_formula_space(n, window, cache_dir=None):
             "basis size is at most the column count" % (ncols, MAX_SOLVER_COLUMNS)
         )
     columns = enumerate_diagrams("arrow", n, window)
-    colset = set(columns)
-    mat = DiagramIndexedMatrix(columns)
-    for inst in _constraints(n, window, columns):
-        row = {k: c * k.aut_order() for k, c in inst.vector.items() if k in colset}
-        if row:
-            mat.add_row(row)
-    basis = [Formula(v, window.K, "solver") for v in kernel(mat)]
+    rows = _constraint_rows(n, window, columns)
+    basis = [
+        Formula(LinComb((columns[i], c) for i, c in v.items()), window.K, "solver")
+        for v in index_kernel(rows, len(columns))
+    ]
     if path is not None:
         _write_cached(path, textio.print_basis(basis))
     return basis

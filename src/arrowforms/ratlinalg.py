@@ -135,18 +135,19 @@ def in_span(v, rows):
     return echelon_of(rows).spans(v)
 
 
-def kernel(m):
-    """Basis of {v : m v = 0} as LinComb vectors over m.columns.
+def index_kernel(rows, ncols):
+    """Basis of {v : r . v = 0 for every row r}, for integer rows keyed by
+    column index 0..ncols-1, as integer vectors {index: int}.
 
-    Each basis vector has integer entries with content 1 and a positive
-    entry at its smallest-index support column."""
-    index = {c: i for i, c in enumerate(m.columns)}
+    Each basis vector has content 1 and a positive entry at its smallest
+    support index.  The basis depends on the row space and the column
+    order only, not on the order or scale of the rows."""
     ech = Echelon()
-    for row in m.rows:
-        ech.insert({index[k]: v for k, v in row.items()})
+    for row in rows:
+        ech.insert(row)
     ech.back_substitute()
     pivot_cols = sorted(ech.pivots)
-    free_cols = [i for i in range(len(m.columns)) if i not in ech.pivots]
+    free_cols = [i for i in range(ncols) if i not in ech.pivots]
     basis = []
     for f in free_cols:
         vec = {f: Fraction(1)}
@@ -158,5 +159,16 @@ def kernel(m):
         lead = min(row)
         if row[lead] < 0:
             row = {k: -v for k, v in row.items()}
-        basis.append(LinComb((m.columns[i], c) for i, c in row.items()))
+        basis.append(row)
     return basis
+
+
+def kernel(m):
+    """Basis of {v : m v = 0} as LinComb vectors over m.columns (see
+    index_kernel)."""
+    index = {c: i for i, c in enumerate(m.columns)}
+    rows = [{index[k]: v for k, v in row.items()} for row in m.rows]
+    return [
+        LinComb((m.columns[i], c) for i, c in row.items())
+        for row in index_kernel(rows, len(m.columns))
+    ]

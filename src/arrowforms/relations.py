@@ -16,17 +16,28 @@ Families (the tags gen_family takes):
   ap1, ap2, a6t, a2t          arrow-diagram counterparts
   triangle, based6t           relations among degenerate/based diagrams
 
+Generation runs on one tuple core (_host_instances).  For each host and
+match it yields every term as an int coefficient and a function spelling
+the term's canonical arrow tuple and |Aut|, plus whether the term lies in
+the window, decided from the markings alone before anything is
+canonicalized.  The core builds no diagram object, LinComb or Fraction.
+gen_family sums and deduplicates instances as tuples and builds diagrams
+and RelationInstances only for the instances it returns.  The solver's
+rows (_constraint_rows) key each term's |Aut|-rescaled coefficient by its
+column index and never spell a term outside the window.
+
 The same matching machinery drives Reidemeister rewriting (apply_R_move)
 and the move census (move_census) that random invariance walks draw from.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from fractions import Fraction
+from functools import cache, partial
 from itertools import product
 from math import gcd
 
-from .diagrams import ArrowDiagram, DiagramError, GaussDiagram, canonical_arrows
+from .diagrams import ArrowDiagram, DiagramError, GaussDiagram, _induced, canonical_arrows
 from .lincomb import LinComb
 from .maps import subdiagram_expand_I
 from .moves import HEAD, TAIL, models
@@ -197,7 +208,7 @@ class Match:
     """A local model term located inside a concrete diagram.
 
     host: the diagram matched in.  The term builders (_assemble_term,
-    _build_term, boundary._based_term) take the match and read the diagram
+    _spliced, boundary._based_term) take the match and read the diagram
     class, K and whether crossings carry signs off the host.
 
     anchors[s]: position in `host` of the first endpoint of slot group s.
@@ -300,6 +311,13 @@ def _splice(host_word, host_arrows, groups, new_arrows):
     return arrows, starts
 
 
+@cache
+def _term_words(model, side, present):
+    """Per slot, the endpoints of the present crossings in the model's
+    word for `side`."""
+    return tuple(tuple((c, r) for c, r in grp if c in present) for grp in model.words[side])
+
+
 def _assemble_term(m, present, side):
     """Splice the model term for (present, side) of match m into its host.
 
@@ -308,20 +326,13 @@ def _assemble_term(m, present, side):
     endpoint of slot s (None when the slot's group is empty)."""
     host_arrows, host_word, slot_ranks = m.layout
     model = m.model
-    order = sorted(range(model.nslots), key=lambda s: slot_ranks[s])
-    groups = [
-        (slot_ranks[s][0], [(c, r) for (c, r) in model.words[side][s] if c in present])
-        for s in order
-    ]
+    words = _term_words(model, side, present)
+    order = sorted(range(model.nslots), key=slot_ranks.__getitem__)
+    groups = [(slot_ranks[s][0], words[s]) for s in order]
     signed = m.host.signed
     new = [(c, m.marks[c], model.signs[c] if signed else 0) for c in sorted(present)]
     arrows, starts = _splice(host_word, host_arrows, groups, new)
     return arrows, dict(zip(order, starts))
-
-
-def _build_term(m, present, side):
-    arrows, _anchor = _assemble_term(m, present, side)
-    return type(m.host)(m.host.K, arrows)
 
 
 def _normalize_model(model, rot, mode):
@@ -653,69 +664,157 @@ def r1_matches(d):
 # family generators
 
 
-def _flip_sign(d, i):
-    arrows = list(d.arrows)
-    t, h, m, s = arrows[i]
-    arrows[i] = (t, h, m, -s)
-    return GaussDiagram(d.K, arrows)
-
-
 def _in_window(vec, window):
     return all(
         all(a[2] in window.allowed for a in k.arrows) for k in vec.keys()
     )
 
 
+def _canonical_pair(arrows):
+    """(canonical arrows, |Aut|) of a valid arrow list."""
+    canon, _r, aut = canonical_arrows(len(arrows), arrows)
+    return canon, aut
+
+
+def _spliced(m, present, side):
+    return _canonical_pair(_assemble_term(m, present, side)[0])
+
+
+def _flipped(d, i):
+    arrows = list(d.arrows)
+    t, h, mark, s = arrows[i]
+    arrows[i] = (t, h, mark, -s)
+    return _canonical_pair(arrows)
+
+
+def _dropped(d, j):
+    return _canonical_pair(_induced(d.arrows, [k for k in range(d.n) if k != j]))
+
+
+def _host_instances(family, d, allowed):
+    """The tuple core of relation generation: every instance that `family`
+    anchors at host d, one per match, as (weight, terms).
+
+    terms lists the instance's terms in order as (coefficient, inside,
+    spell): an int coefficient; whether every marking of the term lies in
+    `allowed`, read off the host and the match before anything is built;
+    and a function of no arguments that splices (or cuts) the term and
+    canonicalizes it, returning (canonical arrows, |Aut|).  No diagram
+    object, LinComb or Fraction is built here.  weight: how many
+    descriptors the match stands for (see Match)."""
+    outside = [i for i, a in enumerate(d.arrows) if a[2] not in allowed]
+    whole = (d.arrows, d.aut_order())
+
+    def spell_host():
+        return whole
+
+    same = (1, not outside, spell_host)
+    if family in ("p1", "ap1"):
+        for _i, _kind in r1_matches(d):
+            yield 1, [same]
+    elif family in ("p2h2", "ap2"):
+        for _m in _full_matches(d, "R2"):
+            yield 1, [same]
+    elif family == "p2h1":
+        for i in range(d.n):
+            yield 1, [same, (1, not outside, partial(_flipped, d, i))]
+    elif family == "p2":
+        for m in _full_matches(d, "R2"):
+            i, j = m.arrow_map[0], m.arrow_map[1]
+            yield 1, [
+                same,
+                (1, all(k == j for k in outside), partial(_dropped, d, j)),
+                (1, all(k == i for k in outside), partial(_dropped, d, i)),
+            ]
+    elif family in ("p3", "g2t", "a2t", "g6t", "a6t"):
+        six = family in ("g6t", "a6t")
+        if six:
+            presents, matches = _PAIRS, r3_pair_matches(d)
+        else:
+            presents = ((0, 1, 2),) + (_PAIRS if family == "p3" else ())
+            matches = _full_matches(d, "R3")
+        for m in matches:
+            visible = m.arrow_map.values()
+            host_in = all(k in visible for k in outside)
+            # the match's own term is its host, whose canonical form is known
+            own = (m.side, tuple(sorted(m.present)))
+            yield m.weight, [
+                (
+                    _six_term_coeff(m.model, side, present, d.signed) if six else _SIDE_SIGN[side],
+                    host_in and all(m.marks[c] in allowed for c in present),
+                    spell_host if (side, present) == own else partial(_spliced, m, present, side),
+                )
+                for side in ("L", "R") for present in presents
+            ]
+    else:
+        raise ValueError("unknown family tag %r" % family)
+
+
+def _summed(terms):
+    """The terms spelled and summed as LinComb sums them, a key whose
+    coefficient cancels leaving (and re-entering last if it comes back):
+    {canonical arrows: [coefficient, |Aut|, inside]}."""
+    acc = {}
+    for c, inside, spell in terms:
+        arrows, aut = spell()
+        entry = acc.get(arrows)
+        if entry is None:
+            acc[arrows] = [c, aut, inside]
+        else:
+            entry[0] += c
+            if not entry[0]:
+                del acc[arrows]
+    return acc
+
+
+def _proportion_key(row):
+    """Key shared by exactly the nonzero integer rows {key: int} that are
+    proportional: the sorted items divided by their content, the first
+    coefficient made positive."""
+    items = sorted(row.items())
+    g = gcd(*(c for _k, c in items))
+    if items[0][1] < 0:
+        g = -g
+    return tuple((k, c // g) for k, c in items)
+
+
 def _gen_from_diagrams(family, n, window, skipped, closure=True, hosts=None):
+    """gen_family over the tuple core: instances are summed and deduplicated
+    as canonical arrow tuples, and objects are built only for the first
+    copy of each, the one returned.  With closure, the terms outside the
+    window are spelled first and the rest only when those cancel."""
     species = FAMILY_SPECIES[family]
-    seen = {}
-
-    def emit(vec, weight=1):
-        if not vec:
-            return
-        if not _in_window(vec, window):
-            skipped[family] = skipped.get(family, 0) + weight
-            if closure:
-                return
-        inst = RelationInstance(family, vec)
-        seen.setdefault(inst.key(), inst)
-
     if hosts is None:
         hosts = enumerate_diagrams(species, n, window)
     else:
         hosts = [d for d in hosts if d.n == n]
+    allowed = window.allowed
+    first = {}  # (K, proportion key) -> (host, summed terms) of its first copy
     for d in hosts:
-        if family in ("p1", "ap1"):
-            for _i, _kind in r1_matches(d):
-                emit(LinComb.single(d))
-        elif family in ("p2h2", "ap2"):
-            for _m in _full_matches(d, "R2"):
-                emit(LinComb.single(d))
-        elif family == "p2h1":
-            for i in range(d.n):
-                emit(LinComb([(d, 1), (_flip_sign(d, i), 1)]))
-        elif family == "p2":
-            for m in _full_matches(d, "R2"):
-                i, j = m.arrow_map[0], m.arrow_map[1]
-                keep_i = d.subdiagram([k for k in range(d.n) if k != j])
-                keep_j = d.subdiagram([k for k in range(d.n) if k != i])
-                emit(LinComb([(d, 1), (keep_i, 1), (keep_j, 1)]))
-        elif family in ("p3", "g2t", "a2t"):
-            presents = ((0, 1, 2),) + (_PAIRS if family == "p3" else ())
-            for m in _full_matches(d, "R3"):
-                emit(LinComb(
-                    (_build_term(m, present, side), _SIDE_SIGN[side])
-                    for side in ("L", "R") for present in presents
-                ))
-        elif family in ("g6t", "a6t"):
-            for m in r3_pair_matches(d):
-                emit(LinComb(
-                    (_build_term(m, pair, side), _six_term_coeff(m.model, side, pair, d.signed))
-                    for side in ("L", "R") for pair in _PAIRS
-                ), m.weight)
-        else:
-            raise ValueError("unknown family tag %r" % family)
-    return sorted(seen.values(), key=lambda r: r.key())
+        for weight, terms in _host_instances(family, d, allowed):
+            if closure:
+                if _summed(t for t in terms if not t[1]):
+                    skipped[family] = skipped.get(family, 0) + weight
+                    continue
+                vec = _summed(t for t in terms if t[1])
+            else:
+                vec = _summed(terms)
+                if not all(e[2] for e in vec.values()):
+                    skipped[family] = skipped.get(family, 0) + weight
+            if vec:
+                key = (d.K, _proportion_key({k: e[0] for k, e in vec.items()}))
+                first.setdefault(key, (d, vec))
+    diagrams = {}  # (K, canonical arrows) -> diagram, shared by the instances
+    out = []
+    for (K, _key), (d, vec) in first.items():
+        terms = {}
+        for arrows, (c, aut, _inside) in vec.items():
+            k = diagrams.get((K, arrows))
+            if k is None:
+                k = diagrams[K, arrows] = type(d)._canonical(K, arrows, aut)
+            terms[k] = Fraction(c)
+        out.append(RelationInstance(family, LinComb._of(terms)))
+    return sorted(out, key=RelationInstance.key)
 
 
 def gen_family(family, n, window, skipped=None, closure=True, hosts=None):
@@ -742,15 +841,39 @@ def gen_family(family, n, window, skipped=None, closure=True, hosts=None):
     return _gen_from_diagrams(family, n, window, skipped, closure, hosts)
 
 
+def _constraint_rows(n, window, columns):
+    """The formula-space constraints as the solver eliminates them: every
+    kink, bigon and 6-term instance anchored at one of `columns` (the
+    degree-n arrow diagrams over the window), restricted to the
+    columns and rescaled by |Aut|, as an integer row {column index: int}.
+
+    A term outside the window has no column, so it is never spelled.  Rows
+    that are proportional are one row; the rows come shortest first (then
+    by their proportion key), an order that keeps the fill of exact
+    elimination low."""
+    index = {d.arrows: i for i, d in enumerate(columns)}
+    allowed = window.allowed
+    rows = set()
+    for family in ("ap1", "ap2", "a6t"):
+        for d in columns:
+            for _weight, terms in _host_instances(family, d, allowed):
+                row = {}
+                for c, inside, spell in terms:
+                    if inside:
+                        arrows, aut = spell()
+                        j = index[arrows]
+                        v = row.pop(j, 0) + c * aut
+                        if v:
+                            row[j] = v
+                if row:
+                    rows.add(_proportion_key(row))
+    return [dict(k) for k in sorted(rows, key=lambda k: (len(k), k))]
+
+
 def gen_all_constraints(n, window, skipped=None):
     """The constraint set whose kernel is the degree-n formula space: every
     instance is kept, as gen_family does with closure=False."""
-    return _constraints(n, window, enumerate_diagrams("arrow", n, window), skipped)
-
-
-def _constraints(n, window, columns, skipped=None):
-    """gen_all_constraints anchored on `columns`, the degree-n arrow
-    diagrams over the window, which every family shares as its hosts."""
+    columns = enumerate_diagrams("arrow", n, window)
     out = []
     for family in ("ap1", "ap2", "a6t"):
         out.extend(gen_family(family, n, window, skipped, closure=False, hosts=columns))

@@ -6,7 +6,10 @@ rational marking completion and the labelled diagram enumeration, against
 which the program's counted move census (whose insertion blocks are also
 behind r_relation_vectors), signature-keyed matcher, order-flag six-term
 matcher, six-term descriptor classes, site-local apply_R_move, integer gap
-relations and shape-class enumeration are tested.
+relations and shape-class enumeration are tested.  The object path of
+relation generation, which built a diagram, a LinComb and a
+RelationInstance for every instance found, is the oracle of the tuple core
+behind gen_family and the solver's rows.
 
 _cyclic_ordered and _other_pos, the slot-order test and endpoint lookup
 these scans share, live here: the program's matchers read the slot order
@@ -20,8 +23,12 @@ from arrowforms.diagrams import ArrowDiagram, DiagramError, GaussDiagram
 from arrowforms.lincomb import LinComb
 from arrowforms.moves import HEAD, TAIL, models
 from arrowforms.relations import (
+    _PAIRS,
+    _SIDE_SIGN,
+    FAMILY_SPECIES,
     Match,
-    _build_term,
+    RelationInstance,
+    _assemble_term,
     _chord_matchings,
     _complete_marks,
     _full_descriptors,
@@ -31,9 +38,11 @@ from arrowforms.relations import (
     _normalize_model,
     _pair_descriptors as _reduced_pair_descriptors,
     _pair_entry,
+    _six_term_coeff,
     apply_R_move,
     enumerate_diagrams,
     r1_matches,
+    r3_pair_matches,
 )
 
 
@@ -457,3 +466,89 @@ def enumerate_diagrams_labelled(species, n, window):
                 for ss in product(signs, repeat=n):
                     out.add(cls(window.K, [(t, h, m, s[0]) for (t, h), m, s in zip(ends, ms, ss)]))
     return sorted(out)
+
+
+# ---------------------------------------------------------------------------
+# object-path relation generation: gen_family and the solver's rows run on
+# the tuple core (relations._host_instances) instead
+
+
+def _build_term(m, present, side):
+    arrows, _anchor = _assemble_term(m, present, side)
+    return type(m.host)(m.host.K, arrows)
+
+
+def _flip_sign(d, i):
+    arrows = list(d.arrows)
+    t, h, m, s = arrows[i]
+    arrows[i] = (t, h, m, -s)
+    return GaussDiagram(d.K, arrows)
+
+
+def gen_family_objects(family, n, window, skipped, closure=True, hosts=None):
+    """relations.gen_family for the families matched in diagrams, building
+    every term as a diagram object and every instance found as a
+    RelationInstance, then keeping the first of each key."""
+    species = FAMILY_SPECIES[family]
+    seen = {}
+
+    def emit(vec, weight=1):
+        if not vec:
+            return
+        if not _in_window(vec, window):
+            skipped[family] = skipped.get(family, 0) + weight
+            if closure:
+                return
+        inst = RelationInstance(family, vec)
+        seen.setdefault(inst.key(), inst)
+
+    if hosts is None:
+        hosts = enumerate_diagrams(species, n, window)
+    else:
+        hosts = [d for d in hosts if d.n == n]
+    for d in hosts:
+        if family in ("p1", "ap1"):
+            for _i, _kind in r1_matches(d):
+                emit(LinComb.single(d))
+        elif family in ("p2h2", "ap2"):
+            for _m in _full_matches(d, "R2"):
+                emit(LinComb.single(d))
+        elif family == "p2h1":
+            for i in range(d.n):
+                emit(LinComb([(d, 1), (_flip_sign(d, i), 1)]))
+        elif family == "p2":
+            for m in _full_matches(d, "R2"):
+                i, j = m.arrow_map[0], m.arrow_map[1]
+                keep_i = d.subdiagram([k for k in range(d.n) if k != j])
+                keep_j = d.subdiagram([k for k in range(d.n) if k != i])
+                emit(LinComb([(d, 1), (keep_i, 1), (keep_j, 1)]))
+        elif family in ("p3", "g2t", "a2t"):
+            presents = ((0, 1, 2),) + (_PAIRS if family == "p3" else ())
+            for m in _full_matches(d, "R3"):
+                emit(LinComb(
+                    (_build_term(m, present, side), _SIDE_SIGN[side])
+                    for side in ("L", "R") for present in presents
+                ))
+        elif family in ("g6t", "a6t"):
+            for m in r3_pair_matches(d):
+                emit(LinComb(
+                    (_build_term(m, pair, side), _six_term_coeff(m.model, side, pair, d.signed))
+                    for side in ("L", "R") for pair in _PAIRS
+                ), m.weight)
+        else:
+            raise ValueError("unknown family tag %r" % family)
+    return sorted(seen.values(), key=lambda r: r.key())
+
+
+def constraint_rows_objects(n, window, columns):
+    """The solver's rows as it built them from gen_family's instances: each
+    ap1, ap2 and a6t instance restricted to the columns, every coefficient
+    times the |Aut| of its diagram, in family then instance-key order."""
+    colset = set(columns)
+    rows = []
+    for family in ("ap1", "ap2", "a6t"):
+        for inst in gen_family_objects(family, n, window, {}, closure=False, hosts=columns):
+            row = {k: c * k.aut_order() for k, c in inst.vector.items() if k in colset}
+            if row:
+                rows.append(row)
+    return rows

@@ -1,5 +1,6 @@
 """Exit codes and output formats of the command-line front end."""
 
+import hashlib
 import shlex
 from pathlib import Path
 
@@ -54,6 +55,22 @@ def test_solve_emits_parseable_basis(tmp_path, capsys):
     basis = textio.parse_basis(out.read_text())
     assert len(basis) == 2
     assert "dimension=2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("markings,K,dimension,digest", [
+    ("1..4", 5, 12, "7faa58173ef6b6157b062e6d7b3a1c834fbc79a4722fc8dbdc37226ecc40d842"),
+    ("0,1,2", 2, 2, "380adbaa0c88f662071906c5085b31983bcfa93d0a2a059144ce1183741b99f6"),
+])
+def test_degree_three_bases_are_pinned(tmp_path, markings, K, dimension, digest, capsys):
+    # SHA-256 of the basis files the object-path solver wrote (rows built
+    # from RelationInstance vectors): the tuple core prints them byte for byte
+    out = tmp_path / "basis.txt"
+    rc = main([
+        "solve", "--degree", "3", "--K", str(K), "--markings", markings, "-o", str(out),
+    ])
+    assert rc == 0
+    assert "dimension=%d" % dimension in capsys.readouterr().err
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_check_passes(formula_file, capsys):

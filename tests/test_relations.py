@@ -5,7 +5,7 @@ from itertools import product
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arrowforms import boundary, diagrams, engine, moves, relations
@@ -18,10 +18,10 @@ from arrowforms.diagrams import (
 )
 from arrowforms.lincomb import LinComb
 from arrowforms.moves import HEAD, TAIL, LocalModel, models
+from arrowforms.ratlinalg import Echelon
 from arrowforms.relations import (
     _PAIRS,
     MarkingWindow,
-    _build_term,
     _complete_marks,
     _full_anchor_table,
     _full_descriptors,
@@ -46,13 +46,16 @@ from arrowforms.relations import (
 from conftest import random_arrow_diagram, random_gauss_diagram, seeded
 from move_oracles import (
     _bucket_table,
+    _build_term,
     _full_matches_scan,
     _mark_options,
     _solve_gaps,
     apply_R_move_full_scan,
     available_moves,
+    constraint_rows_objects,
     enumerate_diagrams_labelled,
     full_matches_bucket_scan,
+    gen_family_objects,
     r3_pair_matches_scan,
     r_relation_vectors_explicit,
     unreduced_pair_table,
@@ -788,3 +791,128 @@ def test_order_flag_matcher_matches_the_slot_scan(d):
     for p in [None] + list(range(2 * d.n)):
         fast = _pair_match_keys(r3_pair_matches(d, positions=None if p is None else [p]))
         assert fast == _pair_match_keys(r3_pair_matches_scan(d, mode, p))
+
+
+# ---------------------------------------------------------------------------
+# the tuple core (gen_family and the solver's rows) against the object path
+
+_DIAGRAM_FAMILIES = ("p1", "p2", "p2h1", "p2h2", "p3", "g6t", "g2t", "ap1", "ap2", "a6t", "a2t")
+
+
+@st.composite
+def family_windows(draw):
+    """(family, degree, window, closure, hosts): degrees 1-3 over small
+    windows; a random subset of the hosts, or all of them where the window
+    is small enough for the object path."""
+    family = draw(st.sampled_from(_DIAGRAM_FAMILIES))
+    n = draw(st.integers(1, 3))
+    marks = draw(st.sets(st.integers(-1, 3), min_size=1, max_size=3 if n < 3 else 2))
+    window = MarkingWindow(marks, draw(st.integers(0, 3)))
+    closure = draw(st.booleans())
+    hosts = None
+    if n == 3 and len(marks) > 1 or draw(st.booleans()):
+        species = "arrow" if relations.FAMILY_SPECIES[family] == "arrow" else "gauss"
+        every = enumerate_diagrams(species, n, window)
+        picks = draw(st.lists(st.integers(0, len(every) - 1), max_size=16))
+        hosts = [every[i] for i in picks]
+    return family, n, window, closure, hosts
+
+
+def _instances_out(insts, skipped):
+    return [(i.family, i.key(), list(i.vector.items())) for i in insts], skipped
+
+
+@settings(max_examples=150, deadline=None)
+@given(family_windows())
+def test_gen_family_matches_the_object_path(case):
+    # keys in order, vectors with their term order, and skip counts
+    family, n, window, closure, hosts = case
+    skipped, oracle_skipped = {}, {}
+    fast = gen_family(family, n, window, skipped, closure, hosts)
+    slow = gen_family_objects(family, n, window, oracle_skipped, closure, hosts)
+    assert _instances_out(fast, skipped) == _instances_out(slow, oracle_skipped)
+
+
+def _spans(rows, others):
+    ech = Echelon()
+    for r in rows:
+        ech.insert(r)
+    return all(ech.spans(r) for r in others)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.sets(st.integers(-1, 3), min_size=1, max_size=2),
+    st.integers(0, 3),
+)
+# windows whose row space changes when the |Aut| factors are dropped (3 of
+# the 180 windows of that range at degrees 1-3)
+@example(2, {1, 2}, 3)
+@example(2, {0, 1}, 2)
+def test_solver_rows_span_the_object_rows(n, marks, K):
+    window = MarkingWindow(marks, K)
+    columns = enumerate_diagrams("arrow", n, window)
+    index = {d: i for i, d in enumerate(columns)}
+    rows = relations._constraint_rows(n, window, columns)
+    oracle = [
+        {index[k]: int(c) for k, c in row.items()}
+        for row in constraint_rows_objects(n, window, columns)
+    ]
+    assert all(all(0 <= j < len(columns) and c for j, c in r.items()) for r in rows)
+    assert _spans(rows, oracle) and _spans(oracle, rows)
+
+
+def test_solver_rows_are_distinct_up_to_scale_and_shortest_first():
+    window = MarkingWindow({1, 2}, 3)
+    rows = relations._constraint_rows(2, window, enumerate_diagrams("arrow", 2, window))
+    keys = [relations._proportion_key(r) for r in rows]
+    assert len(set(keys)) == len(keys)
+    assert keys == sorted(keys, key=lambda k: (len(k), k))
+
+
+@pytest.mark.parametrize("gamma,kept", [((2, 1, 2, -1), 45), ((1, 1, -1, -2), 34)])
+def test_each_returned_instance_is_built_once(gamma, kept):
+    f = engine.gv_formula(3, gamma)
+    window = MarkingWindow(set(f.markings()) | {0, f.K}, f.K)
+    support = list(f.vector.keys())
+    built = []
+    real = relations.RelationInstance.__init__
+
+    def counted(self, family, vector):
+        built.append(family)
+        real(self, family, vector)
+
+    with mock.patch.object(relations.RelationInstance, "__init__", counted):
+        insts = gen_family("a6t", 3, window, closure=False, hosts=support)
+    assert len(insts) == kept
+    assert len(built) == kept
+
+
+@settings(max_examples=60, deadline=None)
+@given(six_term_hosts())
+def test_spliced_terms_are_valid_and_the_private_constructor_is_the_public_one(d):
+    # every descriptor: the unreduced six-term table and every full model
+    cls = type(d)
+    with mock.patch.object(relations, "_pair_descriptors", unreduced_pair_table):
+        matches = list(r3_pair_matches(d))
+    matches += list(_full_matches(d, "R3")) + list(_full_matches(d, "R2"))
+    for m in matches:
+        # the match's own term is its host (the core reuses its canonical form)
+        assert relations._spliced(m, m.present, m.side) == (d.arrows, d.aut_order())
+        r3 = m.model.kind == "R3"
+        for side in ("L", "R") if r3 else (m.side,):
+            for present in [(0, 1, 2)] + list(_PAIRS) if r3 else [(0, 1)]:
+                arrows = relations._assemble_term(m, present, side)[0]
+                diagrams._validate(len(arrows), arrows, d.signed)
+    allowed = {a[2] for a in d.arrows}
+    families = [f for f in _DIAGRAM_FAMILIES if (relations.FAMILY_SPECIES[f] == "gauss") == d.signed]
+    for family in families:
+        for _weight, terms in relations._host_instances(family, d, allowed):
+            for _c, _inside, spell in terms:
+                canon, aut = spell()
+                fast = cls._canonical(d.K, canon, aut)
+                public = cls(d.K, canon)
+                assert fast == public and fast.arrows == public.arrows
+                assert hash(fast) == hash(public)
+                assert fast.aut_order() == public.aut_order()
