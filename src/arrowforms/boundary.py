@@ -13,6 +13,10 @@ pair, i.e. two crossings meeting along a shared strand; completing that
 pair to a full triple-point configuration (in every admissible way) yields
 a 6-term based relation, and shrinking it expresses the non-monotonic
 diagram in monotonic ones.
+
+a6t_based, based_6T_pairing_check and gen_degenerate_family (the triangle
+and based6t families) are kept as API for checking the paper's statements;
+the program itself calls boundary_d only.
 """
 
 from __future__ import annotations
@@ -251,7 +255,10 @@ def based_6T_pairing_check(b, dd, window):
 # relation-family generation (triangle, based 6-term)
 
 
-def gen_degenerate_family(family, n, window, skipped):
+def gen_degenerate_family(family, n, window, skipped=None):
+    """gen_family for the triangle and based6t tags."""
+    if skipped is None:
+        skipped = {}
     seen = {}
     for D in enumerate_diagrams("arrow", n, window):
         for arc in range(2 * D.n):

@@ -206,10 +206,6 @@ class ArrowDiagram(_BaseDiagram):
         return GaussDiagram(self.K, [(t, h, m, s) for (t, h, m, _z), s in zip(self.arrows, signs)])
 
 
-def empty_diagram(K, signed=False):
-    return GaussDiagram(K) if signed else ArrowDiagram(K)
-
-
 def arrows_cross(a, b):
     """True iff chords a and b interleave on the circle."""
     a0, a1 = sorted(a[:2])
@@ -279,10 +275,6 @@ class BasedDiagram:
 
     def __repr__(self):
         return "BasedDiagram(K=%d, %r)" % (self.K, list(self.arrows))
-
-    def underlying(self):
-        cls = GaussDiagram if self.signed else ArrowDiagram
-        return cls(self.K, self.arrows)
 
     def boundary_endpoints(self):
         """(before, after): the (arrow index, role) pairs bounding the base

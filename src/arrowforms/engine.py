@@ -43,6 +43,7 @@ from .relations import (
     MarkingWindow,
     _apply_move,
     _constraint_rows,
+    _shapes,
     enumerate_diagrams,
     gen_family,
     move_census,
@@ -56,9 +57,9 @@ class Formula:
     `evaluate`) gives a number; the solver produces formulas for which that
     number is a virtual knot invariant."""
 
-    __slots__ = ("vector", "K", "provenance", "_table")
+    __slots__ = ("vector", "K", "_table")
 
-    def __init__(self, vector, K, provenance="file"):
+    def __init__(self, vector, K):
         vector = as_lincomb(vector)
         for k in vector.keys():
             if not isinstance(k, ArrowDiagram) or isinstance(k, GaussDiagram):
@@ -67,11 +68,8 @@ class Formula:
                 raise DiagramError(
                     "formula term has global marking %d, expected %d" % (k.K, K)
                 )
-        if provenance not in ("solver", "gv", "file"):
-            raise ValueError("unknown provenance %r" % (provenance,))
         object.__setattr__(self, "vector", vector)
         object.__setattr__(self, "K", int(K))
-        object.__setattr__(self, "provenance", provenance)
         object.__setattr__(self, "_table", None)
 
     def __setattr__(self, *a):
@@ -124,7 +122,7 @@ class Formula:
 def homogeneous_components(f):
     """Split a formula by degree; the zero formula has no components."""
     return [
-        Formula(f.vector.filtered(lambda k: k.n == d), f.K, f.provenance)
+        Formula(f.vector.filtered(lambda k: k.n == d), f.K)
         for d in f.degrees()
     ]
 
@@ -155,15 +153,13 @@ class SolverTooLarge(ValueError):
 
 def _read_cached(path):
     """The basis stored at `path`, or None when it is missing, unreadable or
-    shorter than its header says (a truncated write).  A hit returns what
-    the solve that wrote it returned: formulas of provenance 'solver'."""
+    shorter than its header says (a truncated write)."""
     from . import textio
 
     try:
-        basis = textio.parse_basis(path.read_text())
+        return textio.parse_basis(path.read_text())
     except (OSError, ValueError):
         return None
-    return [Formula(f.vector, f.K, "solver") for f in basis]
 
 
 def _write_cached(path, text):
@@ -197,7 +193,9 @@ def solve_formula_space(n, window, cache_dir=None):
         basis = _read_cached(path)
         if basis is not None:
             return basis
-    ncols = len(window.allowed) ** n * _matching_count(n) * 2 ** n if n else 1
+    # one decoration per shape class and marking choice: an upper bound on
+    # the columns, exact unless a rotation fixing a shape merges decorations
+    ncols = len(_shapes(n)) * len(window.allowed) ** n
     if ncols > MAX_SOLVER_COLUMNS:
         raise SolverTooLarge(
             "estimated column count %d exceeds the solver guard (%d); "
@@ -206,19 +204,12 @@ def solve_formula_space(n, window, cache_dir=None):
     columns = enumerate_diagrams("arrow", n, window)
     rows = _constraint_rows(n, window, columns)
     basis = [
-        Formula(LinComb((columns[i], c) for i, c in v.items()), window.K, "solver")
+        Formula(LinComb((columns[i], c) for i, c in v.items()), window.K)
         for v in index_kernel(rows, len(columns))
     ]
     if path is not None:
         _write_cached(path, textio.print_basis(basis))
     return basis
-
-
-def _matching_count(n):
-    out = 1
-    for k in range(1, 2 * n, 2):
-        out *= k
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +580,7 @@ def gv_formula(n, gamma):
     if len(gamma) != n + 1:
         raise ValueError("expected %d homology classes, got %d" % (n + 1, len(gamma)))
     vec = LinComb((phi_gamma(cp, gamma), 1) for cp in enumerate_Un(n))
-    return Formula(vec, gamma.K, "gv")
+    return Formula(vec, gamma.K)
 
 
 def null_pair_formula(a, K):
@@ -610,4 +601,4 @@ def null_pair_formula(a, K):
         (D([(0, 2, 0, 0), (3, 1, a, 0)]), 1),
         (D([(0, 1, a, 0), (2, 3, K - a, 0)]), -1),
     ])
-    return Formula(vec, K, "solver")
+    return Formula(vec, K)

@@ -89,10 +89,6 @@ class LinComb:
 
     __rmul__ = __mul__
 
-    def map_keys(self, f):
-        """Apply f to every key and merge coefficients."""
-        return LinComb((f(k), c) for k, c in self.terms.items())
-
     def map_terms(self, f):
         """f(key, coeff) -> LinComb; sum the images (linear extension)."""
         out = {}
@@ -109,9 +105,6 @@ class LinComb:
             return self
         lead = min(self.terms)
         return self.scale(1 / self.terms[lead])
-
-    def max_degree(self):
-        return max((k.n for k in self.terms), default=0)
 
 
 def _add_into(acc, terms):

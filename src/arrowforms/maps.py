@@ -4,6 +4,9 @@ The maps: S (signed expansion of an arrow diagram), I (subdiagram sum of a
 Gauss diagram), the degree projections, the orthonormal pairing ( , ), its
 automorphism-normalized version < , >, and the subset-counting brackets
 (( , )) and << , >>.
+
+project_pi, pair_ortho, sign_expand_S, double_paren and double_angle are
+kept as API, for checking the paper's statements directly.
 """
 
 from __future__ import annotations
@@ -49,11 +52,6 @@ def subdiagram_expand_I(x):
 def project_pi(x, n):
     """Orthogonal projection onto the degree-n part."""
     return as_lincomb(x).filtered(lambda k: k.n == n)
-
-
-def principal_part(x):
-    x = as_lincomb(x)
-    return project_pi(x, x.max_degree())
 
 
 def pair_ortho(x, y):

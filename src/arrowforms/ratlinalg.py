@@ -16,9 +16,8 @@ from .lincomb import LinComb
 
 def _int_row(vec):
     """Clear denominators and strip the content; dict key -> int."""
-    items = vec.items() if isinstance(vec, (LinComb, dict)) else vec
     row = {}
-    for k, c in items:
+    for k, c in vec.items():
         c = Fraction(c)
         if c:
             row[k] = c
@@ -123,16 +122,6 @@ def echelon_of(rows):
     for r in rows:
         ech.insert(_int_row(r))
     return ech
-
-
-def rank(rows):
-    """Exact rank of a list of sparse vectors."""
-    return echelon_of(rows).rank()
-
-
-def in_span(v, rows):
-    """True iff v lies in the rational span of the rows."""
-    return echelon_of(rows).spans(v)
 
 
 def index_kernel(rows, ncols):

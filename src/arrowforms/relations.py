@@ -14,7 +14,8 @@ Families (the tags gen_family takes):
   p1, p2, p2h1, p2h2, p3      relations among Gauss diagrams
   g6t, g2t                    homogeneous projections of p3
   ap1, ap2, a6t, a2t          arrow-diagram counterparts
-  triangle, based6t           relations among degenerate/based diagrams
+
+The triangle and based6t families come from boundary.gen_degenerate_family.
 
 Generation runs on one tuple core (_host_instances).  For each host and
 match it yields every term as an int coefficient and a function spelling
@@ -40,7 +41,7 @@ from math import gcd
 from .diagrams import ArrowDiagram, DiagramError, GaussDiagram, _induced, canonical_arrows
 from .lincomb import LinComb
 from .maps import subdiagram_expand_I
-from .moves import HEAD, TAIL, models
+from .moves import HEAD, TAIL, LocalModel, models
 
 
 class MarkingWindow:
@@ -81,16 +82,11 @@ class MarkingWindow:
     def values(self):
         return tuple(sorted(self.allowed))
 
-    def complement_closed(self):
-        """True iff the window is stable under x -> K - x."""
-        return all(self.K - x in self.allowed for x in self.allowed)
-
 
 FAMILY_SPECIES = {
     "p1": "gauss", "p2": "gauss", "p2h1": "gauss", "p2h2": "gauss",
     "p3": "gauss", "g6t": "gauss", "g2t": "gauss",
     "ap1": "arrow", "ap2": "arrow", "a6t": "arrow", "a2t": "arrow",
-    "triangle": "degenerate", "based6t": "based",
 }
 
 
@@ -343,8 +339,6 @@ def _normalize_model(model, rot, mode):
     representative suffices.  Modes: 'gauss' keeps signs (they constrain
     the match), 'pairprod' keeps only products of sign pairs (all that the
     sign-forgotten 6-term coefficients use), 'plain' drops signs."""
-    from .moves import LocalModel
-
     ns = model.nslots
     words = {
         side: tuple(model.words[side][(s + rot) % ns] for s in range(ns))
@@ -832,10 +826,6 @@ def gen_family(family, n, window, skipped=None, closure=True, hosts=None):
     enumerating the whole window."""
     if skipped is None:
         skipped = {}
-    if family in ("triangle", "based6t"):
-        from . import boundary
-
-        return boundary.gen_degenerate_family(family, n, window, skipped)
     if family not in FAMILY_SPECIES:
         raise ValueError("unknown family tag %r" % family)
     return _gen_from_diagrams(family, n, window, skipped, closure, hosts)
@@ -868,16 +858,6 @@ def _constraint_rows(n, window, columns):
                 if row:
                     rows.add(_proportion_key(row))
     return [dict(k) for k in sorted(rows, key=lambda k: (len(k), k))]
-
-
-def gen_all_constraints(n, window, skipped=None):
-    """The constraint set whose kernel is the degree-n formula space: every
-    instance is kept, as gen_family does with closure=False."""
-    columns = enumerate_diagrams("arrow", n, window)
-    out = []
-    for family in ("ap1", "ap2", "a6t"):
-        out.extend(gen_family(family, n, window, skipped, closure=False, hosts=columns))
-    return out
 
 
 # ---------------------------------------------------------------------------

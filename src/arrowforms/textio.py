@@ -192,7 +192,7 @@ def _parse_formula_lines(lines):
             raise ParseError("formula terms must be arrow diagrams", where[k])
         if k.K != K:
             raise ParseError("term K=%d does not match header K=%d" % (k.K, K), where[k])
-    return Formula(vec, K, provenance="file")
+    return Formula(vec, K)
 
 
 def print_basis(formulas, header_extra=""):

@@ -1,8 +1,14 @@
-"""Shared random-diagram generators for the test suite."""
+"""Shared random-diagram generators for the test suite, and the boundary
+route to the formula space."""
 
 import random
 
+from arrowforms.boundary import boundary_d
 from arrowforms.diagrams import ArrowDiagram, BasedDiagram, GaussDiagram
+from arrowforms.engine import normalization_window
+from arrowforms.lincomb import LinComb
+from arrowforms.ratlinalg import DiagramIndexedMatrix, kernel
+from arrowforms.relations import enumerate_diagrams, gen_family
 
 DEFAULT_MARKS = tuple(range(-2, 4))
 
@@ -36,3 +42,28 @@ def random_based_diagram(rng, n, K, marks=DEFAULT_MARKS):
 
 def seeded(seed=0):
     return random.Random(seed)
+
+
+def boundary_route(n, window):
+    """The degree-n formula space by the paper's second route: the kernel
+    of the kink and bigon rows (ap1, ap2) restricted to the window's
+    columns and rescaled by |Aut|, together with the rows of the boundary
+    map d normalized over normalization_window(window).  Its vectors are
+    LinCombs over the columns, in the order ratlinalg.kernel gives."""
+    cols = enumerate_diagrams("arrow", n, window)
+    colset = set(cols)
+    rows = []
+    for fam in ("ap1", "ap2"):
+        for inst in gen_family(fam, n, window, closure=False):
+            r = LinComb(
+                (k, c * k.aut_order()) for k, c in inst.vector.items() if k in colset
+            )
+            if r:
+                rows.append(r)
+    wide = normalization_window(window)
+    drows = {}
+    for D in cols:
+        for M, c in boundary_d(LinComb.single(D), wide).items():
+            drows.setdefault(M, []).append((D, c))
+    rows += [LinComb(v) for v in drows.values()]
+    return kernel(DiagramIndexedMatrix(cols, rows))

@@ -18,6 +18,7 @@ from arrowforms.boundary import (
     d_based,
     epsilon,
     eta,
+    gen_degenerate_family,
     is_nice,
     normalize_triangle,
     triangle_relation,
@@ -30,7 +31,7 @@ from arrowforms.diagrams import (
 )
 from arrowforms.engine import normalization_window
 from arrowforms.lincomb import LinComb
-from arrowforms.relations import MarkingWindow, gen_family
+from arrowforms.relations import MarkingWindow
 
 from conftest import random_arrows, random_based_diagram, seeded
 from move_oracles import unreduced_pair_table
@@ -119,7 +120,7 @@ def test_based_six_term_noncrossing_structure():
     # each instance has six terms; the terms whose arrows are pairwise
     # non-crossing come in threes (one per pair slot) or not at all
     w = MarkingWindow({1, 2, 3, 4}, 5)
-    insts = gen_family("based6t", 2, w)
+    insts = gen_degenerate_family("based6t", 2, w)
     assert insts
     for inst in insts:
         assert len(inst.vector) == 6
@@ -137,7 +138,7 @@ def test_based_six_term_noncrossing_structure():
 
 def test_triangle_family_instances_are_window_supported():
     w = MarkingWindow({1, 2, 3, 4}, 5)
-    for inst in gen_family("triangle", 2, w):
+    for inst in gen_degenerate_family("triangle", 2, w):
         for k in inst.vector.keys():
             assert all(a[2] in w.allowed for a in k.arrows)
 
@@ -175,8 +176,9 @@ def test_triangle_normalization_matches_the_unreduced_descriptor_table():
 
 _BASED6T_DIGEST = """
 import hashlib
-from arrowforms.relations import MarkingWindow, gen_family
-insts = gen_family("based6t", 2, MarkingWindow({1, 2, 3, 4}, 5))
+from arrowforms.boundary import gen_degenerate_family
+from arrowforms.relations import MarkingWindow
+insts = gen_degenerate_family("based6t", 2, MarkingWindow({1, 2, 3, 4}, 5))
 blob = repr([(i.key(), list(i.vector.items())) for i in insts])
 print(len(insts), hashlib.sha256(blob.encode()).hexdigest())
 """

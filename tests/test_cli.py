@@ -179,7 +179,7 @@ def test_missing_window_is_a_usage_error(capsys):
 
 
 def test_solver_guard_is_a_usage_error(capsys):
-    rc = main(["solve", "--degree", "4", "--K", "5", "--markings", "1..4"])
+    rc = main(["solve", "--degree", "5", "--K", "5", "--markings", "1..4"])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "solver guard" in err

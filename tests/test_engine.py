@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrowforms import diagrams, engine, relations
+from arrowforms import diagrams, engine, relations, textio
 from arrowforms.diagrams import ArrowDiagram, DiagramError, GaussDiagram
 from arrowforms.engine import (
     ChainPresentation,
@@ -29,7 +29,7 @@ from arrowforms.lincomb import LinComb
 from arrowforms.maps import double_angle
 from arrowforms.relations import MarkingWindow
 
-from conftest import random_gauss_diagram, seeded
+from conftest import boundary_route, random_gauss_diagram, seeded
 from move_oracles import available_moves
 
 
@@ -38,7 +38,7 @@ def test_formula_accessors():
     assert list(f.degrees()) == [2]
     assert set(f.markings()) == {0, 2, 3}
     assert homogeneous_components(f) == [f]
-    assert f == Formula(f.vector, 5, f.provenance)
+    assert f == Formula(f.vector, 5)
 
 
 def test_solver_small_window():
@@ -47,6 +47,41 @@ def test_solver_small_window():
     assert len(basis) == 2
     for f in basis:
         assert check_formula(f, w)["passes"]
+
+
+_ROUTE_WINDOWS = [
+    ({1, 2, 3, 4}, 5), ({1, 2}, 5), ({0, 1, 2, 3}, 5), ({-1, 0, 1}, 3), ({1, 2}, 3),
+]
+_ROUTE_CASES = [(n, a, K) for n in (1, 2) for a, K in _ROUTE_WINDOWS] + [
+    (3, {0, 1, 2}, 2), (3, {1, 2}, 5), (3, {1, 2}, 3),
+]
+
+
+@pytest.mark.parametrize(
+    "n, allowed, K",
+    _ROUTE_CASES,
+    ids=["d%d-%s-K%d" % (n, ",".join(map(str, sorted(a))), K) for n, a, K in _ROUTE_CASES],
+)
+def test_the_relation_and_boundary_routes_print_the_same_basis(n, allowed, K):
+    # the reduced kernel basis depends only on the kernel and the column
+    # order, so equal kernels print byte for byte the same basis file
+    w = MarkingWindow(allowed, K)
+    relation = textio.print_basis(solve_formula_space(n, w))
+    boundary = textio.print_basis([Formula(v, K) for v in boundary_route(n, w)])
+    assert relation == boundary
+
+
+def test_the_solver_guard_admits_degree_four_over_four_markings(monkeypatch):
+    # 53,864 columns, estimated as 218 shape classes x 4^4 markings = 55,808
+    class Reached(Exception):
+        pass
+
+    def reached(*_args):
+        raise Reached
+
+    monkeypatch.setattr(engine, "enumerate_diagrams", reached)
+    with pytest.raises(Reached):
+        solve_formula_space(4, MarkingWindow({1, 2, 3, 4}, 5))
 
 
 def test_a_solve_enumerates_its_columns_once(monkeypatch):
@@ -78,10 +113,7 @@ def test_solver_cache_hit_returns_what_a_miss_returns(tmp_path):
     w = MarkingWindow({1, 2}, 3)
     cold = solve_formula_space(2, w, cache_dir=str(tmp_path))
     warm = solve_formula_space(2, w, cache_dir=str(tmp_path))
-    assert [(f.vector, f.K, f.provenance) for f in warm] == [
-        (f.vector, f.K, f.provenance) for f in cold
-    ]
-    assert {f.provenance for f in warm} == {"solver"}
+    assert [(f.vector, f.K) for f in warm] == [(f.vector, f.K) for f in cold]
 
 
 def test_check_formula_rejects_out_of_window_marks():

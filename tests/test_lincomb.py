@@ -45,11 +45,6 @@ def test_zero_coefficients_are_dropped():
     assert len(x) == 1
 
 
-def test_map_keys_merges():
-    x = LinComb([("a", 1), ("b", 2)])
-    assert x.map_keys(lambda _k: "c") == LinComb.single("c", 3)
-
-
 def test_filtered_and_single():
     x = LinComb([("a", 1), ("bb", 2)])
     assert x.filtered(lambda k: len(k) == 1) == LinComb.single("a")

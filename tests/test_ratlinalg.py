@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrowforms.lincomb import LinComb
-from arrowforms.ratlinalg import DiagramIndexedMatrix, echelon_of, in_span, kernel, rank
+from arrowforms.ratlinalg import DiagramIndexedMatrix, echelon_of, kernel
 
 
 def _oracle_rank(rows, ncols):
@@ -43,7 +43,7 @@ def _as_lincombs(rows):
 @given(matrices)
 def test_rank_matches_oracle(rows):
     _cols, vecs = _as_lincombs(rows)
-    assert rank(vecs) == _oracle_rank(rows, len(rows[0]))
+    assert echelon_of(vecs).rank() == _oracle_rank(rows, len(rows[0]))
 
 
 @given(matrices)
@@ -68,7 +68,7 @@ def test_kernel_properties(rows):
         lead = v.coeff(min(v.keys()))
         assert lead > 0
     # linear independence
-    assert rank(basis) == len(basis)
+    assert echelon_of(basis).rank() == len(basis)
 
 
 @given(matrices, st.lists(st.integers(-3, 3), min_size=4, max_size=4))
@@ -76,13 +76,12 @@ def test_in_span_matches_rank_test(rows, extra):
     _cols, vecs = _as_lincombs(rows)
     v = LinComb((c, x) for c, x in zip(range(4), extra) if x)
     expected = _oracle_rank(rows + [extra], 4) == _oracle_rank(rows, 4)
-    assert in_span(v, vecs) == expected
     assert echelon_of(vecs).spans(v) == expected
 
 
 def test_zero_vector_edge_cases():
-    assert rank([LinComb.zero()]) == 0
-    assert in_span(LinComb.zero(), [])
+    assert echelon_of([LinComb.zero()]).rank() == 0
+    assert echelon_of([]).spans(LinComb.zero())
     m = DiagramIndexedMatrix(["a", "b"], [])
     basis = kernel(m)
     assert len(basis) == 2

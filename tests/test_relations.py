@@ -35,7 +35,6 @@ from arrowforms.relations import (
     _splice,
     apply_R_move,
     enumerate_diagrams,
-    gen_all_constraints,
     gen_family,
     move_census,
     r1_matches,
@@ -88,11 +87,6 @@ def test_marking_window_parse():
         MarkingWindow.parse("4..1", 5)
     with pytest.raises(ValueError):
         MarkingWindow.parse("x", 5)
-
-
-def test_marking_window_complement_closed():
-    assert MarkingWindow({1, 2, 3, 4}, 5).complement_closed()
-    assert not MarkingWindow({1, 2}, 5).complement_closed()
 
 
 def test_enumerate_diagrams_species_and_window():
@@ -651,25 +645,6 @@ def test_r3_is_an_involution():
         if seen >= 50:
             break
     assert seen >= 50
-
-
-def test_constraint_catalog_families():
-    w = MarkingWindow({1, 2}, 3)
-    insts = gen_all_constraints(2, w)
-    fams = {i.family for i in insts}
-    assert fams <= {"ap1", "ap2", "a6t"}
-    assert "a6t" in fams
-
-
-def test_constraints_keep_the_instances_with_terms_outside_the_window():
-    # the formula space is the kernel of every instance restricted to the
-    # window, so none is dropped: gen_family's closure=False lists, in order
-    w = MarkingWindow({1, 2}, 3)
-    want = [
-        (i.key(), list(i.vector.items()))
-        for fam in ("ap1", "ap2", "a6t") for i in gen_family(fam, 2, w, closure=False)
-    ]
-    assert [(i.key(), list(i.vector.items())) for i in gen_all_constraints(2, w)] == want
 
 
 # ---------------------------------------------------------------------------

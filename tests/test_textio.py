@@ -56,7 +56,6 @@ def test_formula_round_trip():
     text = textio.print_formula(f)
     f2 = textio.parse_formula(text)
     assert f2 == f
-    assert f2.provenance == "file"
     assert textio.print_formula(f2) == text
 
 
