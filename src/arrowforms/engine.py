@@ -27,6 +27,7 @@ a full evaluation.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import random
 from fractions import Fraction
@@ -34,6 +35,7 @@ from functools import cache
 from itertools import combinations, permutations, product
 from pathlib import Path
 
+from . import textio
 from .diagrams import ArrowDiagram, DiagramError, GaussDiagram, arrows_cross, canonical_arrows
 from .lincomb import LinComb, as_lincomb
 from .maps import pair_norm
@@ -154,8 +156,6 @@ class SolverTooLarge(ValueError):
 def _read_cached(path):
     """The basis stored at `path`, or None when it is missing, unreadable or
     shorter than its header says (a truncated write)."""
-    from . import textio
-
     try:
         return textio.parse_basis(path.read_text())
     except (OSError, ValueError):
@@ -185,17 +185,19 @@ def solve_formula_space(n, window, cache_dir=None):
     restriction is the exact pairing against window-supported vectors.
     The rows are integer rows keyed by column index
     (relations._constraint_rows), eliminated by ratlinalg.index_kernel."""
-    from . import textio
-
     path = None
     if cache_dir is not None:
         path = _cache_path(cache_dir, n, window)
         basis = _read_cached(path)
         if basis is not None:
             return basis
-    # one decoration per shape class and marking choice: an upper bound on
-    # the columns, exact unless a rotation fixing a shape merges decorations
-    ncols = len(_shapes(n)) * len(window.allowed) ** n
+    # labelled decorations over their 2n rotations bound the columns below,
+    # in O(1), before _shapes(n) is built; past that bound, one decoration
+    # per shape class and marking choice bounds them above, exact unless a
+    # rotation fixing a shape merges decorations (_shapes is cached)
+    ncols = math.prod(range(1, 2 * n, 2)) * (2 * len(window.allowed)) ** n // max(2 * n, 1)
+    if ncols <= MAX_SOLVER_COLUMNS:
+        ncols = len(_shapes(n)) * len(window.allowed) ** n
     if ncols > MAX_SOLVER_COLUMNS:
         raise SolverTooLarge(
             "estimated column count %d exceeds the solver guard (%d); "

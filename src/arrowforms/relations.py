@@ -42,6 +42,7 @@ from .diagrams import ArrowDiagram, DiagramError, GaussDiagram, _induced, canoni
 from .lincomb import LinComb
 from .maps import subdiagram_expand_I
 from .moves import HEAD, TAIL, LocalModel, models
+from .ratlinalg import echelon_of
 
 
 class MarkingWindow:
@@ -1090,8 +1091,6 @@ def _r_vectors(n, window, limit_per_kind, diagrams):
 def check_I_span_compat(n, window, limit_per_kind=None):
     """Verify I(r) lies in the span of the P-relation instances for every
     R-relation vector r at degree <= n.  Returns a report dict."""
-    from .ratlinalg import echelon_of
-
     # each degree's Gauss diagrams, enumerated once for the P-relation
     # hosts and the R-relation moves
     diagrams = [enumerate_diagrams("gauss", deg, window) for deg in range(n + 1)]

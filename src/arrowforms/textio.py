@@ -22,6 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .diagrams import ArrowDiagram, BasedDiagram, DegenerateDiagram, GaussDiagram
+from .lincomb import LinComb
 
 
 class ParseError(ValueError):
@@ -157,8 +158,6 @@ def _parse_terms(lines, start):
 
 
 def parse_lincomb(text):
-    from .lincomb import LinComb
-
     return LinComb([(d, c) for d, c, _lineno in _parse_terms(_numbered(text), 0)])
 
 
@@ -174,7 +173,6 @@ def parse_formula(text):
 def _parse_formula_lines(lines):
     """parse_formula off numbered lines (see _numbered)."""
     from .engine import Formula
-    from .lincomb import LinComb
 
     if not lines or not lines[0][1].startswith("formula"):
         raise ParseError("expected 'formula K=<int>' header", lines[0][0] if lines else 1)

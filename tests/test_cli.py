@@ -186,6 +186,20 @@ def test_solver_guard_is_a_usage_error(capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_solver_guard_refuses_a_high_degree_before_building_shapes(capsys, monkeypatch):
+    # degree 9 has 34,459,425 matchings: the O(1) lower bound refuses it
+    from arrowforms import engine
+
+    def unreachable(n):
+        raise AssertionError("shape classes built for a refused request")
+
+    monkeypatch.setattr(engine, "_shapes", unreachable)
+    rc = main(["solve", "--degree", "9", "--K", "5", "--markings", "1..4"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "solver guard" in err
+
+
 def test_negative_degree_is_named(capsys):
     rc = main(["solve", "--degree", "-1", "--K", "5", "--markings", "1..4"])
     assert rc == 2
