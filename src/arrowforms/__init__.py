@@ -16,7 +16,6 @@ from .diagrams import (
 )
 from .engine import (
     ChainPresentation,
-    Formula,
     check_formula,
     enumerate_Un,
     evaluate,
@@ -27,7 +26,7 @@ from .engine import (
     solve_formula_space,
     verify_invariance,
 )
-from .lincomb import LinComb
+from .lincomb import Formula, LinComb
 from .relations import MarkingWindow, enumerate_diagrams
 
 __version__ = "0.1.0"

@@ -19,8 +19,10 @@ from fractions import Fraction
 from functools import cache
 
 from . import engine, textio
-from .diagrams import DiagramError, GaussDiagram
-from .relations import MarkingWindow
+from .boundary import boundary_d
+from .diagrams import DiagramError, GaussDiagram, canonical_arrows
+from .maps import double_angle, pair_norm, sign_expand_S, subdiagram_expand_I
+from .relations import CONSTRAINT_FAMILIES, MarkingWindow, enumerate_diagrams
 
 CACHE_ENV = "ARROWFORMS_CACHE_DIR"
 
@@ -88,8 +90,6 @@ def _emit(text, out_path):
 
 
 def cmd_enumerate(args):
-    from .relations import enumerate_diagrams
-
     if args.species not in ("gauss", "arrow"):
         raise CliError("--species must be gauss or arrow")
     w = _window(args, args.K)
@@ -118,7 +118,7 @@ def cmd_check(args):
     f = _load_formula(args.formula)
     w = _window(args, f.K)
     report = engine.check_formula(f, w)
-    for fam in ("ap1", "ap2", "a6t"):
+    for fam in CONSTRAINT_FAMILIES:
         print("%s max |pairing| = %s" % (fam, report["families"][fam]))
     print("boundary zero = %s" % str(report["boundary_zero"]).lower())
     print("consistent = %s" % str(report["consistent"]).lower())
@@ -139,8 +139,6 @@ def cmd_check(args):
 
 
 def cmd_boundary(args):
-    from .boundary import boundary_d
-
     f = _load_formula(args.formula)
     if args.markings is not None:
         w = _window(args, f.K)
@@ -201,10 +199,6 @@ def cmd_gv(args):
 
 def cmd_selftest(args):
     """Small deterministic battery touching every layer; < 1 minute."""
-    from .diagrams import canonical_arrows
-    from .maps import double_angle, pair_norm, sign_expand_S, subdiagram_expand_I
-    from .relations import enumerate_diagrams
-
     rng = random.Random(args.seed)
     failures = []
 

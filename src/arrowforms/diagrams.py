@@ -229,12 +229,7 @@ class BasedDiagram:
         r = (base_arc + 1) % (2 * n)
         shift = lambda p: (p - r) % (2 * n)
         moved = [(shift(t), shift(h), m, s) for (t, h, m, s) in diagram.arrows]
-        # order arrows by first endpoint occurrence for a unique tuple
-        moved.sort(key=lambda a: min(a[0], a[1]))
-        object.__setattr__(self, "K", diagram.K)
-        object.__setattr__(self, "arrows", tuple(moved))
-        object.__setattr__(self, "signed", diagram.signed)
-        object.__setattr__(self, "_hash", hash(("based", diagram.K, self.arrows, diagram.signed)))
+        self._store(diagram.K, moved, diagram.signed)
 
     @classmethod
     def from_word(cls, K, arrows):
@@ -245,13 +240,16 @@ class BasedDiagram:
         if n == 0:
             raise DiagramError("the empty diagram has no arcs to base")
         _validate(n, arrows, False)
-        moved = tuple(sorted(arrows, key=lambda a: min(a[0], a[1])))
         b = cls.__new__(cls)
-        object.__setattr__(b, "K", int(K))
-        object.__setattr__(b, "arrows", moved)
-        object.__setattr__(b, "signed", False)
-        object.__setattr__(b, "_hash", hash(("based", int(K), moved, False)))
+        b._store(int(K), arrows, False)
         return b
+
+    def _store(self, K, arrows, signed):
+        arrows = _by_first(arrows)
+        object.__setattr__(self, "K", K)
+        object.__setattr__(self, "arrows", arrows)
+        object.__setattr__(self, "signed", signed)
+        object.__setattr__(self, "_hash", hash(("based", K, arrows, signed)))
 
     def __setattr__(self, *a):
         raise AttributeError("based diagrams are immutable")
@@ -358,6 +356,10 @@ def _swap_positions(arrows, p, q):
             return p
         return x
 
-    out = [(mv(t), mv(h), m, s) for (t, h, m, s) in arrows]
-    out.sort(key=lambda a: min(a[0], a[1]))
-    return tuple(out)
+    return _by_first((mv(t), mv(h), m, s) for (t, h, m, s) in arrows)
+
+
+def _by_first(arrows):
+    """The arrows as a tuple ordered by first endpoint occurrence, the
+    unique arrow order of a based word."""
+    return tuple(sorted(arrows, key=lambda a: min(a[0], a[1])))

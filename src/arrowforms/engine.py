@@ -15,6 +15,9 @@ Four user-facing jobs live here:
   * enumerate_Un / phi_gamma / gv_formula: the planar-chain construction of
     invariants from a collection of nonzero homology classes.
 
+The Formula class is defined in lincomb; engine imports it, so
+engine.Formula names the same class.
+
 Evaluation reads a rotation-compiled table (Formula.table): every rotation
 of every term is stored under its sorted (tail, head, mark) tuple, so a
 subset of a diagram, renumbered from wherever, finds its term with one dict
@@ -36,89 +39,23 @@ from itertools import combinations, permutations, product
 from pathlib import Path
 
 from . import textio
+from .boundary import boundary_d
 from .diagrams import ArrowDiagram, DiagramError, GaussDiagram, arrows_cross, canonical_arrows
-from .lincomb import LinComb, as_lincomb
+from .lincomb import Formula, LinComb
 from .maps import pair_norm
 from .moves import models
 from .ratlinalg import index_kernel
 from .relations import (
+    CONSTRAINT_FAMILIES,
     MarkingWindow,
     _apply_move,
+    _chord_matchings,
     _constraint_rows,
     _shapes,
     enumerate_diagrams,
     gen_family,
     move_census,
 )
-
-
-class Formula:
-    """A rational combination of arrow diagrams sharing one global marking.
-
-    Pairing it with the subdiagram expansion of a Gauss diagram (see
-    `evaluate`) gives a number; the solver produces formulas for which that
-    number is a virtual knot invariant."""
-
-    __slots__ = ("vector", "K", "_table")
-
-    def __init__(self, vector, K):
-        vector = as_lincomb(vector)
-        for k in vector.keys():
-            if not isinstance(k, ArrowDiagram) or isinstance(k, GaussDiagram):
-                raise DiagramError("formula keys must be arrow diagrams")
-            if k.K != K:
-                raise DiagramError(
-                    "formula term has global marking %d, expected %d" % (k.K, K)
-                )
-        object.__setattr__(self, "vector", vector)
-        object.__setattr__(self, "K", int(K))
-        object.__setattr__(self, "_table", None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("formulas are immutable")
-
-    def degrees(self):
-        return sorted({k.n for k in self.vector.keys()})
-
-    def table(self):
-        """{degree: {key: coefficient * |Aut|}}, built on the first call and
-        kept: the lookup `evaluate` matches subsets against.
-
-        The keys of a term are the sorted (tail, head, mark) tuples of all
-        its rotations, so a subdiagram renumbered onto 0..2deg-1 from any
-        starting point is a key of its term, and of no other."""
-        if self._table is None:
-            table = {}
-            for k, c in self.vector.items():
-                terms = table.setdefault(k.n, {})
-                size = 2 * k.n
-                weight = c * k.aut_order()
-                for r in range(max(1, size)):
-                    rotated = (((t - r) % size, (h - r) % size, m) for t, h, m, _s in k.arrows)
-                    terms[tuple(sorted(rotated))] = weight
-            object.__setattr__(self, "_table", table)
-        return self._table
-
-    def markings(self):
-        return sorted({a[2] for k in self.vector.keys() for a in k.arrows})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Formula)
-            and self.K == other.K
-            and self.vector == other.vector
-        )
-
-    def __hash__(self):
-        return hash((self.K, self.vector))
-
-    def __bool__(self):
-        return bool(self.vector)
-
-    def __repr__(self):
-        return "Formula(K=%d, %d terms, degrees %s)" % (
-            self.K, len(self.vector), self.degrees(),
-        )
 
 
 def homogeneous_components(f):
@@ -204,7 +141,7 @@ def solve_formula_space(n, window, cache_dir=None):
             "basis size is at most the column count" % (ncols, MAX_SOLVER_COLUMNS)
         )
     columns = enumerate_diagrams("arrow", n, window)
-    rows = _constraint_rows(n, window, columns)
+    rows = _constraint_rows(window, columns)
     basis = [
         Formula(LinComb((columns[i], c) for i, c in v.items()), window.K)
         for v in index_kernel(rows, len(columns))
@@ -237,15 +174,13 @@ def check_formula(f, window):
     The 6-term pairings and the boundary vanishing are two renderings of the
     same condition, so (given the kink and bigon checks pass) they must
     agree; a disagreement means one of the two machineries is broken."""
-    from .boundary import boundary_d
-
     for m in f.markings():
         if m not in window:
             raise ValueError("formula marking %d outside the window" % m)
     families = {}
     first = None
     support = list(f.vector.keys())
-    for fam in ("ap1", "ap2", "a6t"):
+    for fam in CONSTRAINT_FAMILIES:
         worst = Fraction(0)
         for deg in f.degrees():
             # only instances meeting f's support can pair nonzero, so
@@ -437,18 +372,6 @@ class GammaCollection(tuple):
         return sum(self)
 
 
-def _noncrossing_matchings(points):
-    if not points:
-        yield ()
-        return
-    a = points[0]
-    for i in range(1, len(points), 2):
-        b = points[i]
-        for mi in _noncrossing_matchings(points[1:i]):
-            for mo in _noncrossing_matchings(points[i + 1:]):
-                yield ((a, b),) + mi + mo
-
-
 def _arc_regions(chords, size):
     """Region id of every circle arc (arc i lies between endpoints i, i+1).
 
@@ -546,7 +469,9 @@ def enumerate_Un(n):
         return (ChainPresentation((), ()),)
     size = 2 * n
     out = {}
-    for matching in _noncrossing_matchings(list(range(size))):
+    for matching in _chord_matchings(list(range(size))):
+        if any(arrows_cross(a, b) for a, b in combinations(matching, 2)):
+            continue
         for bits in product((0, 1), repeat=n):
             arrows = tuple((p[b], p[1 - b]) for p, b in zip(matching, bits))
             regions = _arc_regions(arrows, size)

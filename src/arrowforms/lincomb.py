@@ -1,8 +1,13 @@
-"""Formal linear combinations of canonical diagrams over exact rationals."""
+"""Formal linear combinations of canonical diagrams over exact rationals,
+and Formula: a combination of arrow diagrams with one global marking, the
+object the solver returns and engine evaluates and checks.  Formula is
+defined here; engine and the package import it from this module."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from .diagrams import ArrowDiagram, DiagramError, GaussDiagram
 
 
 class LinComb:
@@ -119,3 +124,72 @@ def _add_into(acc, terms):
 
 def as_lincomb(x):
     return x if isinstance(x, LinComb) else LinComb.single(x)
+
+
+class Formula:
+    """A rational combination of arrow diagrams sharing one global marking.
+
+    Pairing it with the subdiagram expansion of a Gauss diagram (see
+    `engine.evaluate`) gives a number; the solver produces formulas for
+    which that number is a virtual knot invariant."""
+
+    __slots__ = ("vector", "K", "_table")
+
+    def __init__(self, vector, K):
+        vector = as_lincomb(vector)
+        for k in vector.keys():
+            if not isinstance(k, ArrowDiagram) or isinstance(k, GaussDiagram):
+                raise DiagramError("formula keys must be arrow diagrams")
+            if k.K != K:
+                raise DiagramError(
+                    "formula term has global marking %d, expected %d" % (k.K, K)
+                )
+        object.__setattr__(self, "vector", vector)
+        object.__setattr__(self, "K", int(K))
+        object.__setattr__(self, "_table", None)
+
+    def __setattr__(self, *a):
+        raise AttributeError("formulas are immutable")
+
+    def degrees(self):
+        return sorted({k.n for k in self.vector.keys()})
+
+    def table(self):
+        """{degree: {key: coefficient * |Aut|}}, built on the first call and
+        kept: the lookup `engine.evaluate` matches subsets against.
+
+        The keys of a term are the sorted (tail, head, mark) tuples of all
+        its rotations, so a subdiagram renumbered onto 0..2deg-1 from any
+        starting point is a key of its term, and of no other."""
+        if self._table is None:
+            table = {}
+            for k, c in self.vector.items():
+                terms = table.setdefault(k.n, {})
+                size = 2 * k.n
+                weight = c * k.aut_order()
+                for r in range(max(1, size)):
+                    rotated = (((t - r) % size, (h - r) % size, m) for t, h, m, _s in k.arrows)
+                    terms[tuple(sorted(rotated))] = weight
+            object.__setattr__(self, "_table", table)
+        return self._table
+
+    def markings(self):
+        return sorted({a[2] for k in self.vector.keys() for a in k.arrows})
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Formula)
+            and self.K == other.K
+            and self.vector == other.vector
+        )
+
+    def __hash__(self):
+        return hash((self.K, self.vector))
+
+    def __bool__(self):
+        return bool(self.vector)
+
+    def __repr__(self):
+        return "Formula(K=%d, %d terms, degrees %s)" % (
+            self.K, len(self.vector), self.degrees(),
+        )

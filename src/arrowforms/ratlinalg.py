@@ -16,19 +16,9 @@ from .lincomb import LinComb
 
 def _int_row(vec):
     """Clear denominators and strip the content; dict key -> int."""
-    row = {}
-    for k, c in vec.items():
-        c = Fraction(c)
-        if c:
-            row[k] = c
-    if not row:
-        return {}
+    row = {k: Fraction(c) for k, c in vec.items()}
     mult = lcm(*(c.denominator for c in row.values()))
-    out = {k: int(c * mult) for k, c in row.items()}
-    g = gcd(*(abs(v) for v in out.values()))
-    if g > 1:
-        out = {k: v // g for k, v in out.items()}
-    return out
+    return _strip({k: int(c * mult) for k, c in row.items()})
 
 
 def _strip(row):
@@ -39,6 +29,26 @@ def _strip(row):
     if g > 1:
         row = {k: v // g for k, v in row.items()}
     return row
+
+
+def primitive(row):
+    """The normal form of an integer row up to scale: the content stripped
+    and the entry at the least key made positive.  Two nonzero rows are
+    proportional iff their primitive rows are equal."""
+    row = _strip(row)
+    if row and row[min(row)] < 0:
+        row = {k: -v for k, v in row.items()}
+    return row
+
+
+def _eliminate(row, prow, lead):
+    """`row` with the pivot row `prow` cancelled at key `lead`, fraction
+    free, content stripped."""
+    a, b = row[lead], prow[lead]
+    new = {k: b * v for k, v in row.items()}
+    for k, v in prow.items():
+        new[k] = new.get(k, 0) - a * v
+    return _strip(new)
 
 
 class Echelon:
@@ -57,12 +67,7 @@ class Echelon:
             lead = min(row)
             if lead not in self.pivots:
                 break
-            prow = self.pivots[lead]
-            a, b = row[lead], prow[lead]
-            new = {k: b * v for k, v in row.items()}
-            for k, v in prow.items():
-                new[k] = new.get(k, 0) - a * v
-            row = _strip(new)
+            row = _eliminate(row, self.pivots[lead], lead)
         return row
 
     def insert(self, row):
@@ -87,11 +92,7 @@ class Echelon:
             for other_lead, orow in self.pivots.items():
                 if other_lead >= lead or lead not in orow:
                     continue
-                a, b = orow[lead], prow[lead]
-                new = {k: b * v for k, v in orow.items()}
-                for k, v in prow.items():
-                    new[k] = new.get(k, 0) - a * v
-                self.pivots[other_lead] = _strip(new)
+                self.pivots[other_lead] = _eliminate(orow, prow, lead)
 
 
 class DiagramIndexedMatrix:
@@ -139,16 +140,12 @@ def index_kernel(rows, ncols):
     free_cols = [i for i in range(ncols) if i not in ech.pivots]
     basis = []
     for f in free_cols:
-        vec = {f: Fraction(1)}
-        for p in pivot_cols:
-            prow = ech.pivots[p]
-            if f in prow:
-                vec[p] = Fraction(-prow[f], prow[p])
-        row = _int_row(vec)
-        lead = min(row)
-        if row[lead] < 0:
-            row = {k: -v for k, v in row.items()}
-        basis.append(row)
+        holding = {p: ech.pivots[p] for p in pivot_cols if f in ech.pivots[p]}
+        mult = lcm(*(prow[p] for p, prow in holding.items()))
+        vec = {f: mult}
+        for p, prow in holding.items():
+            vec[p] = -prow[f] * mult // prow[p]
+        basis.append(primitive(vec))
     return basis
 
 

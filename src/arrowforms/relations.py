@@ -42,7 +42,7 @@ from .diagrams import ArrowDiagram, DiagramError, GaussDiagram, _induced, canoni
 from .lincomb import LinComb
 from .maps import subdiagram_expand_I
 from .moves import HEAD, TAIL, LocalModel, models
-from .ratlinalg import echelon_of
+from .ratlinalg import echelon_of, primitive
 
 
 class MarkingWindow:
@@ -89,6 +89,10 @@ FAMILY_SPECIES = {
     "p3": "gauss", "g6t": "gauss", "g2t": "gauss",
     "ap1": "arrow", "ap2": "arrow", "a6t": "arrow", "a2t": "arrow",
 }
+
+# the kink, bigon and 6-term families whose arrow instances a formula must
+# annihilate (solve_formula_space, check_formula)
+CONSTRAINT_FAMILIES = ("ap1", "ap2", "a6t")
 
 
 class RelationInstance:
@@ -696,7 +700,8 @@ def _host_instances(family, d, allowed):
     and a function of no arguments that splices (or cuts) the term and
     canonicalizes it, returning (canonical arrows, |Aut|).  No diagram
     object, LinComb or Fraction is built here.  weight: how many
-    descriptors the match stands for (see Match)."""
+    descriptors the match stands for (see Match).  `family` is a tag of
+    FAMILY_SPECIES (gen_family checks it); any other tag yields nothing."""
     outside = [i for i, a in enumerate(d.arrows) if a[2] not in allowed]
     whole = (d.arrows, d.aut_order())
 
@@ -741,8 +746,6 @@ def _host_instances(family, d, allowed):
                 )
                 for side in ("L", "R") for present in presents
             ]
-    else:
-        raise ValueError("unknown family tag %r" % family)
 
 
 def _summed(terms):
@@ -764,23 +767,35 @@ def _summed(terms):
 
 def _proportion_key(row):
     """Key shared by exactly the nonzero integer rows {key: int} that are
-    proportional: the sorted items divided by their content, the first
-    coefficient made positive."""
-    items = sorted(row.items())
-    g = gcd(*(c for _k, c in items))
-    if items[0][1] < 0:
-        g = -g
-    return tuple((k, c // g) for k, c in items)
+    proportional: the sorted items of the primitive row."""
+    return tuple(sorted(primitive(row).items()))
 
 
-def _gen_from_diagrams(family, n, window, skipped, closure=True, hosts=None):
-    """gen_family over the tuple core: instances are summed and deduplicated
-    as canonical arrow tuples, and objects are built only for the first
-    copy of each, the one returned.  With closure, the terms outside the
-    window are spelled first and the rest only when those cancel."""
-    species = FAMILY_SPECIES[family]
+def gen_family(family, n, window, skipped=None, closure=True, hosts=None):
+    """All inequivalent instances of one relation family at one degree.
+
+    `skipped` may be a dict collecting the window-closure skip counts.
+    With closure=False, instances with terms outside the window are kept
+    (still counted): their restriction to window-supported vectors is an
+    exact constraint, which is what the formula-space solver needs.
+
+    `hosts` restricts the anchor diagrams: only instances containing one of
+    the given diagrams as a term are produced.  Pairing a fixed vector v
+    against a family needs only the instances meeting v's support, so
+    hosts=support(v) is exhaustive for that purpose and much cheaper than
+    enumerating the whole window.
+
+    Generation runs over the tuple core: instances are summed and
+    deduplicated as canonical arrow tuples, and objects are built only for
+    the first copy of each, the one returned.  With closure, the terms
+    outside the window are spelled first and the rest only when those
+    cancel."""
+    if skipped is None:
+        skipped = {}
+    if family not in FAMILY_SPECIES:
+        raise ValueError("unknown family tag %r" % family)
     if hosts is None:
-        hosts = enumerate_diagrams(species, n, window)
+        hosts = enumerate_diagrams(FAMILY_SPECIES[family], n, window)
     else:
         hosts = [d for d in hosts if d.n == n]
     allowed = window.allowed
@@ -812,30 +827,10 @@ def _gen_from_diagrams(family, n, window, skipped, closure=True, hosts=None):
     return sorted(out, key=RelationInstance.key)
 
 
-def gen_family(family, n, window, skipped=None, closure=True, hosts=None):
-    """All inequivalent instances of one relation family at one degree.
-
-    `skipped` may be a dict collecting the window-closure skip counts.
-    With closure=False, instances with terms outside the window are kept
-    (still counted): their restriction to window-supported vectors is an
-    exact constraint, which is what the formula-space solver needs.
-
-    `hosts` restricts the anchor diagrams: only instances containing one of
-    the given diagrams as a term are produced.  Pairing a fixed vector v
-    against a family needs only the instances meeting v's support, so
-    hosts=support(v) is exhaustive for that purpose and much cheaper than
-    enumerating the whole window."""
-    if skipped is None:
-        skipped = {}
-    if family not in FAMILY_SPECIES:
-        raise ValueError("unknown family tag %r" % family)
-    return _gen_from_diagrams(family, n, window, skipped, closure, hosts)
-
-
-def _constraint_rows(n, window, columns):
+def _constraint_rows(window, columns):
     """The formula-space constraints as the solver eliminates them: every
     kink, bigon and 6-term instance anchored at one of `columns` (the
-    degree-n arrow diagrams over the window), restricted to the
+    arrow diagrams of one degree over the window), restricted to the
     columns and rescaled by |Aut|, as an integer row {column index: int}.
 
     A term outside the window has no column, so it is never spelled.  Rows
@@ -845,7 +840,7 @@ def _constraint_rows(n, window, columns):
     index = {d.arrows: i for i, d in enumerate(columns)}
     allowed = window.allowed
     rows = set()
-    for family in ("ap1", "ap2", "a6t"):
+    for family in CONSTRAINT_FAMILIES:
         for d in columns:
             for _weight, terms in _host_instances(family, d, allowed):
                 row = {}

@@ -11,7 +11,7 @@ the ones at positions 2n-1 and 0.
 
 Linear combination: entries `coef=<p>/<q>` followed by one diagram block,
 entries separated by `---`.  Formula file: a `formula K=<int>` header line,
-then the combination over arrow diagrams.
+then the combination over arrow diagrams; it parses to a lincomb.Formula.
 
 Printing is deterministic (terms in canonical order), so files are
 byte-reproducible and parse/print round-trips are exact.
@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .diagrams import ArrowDiagram, BasedDiagram, DegenerateDiagram, GaussDiagram
-from .lincomb import LinComb
+from .lincomb import Formula, LinComb
 
 
 class ParseError(ValueError):
@@ -172,8 +172,6 @@ def parse_formula(text):
 
 def _parse_formula_lines(lines):
     """parse_formula off numbered lines (see _numbered)."""
-    from .engine import Formula
-
     if not lines or not lines[0][1].startswith("formula"):
         raise ParseError("expected 'formula K=<int>' header", lines[0][0] if lines else 1)
     lineno, header = lines[0]

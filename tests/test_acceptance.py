@@ -9,7 +9,6 @@ import os
 import time
 from fractions import Fraction
 from itertools import product
-from math import gcd
 
 from arrowforms import engine, textio
 from arrowforms.boundary import boundary_d
@@ -368,4 +367,30 @@ def test_criterion_10_infrastructure():
         "canonical forms stable on 10000 random diagrams; kernel and rank "
         "agree with a dense elimination oracle; text files round-trip byte "
         "for byte",
+    )
+
+
+def test_criterion_11_planar_chain_formulas_in_the_degree_3_span():
+    t0 = time.time()
+    w = MarkingWindow({1, 2, 3, 4}, 5)
+    basis = engine.solve_formula_space(3, w)
+    span = echelon_of([f.vector for f in basis])
+    classes = [c for c in range(-5, 6) if c]
+    fitting = []
+    ok = len(basis) == 12
+    for gamma in product(classes, repeat=4):
+        if sum(gamma) != 5:
+            continue
+        f = engine.gv_formula(3, gamma)
+        if all(m in w for m in f.markings()):
+            fitting.append(gamma)
+            ok = ok and span.spans(f.vector)
+    ok = ok and fitting == [(1, 1, 1, 2), (1, 1, 2, 1), (1, 2, 1, 1), (2, 1, 1, 1)]
+    elapsed = time.time() - t0
+    _report(
+        11,
+        ok,
+        "the %d degree-3 planar chain formulas with classes in -5..5 summing "
+        "to 5 and markings in 1..4 lie in the 12-dimensional solved span "
+        "over 1..4 (%.1fs)" % (len(fitting), elapsed),
     )

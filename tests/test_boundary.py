@@ -12,7 +12,6 @@ from arrowforms import relations
 from arrowforms.boundary import (
     NormalizationError,
     _triangle_rewrite,
-    a6t_based,
     based_6T_pairing_check,
     boundary_d,
     d_based,

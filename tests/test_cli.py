@@ -8,7 +8,7 @@ import pytest
 
 from arrowforms import textio
 from arrowforms.cli import build_parser, main
-from arrowforms.engine import gv_formula, null_pair_formula
+from arrowforms.engine import gv_formula
 from arrowforms.lincomb import LinComb
 from arrowforms.diagrams import ArrowDiagram
 from arrowforms.engine import Formula

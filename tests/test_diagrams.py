@@ -14,7 +14,7 @@ from arrowforms.diagrams import (
     canonical_arrows,
 )
 
-from conftest import random_arrow_diagram, random_arrows, random_gauss_diagram, seeded
+from conftest import random_arrows, random_gauss_diagram, seeded
 
 
 @st.composite

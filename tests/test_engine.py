@@ -20,7 +20,6 @@ from arrowforms.engine import (
     homogeneous_components,
     normalization_window,
     null_pair_formula,
-    phi_gamma,
     sample_move,
     solve_formula_space,
     verify_invariance,

@@ -829,7 +829,7 @@ def test_solver_rows_span_the_object_rows(n, marks, K):
     window = MarkingWindow(marks, K)
     columns = enumerate_diagrams("arrow", n, window)
     index = {d: i for i, d in enumerate(columns)}
-    rows = relations._constraint_rows(n, window, columns)
+    rows = relations._constraint_rows(window, columns)
     oracle = [
         {index[k]: int(c) for k, c in row.items()}
         for row in constraint_rows_objects(n, window, columns)
@@ -840,7 +840,7 @@ def test_solver_rows_span_the_object_rows(n, marks, K):
 
 def test_solver_rows_are_distinct_up_to_scale_and_shortest_first():
     window = MarkingWindow({1, 2}, 3)
-    rows = relations._constraint_rows(2, window, enumerate_diagrams("arrow", 2, window))
+    rows = relations._constraint_rows(window, enumerate_diagrams("arrow", 2, window))
     keys = [relations._proportion_key(r) for r in rows]
     assert len(set(keys)) == len(keys)
     assert keys == sorted(keys, key=lambda k: (len(k), k))

@@ -5,13 +5,12 @@ from fractions import Fraction
 import pytest
 
 from arrowforms import textio
-from arrowforms.diagrams import ArrowDiagram, BasedDiagram, DegenerateDiagram
+from arrowforms.diagrams import DegenerateDiagram
 from arrowforms.engine import Formula, gv_formula
 from arrowforms.lincomb import LinComb
 
 from conftest import (
     random_arrow_diagram,
-    random_arrows,
     random_based_diagram,
     random_gauss_diagram,
     seeded,
