@@ -18,13 +18,19 @@ Four user-facing jobs live here:
 The Formula class is defined in lincomb; engine imports it, so
 engine.Formula names the same class.
 
-Evaluation reads a rotation-compiled table (Formula.table): every rotation
-of every term is stored under its sorted (tail, head, mark) tuple, so a
+Evaluation reads one rotation-compiled integer table (Formula.table):
+every rotation of every term is stored under its sorted (tail, head, mark)
+tuple with an int weight over the formula's common denominator, so a
 subset of a diagram, renumbered from wherever, finds its term with one dict
-lookup and no canonical form.  Walks (verify_invariance) keep a running
-value: after each move only the subsets that hold a changed arrow are
-scored, and at the end of each trial the running value is checked against
-a full evaluation.
+lookup and no canonical form.  The table also holds each degree's marks
+and sorted mark multisets, so a subset whose marks are no term's is
+dropped before it is renumbered.  evaluate divides the integer sum by the
+denominator once.  Walks (verify_invariance) keep a running value, an int
+over that denominator: after each move only the subsets that hold a
+changed arrow are scored, and at the end of each trial the running value
+is checked against a full evaluation.  The moves themselves come from
+relations.move_census and are applied by relations._apply_move, whose
+results are canonicalized but not validated again.
 """
 
 from __future__ import annotations
@@ -217,38 +223,42 @@ def evaluate(f, g):
     reduction is a term A of f contributes coeff(A) * |Aut(A)| * (product of
     its signs).  One subset scan per degree, no sign expansion and no
     canonical form: each subset, renumbered onto 0..2deg-1, is looked up in
-    the rotation-compiled `f.table()`."""
+    the rotation-compiled integer table `f.table()`, and the integer sum is
+    divided by the table's denominator once."""
     if not isinstance(g, GaussDiagram):
         raise DiagramError("evaluate expects a Gauss diagram")
     if f.K != g.K:
         raise DiagramError(
             "global marking mismatch: formula K=%d, diagram K=%d" % (f.K, g.K)
         )
-    return _subset_value(f, g.arrows)
+    return Fraction(_subset_value(f, g.arrows), f.table()[0])
 
 
 def _subset_value(f, arrows, touched=(), least=0):
     """The summed contributions (see evaluate) of the subsets of `arrows`
-    that hold at least `least` of the arrow indices in `touched`."""
-    mine = [arrows[i] for i in touched]
-    rest = [a for i, a in enumerate(arrows) if i not in touched]
-    total = Fraction(0)
-    for deg, terms in f.table().items():
-        signed_counts = {}  # matched key -> sum of sign products, an int
+    that hold at least `least` of the arrow indices in `touched`, as an
+    int over the denominator of `f.table()`.  A subset whose marks are no
+    term's is dropped before it is renumbered."""
+    total = 0
+    for deg, (marks, marksets, terms) in f.table()[1].items():
+        # an arrow carrying a mark that no term carries is in no match
+        mine = [arrows[i] for i in touched if arrows[i][2] in marks]
+        if len(mine) < least:
+            continue
+        rest = [a for i, a in enumerate(arrows) if i not in touched and a[2] in marks]
         for k in range(least, min(deg, len(mine)) + 1):
             for part in combinations(mine, k):
                 for others in combinations(rest, deg - k):
                     sub = part + others
-                    pos = sorted(p for a in sub for p in a[:2])
+                    if tuple(sorted([a[2] for a in sub])) not in marksets:
+                        continue
+                    pos = sorted([p for a in sub for p in a[:2]])
                     renum = {p: q for q, p in enumerate(pos)}
-                    key = tuple(sorted((renum[t], renum[h], m) for t, h, m, _s in sub))
-                    if key in terms:
-                        prod = 1
+                    weight = terms.get(tuple(sorted([(renum[t], renum[h], m) for t, h, m, _s in sub])))
+                    if weight:
                         for a in sub:
-                            prod *= a[3]
-                        signed_counts[key] = signed_counts.get(key, 0) + prod
-        for key, count in signed_counts.items():
-            total += terms[key] * count
+                            weight *= a[3]
+                        total += weight
     return total
 
 
@@ -274,6 +284,7 @@ def sample_move(g, marking_set, rng, max_degree=None):
 def _walk_step(f, g, value, mv):
     """(g after the move mv, the value of f there), updated from `value`,
     the value of f on g, by scoring only the subsets that see the change.
+    Values are ints over the denominator of f.table() (see _subset_value).
 
     A subset's contribution depends only on the cyclic order of its
     endpoints and on its arrows' marks and signs: with the rotation-compiled
@@ -299,7 +310,9 @@ def _walk_step(f, g, value, mv):
 
 
 def _guard_running_value(f, g, value):
-    """The end-of-trial guard: the running value must be the full one."""
+    """The end-of-trial guard: the running value, an int over the
+    denominator of f.table(), must be the full one."""
+    value = Fraction(value, f.table()[0])
     full = evaluate(f, g)
     if value != full:
         raise AssertionError(
@@ -318,10 +331,11 @@ def verify_invariance(f, g0, trials, walk_length, seed, marking_set=None):
     violation records the first offending move.
 
     g0 is evaluated once.  Along a walk the value is kept as a running
-    value, updated after each move from the subsets that hold an arrow the
-    move changed (see _walk_step).  When a trial ends, at its last step or
-    at a violation, the running value is compared with a full evaluate of
-    the diagram reached, and a difference raises AssertionError."""
+    value, an int over the denominator of f.table(), updated after each
+    move from the subsets that hold an arrow the move changed (see
+    _walk_step).  When a trial ends, at its last step or at a violation,
+    the running value is compared with a full evaluation of the diagram
+    reached, and a difference raises AssertionError."""
     if f.K != g0.K:
         raise DiagramError(
             "global marking mismatch: formula K=%d, diagram K=%d" % (f.K, g0.K)
@@ -330,11 +344,12 @@ def verify_invariance(f, g0, trials, walk_length, seed, marking_set=None):
         marking_set = set(f.markings()) | {0, f.K}
     max_degree = g0.n + max(f.degrees(), default=0) + 4
     rng = random.Random(seed)
-    base = evaluate(f, g0)
+    value0 = evaluate(f, g0)
+    base = int(value0 * f.table()[0])
     report = {
         "trials": trials,
         "walk_length": walk_length,
-        "value": base,
+        "value": value0,
         "constant": True,
         "violation": None,
     }

@@ -6,6 +6,7 @@ defined here; engine and the package import it from this module."""
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .diagrams import ArrowDiagram, DiagramError, GaussDiagram
 
@@ -155,22 +156,32 @@ class Formula:
         return sorted({k.n for k in self.vector.keys()})
 
     def table(self):
-        """{degree: {key: coefficient * |Aut|}}, built on the first call and
-        kept: the lookup `engine.evaluate` matches subsets against.
+        """(denominator, {degree: (marks, mark multisets, {key: weight})}),
+        built on the first call and kept: the one integer table
+        `engine.evaluate` scores subsets against.
 
-        The keys of a term are the sorted (tail, head, mark) tuples of all
-        its rotations, so a subdiagram renumbered onto 0..2deg-1 from any
-        starting point is a key of its term, and of no other."""
+        The denominator is the least common denominator of the
+        coefficients, and a term's weight is the int coefficient * |Aut| *
+        denominator.  The keys of a term are the sorted (tail, head, mark)
+        tuples of all its rotations, so a subdiagram renumbered onto
+        0..2deg-1 from any starting point is a key of its term, and of no
+        other.  A degree's marks are those its terms carry, and its mark
+        multisets are the sorted mark tuples of its terms: a subset holding
+        another mark, or whose sorted marks are not among them, matches no
+        key."""
         if self._table is None:
+            den = lcm(*(c.denominator for c in self.vector.terms.values()))
             table = {}
             for k, c in self.vector.items():
-                terms = table.setdefault(k.n, {})
+                marks, marksets, terms = table.setdefault(k.n, (set(), set(), {}))
+                marks.update(a[2] for a in k.arrows)
+                marksets.add(tuple(sorted(a[2] for a in k.arrows)))
                 size = 2 * k.n
-                weight = c * k.aut_order()
+                weight = int(c * den) * k.aut_order()
                 for r in range(max(1, size)):
                     rotated = (((t - r) % size, (h - r) % size, m) for t, h, m, _s in k.arrows)
                     terms[tuple(sorted(rotated))] = weight
-            object.__setattr__(self, "_table", table)
+            object.__setattr__(self, "_table", (den, table))
         return self._table
 
     def markings(self):

@@ -37,6 +37,7 @@ from fractions import Fraction
 from functools import cache, partial
 from itertools import product
 from math import gcd
+from typing import NamedTuple
 
 from .diagrams import ArrowDiagram, DiagramError, GaussDiagram, _induced, canonical_arrows
 from .lincomb import LinComb
@@ -336,41 +337,108 @@ def _assemble_term(m, present, side):
     return arrows, dict(zip(order, starts))
 
 
-def _normalize_model(model, rot, mode):
-    """Slot-rotated copy of a model with crossings renamed canonically.
+class _NormalForm(NamedTuple):
+    """A slot-rotated model with its crossings renamed canonically: the
+    parts of a LocalModel that descriptors read.  sorted_words is the
+    model's words as sorted (side, slot groups) items, the first part of
+    every signature."""
 
-    Two descriptors whose normalized models agree (under the given sign
-    mode) match the same sites and build the same instance terms, so one
-    representative suffices.  Modes: 'gauss' keeps signs (they constrain
-    the match), 'pairprod' keeps only products of sign pairs (all that the
-    sign-forgotten 6-term coefficients use), 'plain' drops signs."""
+    sorted_words: tuple
+    markexpr: tuple
+    signs: tuple
+
+    @property
+    def words(self):
+        return dict(self.sorted_words)
+
+
+@cache
+def _shared(x):
+    """The first object equal to x that was passed here: the normal forms
+    repeat a few small tuples and sets many times, and keep one copy."""
+    return x
+
+
+def _rotated(model, rot):
+    """The words and markexpr of a model with its slots rotated by rot and
+    its crossings unrenamed."""
     ns = model.nslots
     words = {
         side: tuple(model.words[side][(s + rot) % ns] for s in range(ns))
         for side in model.words
     }
-    markexpr = [frozenset((x - rot) % ns for x in e) for e in model.markexpr]
+    return words, tuple(frozenset((x - rot) % ns for x in e) for e in model.markexpr)
+
+
+def _normalize_model(model, rot):
+    """The normal form (_NormalForm) of a model at slot rotation rot: the
+    slot-rotated model with crossings renamed by the slots they occupy.
+
+    Two descriptors whose normal forms agree (under a sign mode, see
+    _signature) match the same sites and build the same instance terms, so
+    one representative suffices."""
+    words, markexpr = _rotated(model, rot)
     slots_of = {}
-    for s in range(ns):
+    for s in range(model.nslots):
         for c, _r in words["L"][s]:
             slots_of.setdefault(c, []).append(s)
     order = sorted(slots_of, key=lambda c: tuple(slots_of[c]))
     rename = {c: i for i, c in enumerate(order)}
     new_words = {
-        side: tuple(tuple((rename[c], r) for c, r in g) for g in words[side])
+        side: _shared(tuple(_shared(tuple((rename[c], r) for c, r in g)) for g in words[side]))
         for side in words
     }
-    new_markexpr = tuple(markexpr[c] for c in order)
-    signs = tuple(model.signs[c] for c in order)
+    return _NormalForm(
+        _shared(tuple(sorted(new_words.items()))),
+        _shared(tuple(markexpr[c] for c in order)),
+        _shared(tuple(model.signs[c] for c in order)),
+    )
+
+
+@cache
+def _normal_forms(kind):
+    """Per model of models(kind), in order: its normal forms at slot
+    rotations 0..nslots-1.
+
+    Rotating a model's slots (crossings unrenamed) gives another model of
+    the list, which then has the same normal forms, shifted.  So the forms
+    are computed once per rotation orbit, at each rotation of the orbit's
+    first model: 96 orbits of 3 R3 models and 8 orbits of 2 R2 models, 304
+    normalizations in all."""
+    ms = models(kind)
+    by_key = {m.key: i for i, m in enumerate(ms)}
+    out = [None] * len(ms)
+    for i, model in enumerate(ms):
+        if out[i] is not None:
+            continue
+        ns = model.nslots
+        forms = [_normalize_model(model, rot) for rot in range(ns)]
+        for rot in range(ns):
+            words, markexpr = _rotated(model, rot)
+            # the LocalModel.key of the rotated model
+            j = by_key.get((kind, model.signs, markexpr, tuple(sorted(words.items()))))
+            if j is not None and out[j] is None:
+                out[j] = tuple(forms[(rot + s) % ns] for s in range(ns))
+    return tuple(out)
+
+
+def _signature(form, mode):
+    """What two normal forms must share to give one descriptor.  Modes:
+    'gauss' keeps signs (they constrain the match), 'pairprod' keeps only
+    products of sign pairs (all that the sign-forgotten 6-term
+    coefficients use), 'plain' drops signs."""
+    signs = form.signs
     if mode == "pairprod":
-        sig_signs = tuple(signs[i] * signs[j] for i, j in ((0, 1), (0, 2), (1, 2)))
+        signs = tuple(signs[i] * signs[j] for i, j in ((0, 1), (0, 2), (1, 2)))
     elif mode == "plain":
-        sig_signs = ()
-    else:
-        sig_signs = signs
-    nm = LocalModel(model.kind, ns, model.ncross, signs, new_markexpr, new_words)
-    sig = (tuple(sorted(nm.words.items())), new_markexpr, sig_signs)
-    return nm, sig
+        signs = ()
+    return form.sorted_words, form.markexpr, signs
+
+
+def _form_model(model, form):
+    """The LocalModel of a normal form of `model`, built only for a shape
+    that a descriptor table keeps."""
+    return LocalModel(model.kind, model.nslots, model.ncross, form.signs, form.markexpr, form.words)
 
 
 _PAIRS = ((0, 1), (0, 2), (1, 2))
@@ -452,8 +520,11 @@ def _pair_descriptors(mode):
     strand normalized to slot 0 and
     singles = ((crossing, slot, role), (crossing, slot, role)).
 
-    The shapes are the (side, normalized model) classes of every R3 model,
-    side and choice of shared strand.  Many of them build the same 6-term
+    The shapes are the (side, normal form) classes of every R3 model, side
+    and choice of shared strand, the normal forms read from _normal_forms
+    (one per model and slot rotation, computed once per rotation orbit); a
+    LocalModel is built only for the first shape of each group, the one
+    kept.  Many of the shapes build the same 6-term
     instance: at one host position, L/R twin models and the placements of
     the absent third crossing give the same six (diagram, coefficient)
     pairs up to one global sign.  So the shapes are grouped by
@@ -466,18 +537,21 @@ def _pair_descriptors(mode):
     12 groups; 'gauss': 192 in 96.)"""
     shapes = set()
     groups = {}  # signature -> [first shape, number of shapes]
-    for model in models("R3"):
-        normalized = [_normalize_model(model, shared, mode) for shared in range(3)]
+    for model, forms in zip(models("R3"), _normal_forms("R3")):
         for side in ("L", "R"):
-            for nm, base_sig in normalized:
+            for form in forms:
+                base_sig = _signature(form, mode)
                 if (side, base_sig) in shapes:
                     continue
                 shapes.add((side, base_sig))
-                word = nm.words[side]
+                word = form.words[side]
                 pair = (word[0][0][0], word[0][1][0])
                 singles = tuple((cc, s, rr) for s in (1, 2) for cc, rr in word[s] if cc in pair)
-                sig = _six_term_signature(nm, side, pair, singles, mode)
-                groups.setdefault(sig, [(nm, side, pair, singles), 0])[1] += 1
+                sig = _six_term_signature(form, side, pair, singles, mode)
+                group = groups.get(sig)
+                if group is None:
+                    group = groups[sig] = [(_form_model(model, form), side, pair, singles), 0]
+                group[1] += 1
     out = {(TAIL, TAIL): [], (TAIL, HEAD): [], (HEAD, TAIL): [], (HEAD, HEAD): []}
     for (matching, _six), (desc, weight) in groups.items():
         out[matching[0]].append(_pair_entry(*desc, weight))
@@ -522,17 +596,19 @@ def r3_pair_matches(d, positions=None):
 
 @cache
 def _full_descriptors(kind, mode):
-    """Deduplicated complete local model shapes: list of (model, side)."""
+    """Deduplicated complete local model shapes: list of (model, side).
+    Each model stands for its least normal form (see _normal_forms) under
+    the mode's signature; a LocalModel is built only for a kept shape."""
     table = {}
     sides = ("L", "R") if kind == "R3" else ("L",)
-    for model in models(kind):
-        best = None
-        for rot in range(model.nslots):
-            nm, base_sig = _normalize_model(model, rot, mode)
-            if best is None or base_sig < best[1]:
-                best = (nm, base_sig)
-        for side in sides:
-            table.setdefault((side, best[1]), (best[0], side))
+    for model, forms in zip(models(kind), _normal_forms(kind)):
+        # the first form whose signature no later one undercuts by `<`
+        best = min(forms, key=lambda form: _signature(form, mode))
+        sig = _signature(best, mode)
+        if (sides[0], sig) not in table:
+            nm = _form_model(model, best)
+            for side in sides:
+                table[side, sig] = (nm, side)
     return list(table.values())
 
 
@@ -893,16 +969,14 @@ def apply_R_move(g, move, site, params=()):
     return _apply_move(g, move, site, params)[0]
 
 
-def _site_parts(site, count, error):
-    """The `count` entries of a sequence site (or parameter tuple); `error`
+def _site_parts(site, count):
+    """The `count` entries of a sequence site (or parameter tuple), or None
     when it has another shape."""
     try:
         parts = tuple(site)
     except TypeError:
-        raise error from None
-    if len(parts) != count:
-        raise error
-    return parts
+        return None
+    return parts if len(parts) == count else None
 
 
 def _apply_move(g, move, site, params=()):
@@ -910,23 +984,34 @@ def _apply_move(g, move, site, params=()):
     (new diagram, its arrows before canonicalization, indices in those
     arrows of the arrows the move created, indices in g of the arrows it
     removed).  An R3 move removes the site's triple and creates its
-    reversed copy; the created arrows are always the last ones."""
+    reversed copy; the created arrows are always the last ones.
+
+    Splicing endpoints into a valid diagram, or cutting arrows out of it,
+    gives a valid one, so the result is canonicalized but not validated
+    again; the parameters a move adds (an R1 sign, an R2 marking) are
+    checked here instead."""
+
+    def diagram(arrows):
+        return type(g)._canonical(g.K, *_canonical_pair(arrows))
 
     def insert(groups, new_arrows):
         host = [a[2:] for a in g.arrows]
         arrows, _starts = _splice(g.endpoint_roles(), host, groups, new_arrows)
         k = len(new_arrows)
-        return type(g)(g.K, arrows), arrows, tuple(range(len(arrows) - k, len(arrows))), ()
+        return diagram(arrows), arrows, tuple(range(len(arrows) - k, len(arrows))), ()
 
     def remove(drop):
-        new = g.subdiagram([i for i in range(g.n) if i not in drop])
+        new = diagram(_induced(g.arrows, [i for i in range(g.n) if i not in drop]))
         return new, new.arrows, (), tuple(sorted(drop))
 
     if move == "R1+":
-        bad = DiagramError("R1 parameters %r are not (kind 'ht' or 'th', sign)" % (params,))
-        kind, sign = _site_parts(params, 2, bad)
-        if kind not in ("ht", "th"):
-            raise bad
+        # the errors are built only when raised: walks apply many moves
+        parts = _site_parts(params, 2)
+        if parts is None or parts[0] not in ("ht", "th"):
+            raise DiagramError("R1 parameters %r are not (kind 'ht' or 'th', sign)" % (params,))
+        kind, sign = parts
+        if g.signed and sign not in (1, -1):
+            raise DiagramError("R1 sign %r is not +1 or -1" % (sign,))
         mark = 0 if kind == "ht" else g.K
         order = ((0, HEAD), (0, TAIL)) if kind == "ht" else ((0, TAIL), (0, HEAD))
         if not isinstance(site, int) or not 0 <= site <= 2 * g.n:
@@ -938,47 +1023,50 @@ def _apply_move(g, move, site, params=()):
         return remove({site})
     if move == "R2+":
         r2 = models("R2")
-        bad = DiagramError(
-            "R2 parameters %r are not (model index 0..%d, marking)" % (params, len(r2) - 1)
-        )
-        k, mark = _site_parts(params, 2, bad)
-        if not (isinstance(k, int) and 0 <= k < len(r2)):
-            raise bad
+        parts = _site_parts(params, 2)
+        if parts is None or not (isinstance(parts[0], int) and 0 <= parts[0] < len(r2)):
+            raise DiagramError(
+                "R2 parameters %r are not (model index 0..%d, marking)" % (params, len(r2) - 1)
+            )
+        k, mark = parts
         model = r2[k]
-        bad = DiagramError("R2 insertion indices %r out of range" % (site,))
-        ins1, ins2 = _site_parts(site, 2, bad)
-        if not (isinstance(ins1, int) and isinstance(ins2, int) and 0 <= ins1 <= ins2 <= 2 * g.n):
-            raise bad
+        ins = _site_parts(site, 2)
+        if not (
+            ins is not None and isinstance(ins[0], int) and isinstance(ins[1], int)
+            and 0 <= ins[0] <= ins[1] <= 2 * g.n
+        ):
+            raise DiagramError("R2 insertion indices %r out of range" % (site,))
         # every R2 model marks both crossings with one single gap, so the
         # gap system (total row [1, 1] plus one unit row) has rank 2 and
         # every integer marking is consistent with it
         if not isinstance(mark, int):
             raise DiagramError("R2 marking %r is not an integer" % (mark,))
         return insert(
-            [(ins1, model.words["L"][0]), (ins2, model.words["L"][1])],
+            [(ins[0], model.words["L"][0]), (ins[1], model.words["L"][1])],
             [(c, mark, model.signs[c] if g.signed else 0) for c in (0, 1)],
         )
     if move == "R2-":
         # a match naming these arrows is anchored at one of their endpoints
-        bad = DiagramError("arrows %r do not form a removable bigon" % (site,))
-        pair = _site_parts(site, 2, bad)
-        spots = sorted(p for i in range(g.n) if i in pair for p in g.arrows[i][:2])
-        for m in _full_matches(g, "R2", positions=spots):
-            if (m.arrow_map[0], m.arrow_map[1]) == pair:
-                return remove(set(pair))
-        raise bad
+        pair = _site_parts(site, 2)
+        if pair is not None:
+            spots = sorted(p for i in range(g.n) if i in pair for p in g.arrows[i][:2])
+            for m in _full_matches(g, "R2", positions=spots):
+                if (m.arrow_map[0], m.arrow_map[1]) == pair:
+                    return remove(set(pair))
+        raise DiagramError("arrows %r do not form a removable bigon" % (site,))
     if move == "R3":
-        bad = DiagramError("no R3 site at %r" % (site,))
-        triple, anchor = _site_parts(site, 2, bad)
-        triple = _site_parts(triple, 3, bad)
-        spots = [p for p in range(2 * g.n) if p == anchor]  # see _r3_site
-        for m in _full_matches(g, "R3", positions=spots):
-            if _r3_site(m) != (triple, anchor):
-                continue
-            arrows = _reversed_r3(m)
-            created = tuple(range(len(arrows) - 3, len(arrows)))
-            return type(g)(g.K, arrows), arrows, created, triple
-        raise bad
+        parts = _site_parts(site, 2)
+        triple = None if parts is None else _site_parts(parts[0], 3)
+        if triple is not None:
+            anchor = parts[1]
+            spots = [p for p in range(2 * g.n) if p == anchor]  # see _r3_site
+            for m in _full_matches(g, "R3", positions=spots):
+                if _r3_site(m) != (triple, anchor):
+                    continue
+                arrows = _reversed_r3(m)
+                created = tuple(range(len(arrows) - 3, len(arrows)))
+                return diagram(arrows), arrows, created, triple
+        raise DiagramError("no R3 site at %r" % (site,))
     raise ValueError("unknown move %r" % (move,))
 
 
@@ -1074,7 +1162,7 @@ def _r_vectors(n, window, limit_per_kind, diagrams):
         if limit_per_kind is not None and counts["R3"] >= limit_per_kind:
             break
         for m in _full_matches(g, "R3"):
-            g2 = GaussDiagram(g.K, _reversed_r3(m))
+            g2 = GaussDiagram._canonical(g.K, *_canonical_pair(_reversed_r3(m)))
             vec = LinComb.single(g2) - LinComb.single(g)
             if vec and _in_window(vec, window):
                 out.append(("R3", vec))

@@ -31,6 +31,7 @@ from arrowforms.relations import (
     _assemble_term,
     _chord_matchings,
     _complete_marks,
+    _form_model,
     _full_descriptors,
     _full_matches,
     _gap_relation,
@@ -38,6 +39,7 @@ from arrowforms.relations import (
     _normalize_model,
     _pair_descriptors as _reduced_pair_descriptors,
     _pair_entry,
+    _signature,
     _six_term_coeff,
     apply_R_move,
     enumerate_diagrams,
@@ -328,7 +330,8 @@ def _pair_descriptors(mode):
     for model in models("R3"):
         for side in ("L", "R"):
             for shared in range(3):
-                nm, base_sig = _normalize_model(model, shared, mode)
+                form = _normalize_model(model, shared)
+                nm, base_sig = _form_model(model, form), _signature(form, mode)
                 word = nm.words[side]
                 (c1, r1), (c2, r2) = word[0]
                 pair = (c1, c2)

@@ -73,6 +73,17 @@ def test_degree_three_bases_are_pinned(tmp_path, markings, K, dimension, digest,
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def test_the_degree_four_basis_is_pinned(tmp_path, capsys):
+    # the one positive-dimensional degree-4 window found cheap to solve
+    out = tmp_path / "basis.txt"
+    rc = main(["solve", "--degree", "4", "--K", "0", "--markings", "0..1", "-o", str(out)])
+    assert rc == 0
+    assert "dimension=1" in capsys.readouterr().err
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "219590ad08e963b4fa7ef9ce5797592d6350500d8adb670d9ce1c4b1b7d6e544"
+    )
+
+
 def test_check_passes(formula_file, capsys):
     rc = main(["check", formula_file, "--markings", "0..3"])
     assert rc == 0
@@ -133,6 +144,23 @@ def test_verify_constant(formula_file, knot_file, capsys):
     ])
     assert rc == 0
     assert "constant=true" in capsys.readouterr().out
+
+
+def test_verify_names_the_first_violating_move(tmp_path, capsys):
+    # gv --gamma=1,2,-1 with its first coefficient doubled, walked from the
+    # k3 fixture: the walk path up to the violation is pinned by its move
+    good = tmp_path / "formula.txt"
+    good.write_text(textio.print_formula(gv_formula(2, (1, 2, -1))) + "\n")
+    broken = tmp_path / "broken.txt"
+    broken.write_text(good.read_text().replace("coef=1/1", "coef=2/1", 1))
+    knot = str(Path(__file__).resolve().parent.parent / "fixtures" / "k3.gd")
+    walk = [knot, "--trials", "20", "--walk-length", "20", "--seed", "0"]
+    assert main(["verify", str(good)] + walk) == 0
+    assert "constant=true" in capsys.readouterr().out
+    assert main(["verify", str(broken)] + walk) == 1
+    out, err = capsys.readouterr()
+    assert "constant=false" in out
+    assert err == "violation: trial=11 step=11 move=('R3', ((2, 1, 8), 1), ())\n"
 
 
 def test_verify_seed_determinism(formula_file, knot_file, capsys):

@@ -1,7 +1,9 @@
 """Formula solving, evaluation, move walks, and planar chain formulas."""
 
+import hashlib
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -188,6 +190,60 @@ def formula_and_walk_start(draw):
     return _draw_formula(draw, g), g
 
 
+def fraction_table(f):
+    """{degree: {key: coefficient * |Aut|}}: the rotation-compiled table
+    as Formula.table built it before its weights became integers."""
+    table = {}
+    for k, c in f.vector.items():
+        terms = table.setdefault(k.n, {})
+        size = 2 * k.n
+        weight = c * k.aut_order()
+        for r in range(max(1, size)):
+            rotated = (((t - r) % size, (h - r) % size, m) for t, h, m, _s in k.arrows)
+            terms[tuple(sorted(rotated))] = weight
+    return table
+
+
+def fraction_subset_value(f, arrows, touched=(), least=0):
+    """The scorer before integer weights and mark filtering, the oracle of
+    engine._subset_value: every subset is renumbered and looked up, and the
+    value is a Fraction."""
+    mine = [arrows[i] for i in touched]
+    rest = [a for i, a in enumerate(arrows) if i not in touched]
+    total = Fraction(0)
+    for deg, terms in fraction_table(f).items():
+        signed_counts = {}  # matched key -> sum of sign products, an int
+        for k in range(least, min(deg, len(mine)) + 1):
+            for part in combinations(mine, k):
+                for others in combinations(rest, deg - k):
+                    sub = part + others
+                    pos = sorted(p for a in sub for p in a[:2])
+                    renum = {p: q for q, p in enumerate(pos)}
+                    key = tuple(sorted((renum[t], renum[h], m) for t, h, m, _s in sub))
+                    if key in terms:
+                        prod = 1
+                        for a in sub:
+                            prod *= a[3]
+                        signed_counts[key] = signed_counts.get(key, 0) + prod
+        for key, count in signed_counts.items():
+            total += terms[key] * count
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(formula_and_knots(), st.data())
+def test_integer_scorer_matches_the_fraction_oracle(drawn, data):
+    f, knots = drawn
+    den = f.table()[0]
+    for g in knots:
+        touched = data.draw(st.lists(st.integers(0, g.n - 1), unique=True, max_size=3)) if g.n else []
+        least = data.draw(st.sampled_from((0, 1, 2)))
+        got = engine._subset_value(f, g.arrows, touched, least)
+        assert isinstance(got, int)
+        assert Fraction(got, den) == fraction_subset_value(f, g.arrows, touched, least)
+        assert evaluate(f, g) == fraction_subset_value(f, g.arrows)
+
+
 @settings(max_examples=150, deadline=None)
 @given(formula_and_knots())
 def test_compiled_evaluate_matches_double_angle(drawn):
@@ -209,14 +265,15 @@ def test_running_value_is_the_full_value_after_every_step():
     def walk(drawn, seed):
         f, g = drawn
         rng = random.Random(seed)
-        value = evaluate(f, g)
+        den = f.table()[0]
+        value = engine._subset_value(f, g.arrows)  # an int over den
         max_degree = g.n + 4
         for _step in range(12):
             mv = sample_move(g, {0, 1, 2}, rng, max_degree)
             if mv is None:
                 break
             g, value = engine._walk_step(f, g, value, mv)
-            assert value == evaluate(f, g)
+            assert Fraction(value, den) == fraction_subset_value(f, g.arrows)
             kinds.add(mv[0])
 
     walk()
@@ -250,6 +307,33 @@ def test_the_end_of_trial_guard_catches_a_wrong_running_value(monkeypatch):
     )
     with pytest.raises(AssertionError, match="running value"):
         verify_invariance(f, g0, trials=5, walk_length=12, seed=3)
+
+
+def test_seeded_walks_take_the_pinned_path(monkeypatch):
+    # every move of these walks and the arrows it leads to, joined and
+    # hashed: the digest of the walks as they ran when each move result was
+    # validated again and every subset scored in Fractions
+    log = []
+    step = engine._walk_step
+
+    def logged(f, g, value, mv):
+        new, value = step(f, g, value, mv)
+        log.append(repr((mv, new.arrows)))
+        return new, value
+
+    monkeypatch.setattr(engine, "_walk_step", logged)
+    g0 = GaussDiagram(5, [(0, 2, 1, 1), (1, 3, 2, -1)])
+    basis = solve_formula_space(2, MarkingWindow(range(1, 5), 5))
+    assert len(basis) == 12
+    for i, f in enumerate(basis):
+        assert verify_invariance(f, g0, trials=10, walk_length=20, seed=i)["constant"]
+    f = gv_formula(3, (-1, 2, 1, -1))
+    g1 = GaussDiagram(1, [(0, 3, 1, 1), (1, 4, 2, -1), (2, 5, 0, 1)])
+    assert verify_invariance(f, g1, trials=10, walk_length=20, seed=7)["constant"]
+    assert len(log) == 2600
+    assert hashlib.sha256("\n".join(log).encode()).hexdigest() == (
+        "45da0fd4720128a518aaa5fc02ccd760feccd1b47f9c4e691ab1a46576a936f3"
+    )
 
 
 def test_evaluate_requires_matching_global_marking():

@@ -1,5 +1,6 @@
 """Relation families, move matching, and Reidemeister rewriting."""
 
+import hashlib
 import re
 from itertools import product
 from unittest import mock
@@ -27,6 +28,7 @@ from arrowforms.relations import (
     _full_descriptors,
     _full_matches,
     _gap_relation,
+    _normal_forms,
     _pair_descriptors,
     _pair_entry,
     _shapes,
@@ -66,7 +68,8 @@ def _clear_descriptor_tables():
     """Drop the descriptor tables and the tables built from them, so that
     their next use rebuilds them all from one set of model objects (the
     matchers' outputs are compared by model identity)."""
-    for table in (_pair_descriptors, _full_descriptors, _full_anchor_table, _bucket_table):
+    for table in (_normal_forms, _pair_descriptors, _full_descriptors, _full_anchor_table,
+                  _bucket_table):
         table.cache_clear()
 
 
@@ -342,28 +345,58 @@ def test_a_pair_descriptor_that_does_not_pin_its_hidden_crossing_is_rejected(coe
         patch = mock.patch.object(relations, "_gap_relation", lambda _m: (1, 2, 2, 2))
     for mode in ("pairprod", "gauss"):
         _pair_descriptors.cache_clear()
+        _normal_forms.cache_clear()
         try:
             with patch:
                 with pytest.raises(ValueError, match="does not pin the hidden crossing"):
                     _pair_descriptors(mode)
         finally:
             _pair_descriptors.cache_clear()
+            _normal_forms.cache_clear()
 
 
 def test_descriptor_tables_normalize_each_model_once_per_rotation():
-    # 288 R3 models x 3 rotations; normalizing once per side would make 1,728
-    assert len(models("R3")) == 288
-    builds = [(_pair_descriptors, ("pairprod",))]
-    builds += [(_full_descriptors, ("R3", mode)) for mode in ("gauss", "plain")]
+    # the normal forms are computed once per process and rotation orbit:
+    # 288 R3 models in 96 orbits of 3, and 16 R2 models in 8 orbits of 2,
+    # for all four tables in both of their modes (one R3 table build alone
+    # used to normalize 288 x 3 = 864 times)
+    assert (len(models("R3")), len(models("R2"))) == (288, 16)
     try:
-        for build, args in builds:
-            build.cache_clear()
+        for kind, normalizations in (("R3", 288), ("R2", 16)):
+            _clear_descriptor_tables()
             with mock.patch.object(relations, "_normalize_model",
                                    wraps=relations._normalize_model) as spy:
-                build(*args)
-            assert spy.call_count == 864
+                for mode in ("gauss", "plain"):
+                    _full_anchor_table(kind, mode)
+                if kind == "R3":
+                    for mode in ("pairprod", "gauss"):
+                        _pair_descriptors(mode)
+            assert spy.call_count == normalizations
+            forms = _normal_forms(kind)
+            assert len({id(f) for rotations in forms for f in rotations}) == normalizations
+        # each orbit's shared forms are the ones each model normalizes to
+        for kind in ("R2", "R3"):
+            for model, rotations in zip(models(kind), _normal_forms(kind)):
+                assert rotations == tuple(
+                    relations._normalize_model(model, rot) for rot in range(model.nslots)
+                )
     finally:
         _clear_descriptor_tables()
+
+
+@pytest.mark.parametrize("table, args, digest", [
+    (_pair_descriptors, ("pairprod",), "d7791bd7c85f9bbf"),
+    (_pair_descriptors, ("gauss",), "ed7f0270db8ff46d"),
+    (_full_anchor_table, ("R2", "gauss"), "8de3a40169f164cf"),
+    (_full_anchor_table, ("R2", "plain"), "c381d62ea2751404"),
+    (_full_anchor_table, ("R3", "gauss"), "51b3155a7447b043"),
+    (_full_anchor_table, ("R3", "plain"), "a46b6fefdecb5a85"),
+])
+def test_descriptor_tables_are_pinned(table, args, digest):
+    # the first 16 hex digits of the SHA-256 of each table, entry by entry
+    # and in order, as the tables were when every build normalized each
+    # model at every rotation itself
+    assert hashlib.sha256(repr(_plain(table(*args))).encode()).hexdigest()[:16] == digest
 
 
 def _plain(x):
@@ -400,6 +433,7 @@ _CACHED_TABLES = (
         for table in (_full_descriptors, _full_anchor_table)
         for kind in ("R2", "R3") for mode in ("gauss", "plain")
     ]
+    + [(_normal_forms, (kind,)) for kind in ("R2", "R3")]
     + [(engine._template_hash, ()), (engine.enumerate_Un, (3,)), (boundary._triangle_rewrite, None)]
 )
 
@@ -483,6 +517,14 @@ def test_bad_insertion_parameters_are_a_diagram_error(move, site, params):
     g = GaussDiagram(2, [(0, 3, 1, 1), (1, 2, 1, -1), (4, 5, 0, 1)])
     with pytest.raises(DiagramError, match=re.escape(repr(params))):
         apply_R_move(g, move, site, params)
+
+
+@pytest.mark.parametrize("sign", [5, 0, "x"])
+def test_an_r1_sign_other_than_plus_or_minus_one_is_a_diagram_error(sign):
+    # a move's result is not validated again, so the move checks the sign
+    g = GaussDiagram(3, [(0, 3, 1, 1), (1, 2, 1, -1), (4, 5, 0, 1)])
+    with pytest.raises(DiagramError, match=re.escape("R1 sign %r" % (sign,))):
+        apply_R_move(g, "R1+", 0, ("ht", sign))
 
 
 @pytest.mark.parametrize("n, markings, K, limit, kinds", [
@@ -608,6 +650,9 @@ def test_every_available_move_applies():
             g2 = apply_R_move(g, *mv)
             assert isinstance(g2, GaussDiagram)
             assert g2.K == g.K
+            # built without validation, equal to the validated diagram
+            checked = GaussDiagram(g.K, g2.arrows)
+            assert (g2, g2.arrows, g2.aut_order()) == (checked, checked.arrows, checked.aut_order())
     with pytest.raises(DiagramError):
         apply_R_move(GaussDiagram(2, [(0, 1, 1, 1)]), "R1-", 0)
 
