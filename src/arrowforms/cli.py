@@ -22,7 +22,7 @@ from . import engine, textio
 from .boundary import boundary_d
 from .diagrams import DiagramError, GaussDiagram, canonical_arrows
 from .maps import double_angle, pair_norm, sign_expand_S, subdiagram_expand_I
-from .relations import CONSTRAINT_FAMILIES, MarkingWindow, enumerate_diagrams
+from .relations import CONSTRAINT_FAMILIES, MarkingWindow, check_I_span_compat, enumerate_diagrams
 
 CACHE_ENV = "ARROWFORMS_CACHE_DIR"
 
@@ -256,6 +256,11 @@ def cmd_selftest(args):
     wgv = MarkingWindow({1, 2}, 3)
     ok = engine.check_formula(f, wgv)["passes"]
     step("planar chain formula passes static checks", ok)
+
+    # I(r) of every move difference r lies in the span of the P-relations
+    rep = check_I_span_compat(2, MarkingWindow(range(0, 3), 2))
+    ok = rep["checked"] > 0 and not rep["failures"]
+    step("Polyak span compatibility (degree 2 over 0..2 K=2)", ok)
 
     # a short invariance walk
     g0 = GaussDiagram(3, [(0, 2, 1, 1), (1, 3, 2, -1)])

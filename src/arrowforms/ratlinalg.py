@@ -1,9 +1,9 @@
 """Exact sparse linear algebra over the rationals, indexed by diagrams.
 
-Rows are sparse mappings from orderable keys (canonical diagrams, or plain
-column indices) to rationals.  Elimination is fraction-free: every stored
-row is an integer row with content 1, so entries stay small and all results
-are exact.
+Rows are sparse mappings from orderable keys (canonical diagrams, their
+canonical arrow tuples, or plain column indices) to rationals.  Elimination
+is fraction-free: every stored row is an integer row with content 1, so
+entries stay small and all results are exact.
 """
 
 from __future__ import annotations
@@ -81,10 +81,6 @@ class Echelon:
     def rank(self):
         return len(self.pivots)
 
-    def spans(self, v):
-        """True iff the sparse vector v lies in the span of the stored rows."""
-        return not self.reduce(_int_row(v))
-
     def back_substitute(self):
         """Make every pivot column the only nonzero in its pivot row."""
         for lead in sorted(self.pivots, reverse=True):
@@ -114,15 +110,6 @@ class DiagramIndexedMatrix:
         if any(k not in self._colset for k in row):
             raise ValueError("row supported outside the column list")
         self.rows.append(row)
-
-
-def echelon_of(rows):
-    """Echelon of a list of sparse vectors, prebuilt for repeated
-    Echelon.spans queries."""
-    ech = Echelon()
-    for r in rows:
-        ech.insert(_int_row(r))
-    return ech
 
 
 def index_kernel(rows, ncols):

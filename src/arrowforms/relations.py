@@ -22,10 +22,13 @@ match it yields every term as an int coefficient and a function spelling
 the term's canonical arrow tuple and |Aut|, plus whether the term lies in
 the window, decided from the markings alone before anything is
 canonicalized.  The core builds no diagram object, LinComb or Fraction.
-gen_family sums and deduplicates instances as tuples and builds diagrams
-and RelationInstances only for the instances it returns.  The solver's
-rows (_constraint_rows) key each term's |Aut|-rescaled coefficient by its
-column index and never spell a term outside the window.
+_family_vectors sums and deduplicates instances as tuples; gen_family
+builds diagrams and RelationInstances only for the instances it returns.
+The solver's rows (_constraint_rows) key each term's |Aut|-rescaled
+coefficient by its column index and never spell a term outside the
+window.  The Polyak span check (check_I_span_compat) spans its P-relation
+rows and subdiagram expansions as integer rows keyed by canonical arrow
+tuples, and builds objects only for the move vectors it checks.
 
 The same matching machinery drives Reidemeister rewriting (apply_R_move)
 and the move census (move_census) that random invariance walks draw from.
@@ -35,15 +38,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, partial
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 from typing import NamedTuple
 
 from .diagrams import ArrowDiagram, DiagramError, GaussDiagram, _induced, canonical_arrows
 from .lincomb import LinComb
-from .maps import subdiagram_expand_I
 from .moves import HEAD, TAIL, LocalModel, models
-from .ratlinalg import echelon_of, primitive
+from .ratlinalg import Echelon, primitive
 
 
 class MarkingWindow:
@@ -151,19 +153,25 @@ def enumerate_diagrams(species, n, window):
 
     Only the representative of each shape class (_shapes) is decorated:
     every labelled decorated diagram is a rotation of a decoration of its
-    shape's representative, so it has the same canonical form.  The set
-    merges the decorations that a rotation fixing the shape identifies."""
+    shape's representative, so it has the same canonical form.  Each
+    decoration is canonicalized as an arrow tuple, which merges the
+    decorations that a rotation fixing the shape identifies, and each
+    distinct tuple becomes one diagram, neither validated nor searched
+    again (a decorated shape is a valid diagram).  K is fixed, so the
+    tuples sort as the diagrams do."""
     cls = GaussDiagram if species == "gauss" else ArrowDiagram
     if n == 0:
         return [cls(window.K)]
     marks = window.values()
     signs = (1, -1) if species == "gauss" else (0,)
-    out = set()
+    auts = {}  # canonical arrows -> |Aut|
     for ends in _shapes(n):
         for ms in product(marks, repeat=n):
             for ss in product(signs, repeat=n):
-                out.add(cls(window.K, [(t, h, m, s) for (t, h), m, s in zip(ends, ms, ss)]))
-    return sorted(out)
+                arrows = [(t, h, m, s) for (t, h), m, s in zip(ends, ms, ss)]
+                canon, _r, aut = canonical_arrows(n, arrows)
+                auts[canon] = aut
+    return [cls._canonical(window.K, canon, auts[canon]) for canon in sorted(auts)]
 
 
 # ---------------------------------------------------------------------------
@@ -847,35 +855,16 @@ def _proportion_key(row):
     return tuple(sorted(primitive(row).items()))
 
 
-def gen_family(family, n, window, skipped=None, closure=True, hosts=None):
-    """All inequivalent instances of one relation family at one degree.
-
-    `skipped` may be a dict collecting the window-closure skip counts.
-    With closure=False, instances with terms outside the window are kept
-    (still counted): their restriction to window-supported vectors is an
-    exact constraint, which is what the formula-space solver needs.
-
-    `hosts` restricts the anchor diagrams: only instances containing one of
-    the given diagrams as a term are produced.  Pairing a fixed vector v
-    against a family needs only the instances meeting v's support, so
-    hosts=support(v) is exhaustive for that purpose and much cheaper than
-    enumerating the whole window.
-
-    Generation runs over the tuple core: instances are summed and
-    deduplicated as canonical arrow tuples, and objects are built only for
-    the first copy of each, the one returned.  With closure, the terms
-    outside the window are spelled first and the rest only when those
-    cancel."""
-    if skipped is None:
-        skipped = {}
-    if family not in FAMILY_SPECIES:
-        raise ValueError("unknown family tag %r" % family)
-    if hosts is None:
-        hosts = enumerate_diagrams(FAMILY_SPECIES[family], n, window)
-    else:
-        hosts = [d for d in hosts if d.n == n]
-    allowed = window.allowed
-    first = {}  # (K, proportion key) -> (host, summed terms) of its first copy
+def _family_vectors(family, hosts, allowed, skipped, closure):
+    """Every instance of `family` anchored at `hosts`, summed and
+    deduplicated on the tuple core: {(K, proportion key): (host, summed
+    terms)}, the summed terms ({canonical arrows: [coefficient, |Aut|,
+    inside]}, see _summed) of the first copy of each instance, in the
+    order first found.  Window-closure skips are counted into `skipped`
+    (see gen_family); with closure, an instance is skipped unless the
+    terms outside the window cancel, and only then are the terms inside
+    spelled."""
+    first = {}
     for d in hosts:
         for weight, terms in _host_instances(family, d, allowed):
             if closure:
@@ -890,6 +879,35 @@ def gen_family(family, n, window, skipped=None, closure=True, hosts=None):
             if vec:
                 key = (d.K, _proportion_key({k: e[0] for k, e in vec.items()}))
                 first.setdefault(key, (d, vec))
+    return first
+
+
+def gen_family(family, n, window, skipped=None, closure=True, hosts=None):
+    """All inequivalent instances of one relation family at one degree.
+
+    `skipped` may be a dict collecting the window-closure skip counts.
+    With closure=False, instances with terms outside the window are kept
+    (still counted): their restriction to window-supported vectors is an
+    exact constraint, which is what the formula-space solver needs.
+
+    `hosts` restricts the anchor diagrams: only instances containing one of
+    the given diagrams as a term are produced.  Pairing a fixed vector v
+    against a family needs only the instances meeting v's support, so
+    hosts=support(v) is exhaustive for that purpose and much cheaper than
+    enumerating the whole window.
+
+    Generation runs over the tuple core (_family_vectors): instances are
+    summed and deduplicated as canonical arrow tuples, and objects are
+    built only for the first copy of each, the one returned."""
+    if skipped is None:
+        skipped = {}
+    if family not in FAMILY_SPECIES:
+        raise ValueError("unknown family tag %r" % family)
+    if hosts is None:
+        hosts = enumerate_diagrams(FAMILY_SPECIES[family], n, window)
+    else:
+        hosts = [d for d in hosts if d.n == n]
+    first = _family_vectors(family, hosts, window.allowed, skipped, closure)
     diagrams = {}  # (K, canonical arrows) -> diagram, shared by the instances
     out = []
     for (K, _key), (d, vec) in first.items():
@@ -1171,24 +1189,56 @@ def _r_vectors(n, window, limit_per_kind, diagrams):
     return out
 
 
+def _I_row(r):
+    """I(r) (maps.subdiagram_expand_I) as an integer row {canonical arrows:
+    int}: every subset of every diagram's arrows, induced and
+    canonicalized as a tuple.  The coefficients of r, a move difference,
+    are integers."""
+    row = {}
+    for g, c in r.items():
+        c = int(c)
+        for k in range(g.n + 1):
+            for sub in combinations(range(g.n), k):
+                arrows = canonical_arrows(k, _induced(g.arrows, sub))[0]
+                v = row.pop(arrows, 0) + c
+                if v:
+                    row[arrows] = v
+    return row
+
+
+def _p_relation_rows(diagrams, window, skipped):
+    """The p1, p2 and p3 instances at every degree 1 <= deg < len(diagrams),
+    anchored at the hosts diagrams[deg] and closed under the window
+    (_family_vectors), as integer rows {canonical arrows: int}."""
+    for deg in range(1, len(diagrams)):
+        for family in ("p1", "p2", "p3"):
+            first = _family_vectors(family, diagrams[deg], window.allowed, skipped, True)
+            for _d, vec in first.values():
+                yield {arrows: e[0] for arrows, e in vec.items()}
+
+
 def check_I_span_compat(n, window, limit_per_kind=None):
     """Verify I(r) lies in the span of the P-relation instances for every
-    R-relation vector r at degree <= n.  Returns a report dict."""
+    R-relation vector r at degree <= n.  Returns a report dict:
+    {"checked": number of vectors r, "failures": [(kind, r)] for each r
+    whose I(r) is outside the span, "skipped": window-closure skips per
+    family}.
+
+    The check runs on the tuple core: the P-relation instances
+    (_p_relation_rows) and every I(r) (_I_row) are integer rows keyed by
+    canonical arrow tuples, which order as the diagrams do since K is
+    fixed.  Diagram objects are built only for the move vectors r."""
     # each degree's Gauss diagrams, enumerated once for the P-relation
     # hosts and the R-relation moves
     diagrams = [enumerate_diagrams("gauss", deg, window) for deg in range(n + 1)]
-    rows = []
+    ech = Echelon()
     skipped = {}
-    for deg in range(1, n + 1):
-        for family in ("p1", "p2", "p3"):
-            for inst in gen_family(family, deg, window, skipped, hosts=diagrams[deg]):
-                rows.append(inst.vector)
-    ech = echelon_of(rows)
+    for row in _p_relation_rows(diagrams, window, skipped):
+        ech.insert(row)
     failures = []
     checked = 0
     for kind, r in _r_vectors(n, window, limit_per_kind, diagrams.__getitem__):
-        vec = subdiagram_expand_I(r)
         checked += 1
-        if not ech.spans(vec):
+        if ech.reduce(_I_row(r)):
             failures.append((kind, r))
     return {"checked": checked, "failures": failures, "skipped": skipped}

@@ -1,5 +1,5 @@
-"""Shared random-diagram generators for the test suite, and the boundary
-route to the formula space."""
+"""Shared random-diagram generators for the test suite, span queries over
+sparse rational vectors, and the boundary route to the formula space."""
 
 import random
 
@@ -7,7 +7,7 @@ from arrowforms.boundary import boundary_d
 from arrowforms.diagrams import ArrowDiagram, BasedDiagram, GaussDiagram
 from arrowforms.engine import normalization_window
 from arrowforms.lincomb import LinComb
-from arrowforms.ratlinalg import DiagramIndexedMatrix, kernel
+from arrowforms.ratlinalg import DiagramIndexedMatrix, Echelon, _int_row, kernel
 from arrowforms.relations import enumerate_diagrams, gen_family
 
 DEFAULT_MARKS = tuple(range(-2, 4))
@@ -42,6 +42,21 @@ def random_based_diagram(rng, n, K, marks=DEFAULT_MARKS):
 
 def seeded(seed=0):
     return random.Random(seed)
+
+
+def echelon_of(rows):
+    """Echelon of a list of sparse vectors, prebuilt for repeated spans
+    queries."""
+    ech = Echelon()
+    for r in rows:
+        ech.insert(_int_row(r))
+    return ech
+
+
+def spans(ech, v):
+    """True iff the sparse vector v lies in the span of the rows stored in
+    the Echelon ech."""
+    return not ech.reduce(_int_row(v))
 
 
 def boundary_route(n, window):

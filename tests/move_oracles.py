@@ -9,7 +9,9 @@ matcher, six-term descriptor classes, site-local apply_R_move, integer gap
 relations and shape-class enumeration are tested.  The object path of
 relation generation, which built a diagram, a LinComb and a
 RelationInstance for every instance found, is the oracle of the tuple core
-behind gen_family and the solver's rows.
+behind gen_family and the solver's rows; the object path of the Polyak
+span check, which spanned I(r) over those instances as LinCombs, is the
+oracle of its tuple rows.
 
 _cyclic_ordered and _other_pos, the slot-order test and endpoint lookup
 these scans share, live here: the program's matchers read the slot order
@@ -21,6 +23,7 @@ from itertools import permutations, product
 
 from arrowforms.diagrams import ArrowDiagram, DiagramError, GaussDiagram
 from arrowforms.lincomb import LinComb
+from arrowforms.maps import subdiagram_expand_I
 from arrowforms.moves import HEAD, TAIL, models
 from arrowforms.relations import (
     _PAIRS,
@@ -39,13 +42,17 @@ from arrowforms.relations import (
     _normalize_model,
     _pair_descriptors as _reduced_pair_descriptors,
     _pair_entry,
+    _r_vectors,
     _signature,
     _six_term_coeff,
     apply_R_move,
     enumerate_diagrams,
+    gen_family,
     r1_matches,
     r3_pair_matches,
 )
+
+from conftest import echelon_of, spans
 
 
 def _cyclic_ordered(anchors, size):
@@ -555,3 +562,31 @@ def constraint_rows_objects(n, window, columns):
             if row:
                 rows.append(row)
     return rows
+
+
+# ---------------------------------------------------------------------------
+# the object path of the Polyak span check
+
+
+def check_I_span_compat_objects(n, window, limit_per_kind=None):
+    """relations.check_I_span_compat as it ran on objects: the P-relation
+    instances of gen_family and every I(r) of maps.subdiagram_expand_I as
+    LinCombs over diagrams, spanned by an Echelon keyed by diagrams."""
+    # each degree's Gauss diagrams, enumerated once for the P-relation
+    # hosts and the R-relation moves
+    diagrams = [enumerate_diagrams("gauss", deg, window) for deg in range(n + 1)]
+    rows = []
+    skipped = {}
+    for deg in range(1, n + 1):
+        for family in ("p1", "p2", "p3"):
+            for inst in gen_family(family, deg, window, skipped, hosts=diagrams[deg]):
+                rows.append(inst.vector)
+    ech = echelon_of(rows)
+    failures = []
+    checked = 0
+    for kind, r in _r_vectors(n, window, limit_per_kind, diagrams.__getitem__):
+        vec = subdiagram_expand_I(r)
+        checked += 1
+        if not spans(ech, vec):
+            failures.append((kind, r))
+    return {"checked": checked, "failures": failures, "skipped": skipped}

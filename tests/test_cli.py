@@ -296,7 +296,8 @@ def test_selftest(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
-    assert out.count("PASS") >= 6
+    assert out.count("PASS") >= 7
+    assert "PASS Polyak span compatibility (degree 2 over 0..2 K=2)\n" in out
 
 
 @pytest.mark.parametrize(

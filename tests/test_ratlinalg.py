@@ -10,11 +10,12 @@ from arrowforms.lincomb import LinComb
 from arrowforms.ratlinalg import (
     DiagramIndexedMatrix,
     Echelon,
-    echelon_of,
     index_kernel,
     kernel,
     primitive,
 )
+
+from conftest import echelon_of, spans
 
 
 def _oracle_rank(rows, ncols):
@@ -83,12 +84,12 @@ def test_in_span_matches_rank_test(rows, extra):
     _cols, vecs = _as_lincombs(rows)
     v = LinComb((c, x) for c, x in zip(range(4), extra) if x)
     expected = _oracle_rank(rows + [extra], 4) == _oracle_rank(rows, 4)
-    assert echelon_of(vecs).spans(v) == expected
+    assert spans(echelon_of(vecs), v) == expected
 
 
 def test_zero_vector_edge_cases():
     assert echelon_of([LinComb.zero()]).rank() == 0
-    assert echelon_of([]).spans(LinComb.zero())
+    assert spans(echelon_of([]), LinComb.zero())
     m = DiagramIndexedMatrix(["a", "b"], [])
     basis = kernel(m)
     assert len(basis) == 2

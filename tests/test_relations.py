@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arrowforms import boundary, diagrams, engine, moves, relations
+from arrowforms import boundary, diagrams, engine, moves, relations, textio
 from arrowforms.diagrams import (
     ArrowDiagram,
     BasedDiagram,
@@ -18,6 +18,7 @@ from arrowforms.diagrams import (
     GaussDiagram,
 )
 from arrowforms.lincomb import LinComb
+from arrowforms.maps import subdiagram_expand_I
 from arrowforms.moves import HEAD, TAIL, LocalModel, models
 from arrowforms.ratlinalg import Echelon
 from arrowforms.relations import (
@@ -44,7 +45,7 @@ from arrowforms.relations import (
     r_relation_vectors,
 )
 
-from conftest import random_arrow_diagram, random_gauss_diagram, seeded
+from conftest import echelon_of, random_arrow_diagram, random_gauss_diagram, seeded, spans
 from move_oracles import (
     _bucket_table,
     _build_term,
@@ -53,6 +54,7 @@ from move_oracles import (
     _solve_gaps,
     apply_R_move_full_scan,
     available_moves,
+    check_I_span_compat_objects,
     constraint_rows_objects,
     enumerate_diagrams_labelled,
     full_matches_bucket_scan,
@@ -161,6 +163,16 @@ def test_enumeration_canonicalizes_each_shape_class_decoration_once(monkeypatch)
     ds = enumerate_diagrams("arrow", 3, MarkingWindow(range(1, 5), 5))
     assert len(ds) == 1288
     assert len(calls) <= 22 * 4 ** 3 + 120
+
+
+def test_enumeration_validates_no_decoration(monkeypatch):
+    # a decorated shape is a valid diagram: each distinct canonical tuple
+    # becomes a diagram through the private constructor
+    def refused(*args):
+        raise AssertionError("_validate called")
+
+    monkeypatch.setattr(diagrams, "_validate", refused)
+    assert len(enumerate_diagrams("gauss", 3, MarkingWindow({0, 1}, 1))) > 0
 
 
 def test_a_span_check_enumerates_each_degree_once(monkeypatch):
@@ -857,7 +869,7 @@ def _spans(rows, others):
     ech = Echelon()
     for r in rows:
         ech.insert(r)
-    return all(ech.spans(r) for r in others)
+    return all(spans(ech, r) for r in others)
 
 
 @settings(max_examples=25, deadline=None)
@@ -936,3 +948,96 @@ def test_spliced_terms_are_valid_and_the_private_constructor_is_the_public_one(d
                 assert fast == public and fast.arrows == public.arrows
                 assert hash(fast) == hash(public)
                 assert fast.aut_order() == public.aut_order()
+
+
+# ---------------------------------------------------------------------------
+# the Polyak span check on the tuple core against the object path
+
+
+def _span_report(rep):
+    return (
+        rep["checked"],
+        rep["skipped"],
+        [(kind, list(r.items())) for kind, r in rep["failures"]],
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 2),
+    st.sets(st.integers(-1, 3), min_size=1),
+    st.integers(-2, 3),
+    st.sampled_from((None, 1, 5)),
+)
+@example(3, {1}, 1, 20)
+@example(3, {0, 1}, 1, 5)
+def test_span_check_matches_the_object_path(n, marks, K, limit):
+    window = MarkingWindow(marks, K)
+    fast = relations.check_I_span_compat(n, window, limit)
+    slow = check_I_span_compat_objects(n, window, limit)
+    assert _span_report(fast) == _span_report(slow)
+
+
+@st.composite
+def gauss_combinations(draw):
+    """A LinComb of Gauss diagrams of degrees 0-4 over one K, with small
+    integer coefficients."""
+    K = draw(st.integers(-2, 3))
+    terms = []
+    for _ in range(draw(st.integers(0, 4))):
+        n = draw(st.integers(0, 4))
+        pos = draw(st.permutations(list(range(2 * n))))
+        marks = draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n))
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+        arrows = [(pos[2 * i], pos[2 * i + 1], marks[i], signs[i]) for i in range(n)]
+        terms.append((GaussDiagram(K, arrows), draw(st.integers(-3, 3))))
+    return LinComb(terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gauss_combinations())
+def test_the_tuple_I_row_is_the_subdiagram_expansion(r):
+    want = {k.arrows: int(c) for k, c in subdiagram_expand_I(r).items()}
+    assert relations._I_row(r) == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.sets(st.integers(-1, 3), min_size=1, max_size=2),
+    st.integers(-2, 3),
+)
+@example(3, {0, 1}, 1)
+def test_the_tuple_P_rows_span_the_object_rows(n, marks, K):
+    window = MarkingWindow(marks, K)
+    hosts = [enumerate_diagrams("gauss", deg, window) for deg in range(n + 1)]
+    skipped, oracle_skipped = {}, {}
+    rows = list(relations._p_relation_rows(hosts, window, skipped))
+    oracle = [
+        {k.arrows: int(c) for k, c in inst.vector.items()}
+        for deg in range(1, n + 1)
+        for family in ("p1", "p2", "p3")
+        for inst in gen_family_objects(family, deg, window, oracle_skipped)
+    ]
+    assert skipped == oracle_skipped
+    fast, slow = echelon_of(rows), echelon_of(oracle)
+    assert fast.rank() == slow.rank()
+    assert all(spans(fast, r) for r in oracle) and all(spans(slow, r) for r in rows)
+
+
+def test_withheld_p3_rows_make_the_span_check_report_R3_failures(monkeypatch):
+    real = relations._host_instances
+
+    def without_p3(family, d, allowed):
+        return iter(()) if family == "p3" else real(family, d, allowed)
+
+    monkeypatch.setattr(relations, "_host_instances", without_p3)
+    window = MarkingWindow({1}, 1)
+    rep = relations.check_I_span_compat(3, window, limit_per_kind=5)
+    vectors = r_relation_vectors(3, window, 5)
+    assert rep["checked"] == len(vectors)
+    assert rep["failures"] and {kind for kind, _r in rep["failures"]} == {"R3"}
+    for kind, r in rep["failures"]:
+        assert (kind, r) in vectors
+        assert textio.parse_lincomb(textio.print_lincomb(r)) == r
+    assert _span_report(rep) == _span_report(check_I_span_compat_objects(3, window, 5))
