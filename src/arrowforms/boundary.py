@@ -14,9 +14,24 @@ pair to a full triple-point configuration (in every admissible way) yields
 a 6-term based relation, and shrinking it expresses the non-monotonic
 diagram in monotonic ones.
 
-a6t_based, based_6T_pairing_check and gen_degenerate_family (the triangle
-and based6t families) are kept as API for checking the paper's statements;
-the program itself calls boundary_d only.
+Everything runs on one tuple core.  A basing is a based word: the arrows
+rotated so that the base arc sits between positions 2n-1 and 0, ordered by
+first endpoint (diagrams._based_word).  Its shrink is the key of a
+DegenerateDiagram (diagrams._degenerate_key), and epsilon is read off the
+word (_epsilon).  The parent search (_parents_at) splices the six terms of
+each triple-point completion into based words without validating them
+again: a spliced term of a valid diagram is valid.  The rewrite of a
+non-monotonic diagram is computed once per degenerate key, whatever the
+window (_triangle_rewrite), and the window check runs per call.
+boundary_d sums Fraction coefficients over degenerate keys and builds a
+DegenerateDiagram only for each term it returns, so a formula whose
+boundary vanishes builds none.  triangle_relation, normalize_triangle,
+a6t_based, based_6T_pairing_check, gen_degenerate_family and the
+epsilon/d_based helpers build their objects from the same core.
+
+eta, a6t_based, based_6T_pairing_check and gen_degenerate_family (the
+triangle and based6t families) are kept as API for checking the paper's
+statements; the program itself calls boundary_d only.
 """
 
 from __future__ import annotations
@@ -29,10 +44,15 @@ from .diagrams import (
     BasedDiagram,
     DegenerateDiagram,
     DiagramError,
+    _based_word,
+    _degenerate_key,
+    _fused,
+    _monotonic,
     arrows_cross,
+    canonical_arrows,
 )
 from .lincomb import LinComb, _add_into, as_lincomb
-from .maps import base_expand, pair_ortho
+from .maps import pair_ortho
 from .moves import HEAD
 from .relations import (
     _PAIRS,
@@ -50,6 +70,16 @@ class NormalizationError(DiagramError):
     or a diagram has no triple-point completion to rewrite it with."""
 
 
+def _epsilon(word, fused):
+    """epsilon of the based word `word`, fused = _fused(word): +1 or -1,
+    eta times -1 to the number of arrowheads bounding the base arc."""
+    (i1, r1), (i2, r2) = fused
+    if i1 == i2:
+        raise DiagramError("eta is defined for nice based diagrams only")
+    eta = 1 if arrows_cross(word[i1], word[i2]) else -1
+    return eta * (-1) ** ((r1 == HEAD) + (r2 == HEAD))
+
+
 def is_nice(b):
     """True iff the endpoints bounding the base arc belong to two arrows."""
     (i1, _r1), (i2, _r2) = b.boundary_endpoints()
@@ -58,10 +88,7 @@ def is_nice(b):
 
 def eta(b):
     """+1 if the two arrows bounding the base arc cross, else -1."""
-    (i1, _r1), (i2, _r2) = b.boundary_endpoints()
-    if i1 == i2:
-        raise DiagramError("eta is defined for nice based diagrams only")
-    return 1 if arrows_cross(b.arrows[i1], b.arrows[i2]) else -1
+    return epsilon(b) * (-1) ** head_count(b)
 
 
 def head_count(b):
@@ -71,7 +98,7 @@ def head_count(b):
 
 
 def epsilon(b):
-    return eta(b) * (-1) ** head_count(b)
+    return _epsilon(b.arrows, b.boundary_endpoints())
 
 
 def d_based(b):
@@ -82,24 +109,44 @@ def d_based(b):
 
 
 # ---------------------------------------------------------------------------
+# the tuple core: degenerate keys with [coefficient, word] entries
+
+
+def _add_term(acc, key, c, word):
+    """acc[key] += c as lincomb._add_into adds, on [coefficient, word]
+    entries: a key whose coefficient cancels leaves, and one that comes
+    back re-enters last, with the word it comes back with."""
+    entry = acc.get(key)
+    if entry is None:
+        if c:
+            acc[key] = [c, word]
+    else:
+        entry[0] += c
+        if not entry[0]:
+            del acc[key]
+
+
+def _degenerate(key, word):
+    """The DegenerateDiagram of a key, stored with the based word `word`."""
+    return DegenerateDiagram._of(key[1], word, key)
+
+
+# ---------------------------------------------------------------------------
 # parent triple-point configurations of a degenerate diagram
 
 
 def _based_term(m, pair, side):
-    """The based diagram of one two-crossing term of match m, based at the
+    """The based word of one two-crossing term of match m, based at the
     shared arc."""
     shared = next(
         s for s in range(3)
         if sum(1 for (c, _r) in m.model.words[side][s] if c in pair) == 2
     )
     arrows, anchor = _assemble_term(m, pair, side)
-    # a based diagram has no rotation freedom: rotate the assembled word so
-    # the shared arc sits between positions 2n-1 and 0, no canonical form
-    size = 2 * len(arrows)
-    shift = lambda p: (p - anchor[shared] - 1) % size
-    return BasedDiagram.from_word(
-        m.host.K, [(shift(t), shift(h), mark, s) for (t, h, mark, s) in arrows]
-    )
+    # a based word has no rotation freedom: rotate the assembled word so
+    # the shared arc (ending at the pair's first endpoint) sits between
+    # positions 2n-1 and 0, no canonical form
+    return _based_word(arrows, anchor[shared])
 
 
 def _pair_is_monotonic(model, pair):
@@ -115,11 +162,11 @@ def _pair_is_monotonic(model, pair):
 def _parents_at(D, arc):
     """Parent triple-point instances whose collision at `arc` matches.
 
-    Yields (parent_key, based_terms, mu) where based_terms maps
-    (pair, side) -> (BasedDiagram, transport coefficient) and mu normalizes
-    the relation so a direct basing of the monotonic shrink carries its
-    epsilon."""
-    b0 = BasedDiagram(D, arc)
+    Yields (parent_key, based_terms, mu, monotonic pair, direct term) where
+    based_terms maps (pair, side) -> (based word, transport coefficient)
+    and mu normalizes the relation so a direct basing of the monotonic
+    shrink carries its epsilon."""
+    b0 = _based_word(D.arrows, arc)
     for m in r3_pair_matches(D, positions=[arc]):
         terms = {}
         for pair in _PAIRS:
@@ -132,28 +179,97 @@ def _parents_at(D, arc):
         mono = next(p for p in _PAIRS if _pair_is_monotonic(m.model, p))
         bL, cL = terms[(mono, "L")]
         bR, cR = terms[(mono, "R")]
-        mu = Fraction(epsilon(bL), cL)
-        if mu != Fraction(epsilon(bR), cR):
+        fL, fR = _fused(bL), _fused(bR)
+        mu = Fraction(_epsilon(bL, fL), cL)
+        if mu != Fraction(_epsilon(bR, fR), cR):
             raise AssertionError("inconsistent normalization across move sides")
-        if DegenerateDiagram(bL) != DegenerateDiagram(bR):
+        if _degenerate_key(D.K, bL, fL) != _degenerate_key(D.K, bR, fR):
             raise AssertionError("the two monotonic basings shrink differently")
         key = frozenset((bt, mu * c) for bt, c in terms.values())
         yield key, terms, mu, mono, direct
 
 
-def _shrink_arcs(dd):
-    """Arcs of the underlying diagram whose shrinking gives dd."""
-    D = ArrowDiagram(dd.K, dd.arrows)
-    return D, [
-        arc for arc in range(2 * D.n) if DegenerateDiagram(BasedDiagram(D, arc)) == dd
-    ]
+def _shrink_arcs(key):
+    """The arrow diagram underlying a two-arrow degenerate key, and its
+    arcs whose basing shrinks to that key."""
+    _kind, K, word = key
+    canon, _r, aut = canonical_arrows(len(word), word)
+    D = ArrowDiagram._canonical(K, canon, aut)
+    arcs = []
+    for arc in range(2 * D.n):
+        w = _based_word(canon, arc)
+        if _degenerate_key(K, w, _fused(w)) == key:
+            arcs.append(arc)
+    return D, arcs
+
+
+@cache
+def _triangle_rewrite(key):
+    """The non-monotonic degenerate diagram of `key` as a combination of
+    monotonic ones: a tuple of (target key, coefficient, target word) in
+    insertion order, or None when no triple-point completion rewrites it.
+    Fused endpoints of a single arrow give the one-term relation dd = 0,
+    so the empty rewrite.  Computed from the key alone, once per key: the
+    window check is the caller's."""
+    if key[0] == "s":
+        return ()
+    D, arcs = _shrink_arcs(key)
+    rewrites = {}
+    for arc in arcs:
+        word = _based_word(D.arrows, arc)
+        eps = _epsilon(word, _fused(word))
+        for parent, terms, mu, mono, direct in _parents_at(D, arc):
+            target = terms[(mono, "L")][0]
+            tkey = _degenerate_key(D.K, target, _fused(target))
+            u = Fraction(mu * terms[direct][1], eps)
+            if parent in rewrites:
+                if rewrites[parent][:2] != (tkey, u):
+                    raise AssertionError("parent relation disagrees between basings")
+            else:
+                rewrites[parent] = (tkey, u, target)
+    if not rewrites:
+        return None
+    out = {}
+    for tkey, u, target in rewrites.values():
+        _add_term(out, tkey, u, target)
+    for tkey, (_u, target) in out.items():
+        if not _monotonic(_fused(target)):
+            raise AssertionError("triangle rewrite produced a non-monotonic diagram")
+    return tuple((tkey, u, target) for tkey, (u, target) in out.items())
+
+
+def _normalize(raw, window):
+    """normalize_triangle on the tuple core: {key: [coefficient, word]} in,
+    the same out, every key monotonic."""
+    out = {}
+    allowed = window.allowed
+    for key in sorted(raw):
+        c, word = raw[key]
+        if _monotonic(_fused(word)):
+            _add_term(out, key, c, word)
+            continue
+        rewrite = _triangle_rewrite(key)
+        if rewrite is None:
+            raise NormalizationError("no triangle relation for %r" % (_degenerate(key, word),))
+        if not all(a[2] in allowed for _t, _u, target in rewrite for a in target):
+            raise NormalizationError(
+                "rewriting %r needs a marking outside the window" % (_degenerate(key, word),)
+            )
+        for tkey, u, target in rewrite:
+            _add_term(out, tkey, c * u, target)
+    return out
+
+
+def _lincomb(acc):
+    """A LinComb over DegenerateDiagrams from {key: [coefficient, word]}."""
+    return LinComb._of({_degenerate(key, word): c for key, (c, word) in acc.items()})
 
 
 def a6t_based(dd):
     """The based 6-term combination attached to a monotonic diagram."""
     if not dd.is_monotonic():
         raise DiagramError("based 6-term combinations attach to monotonic diagrams")
-    D, arcs = _shrink_arcs(dd)
+    D, arcs = _shrink_arcs(dd._key)
     vectors = set()
     for arc in arcs:
         for key, _terms, _mu, _mono, _direct in _parents_at(D, arc):
@@ -165,7 +281,7 @@ def a6t_based(dd):
     if len(vectors) > 1:
         raise AssertionError("monotonic diagram with several parent instances")
     # a frozenset iterates in hash order, which varies between runs
-    return LinComb(sorted(vectors.pop()))
+    return LinComb((BasedDiagram.from_word(dd.K, bt), c) for bt, c in sorted(vectors.pop()))
 
 
 def triangle_relation(dd):
@@ -174,47 +290,15 @@ def triangle_relation(dd):
     the one-term relation dd = 0."""
     if dd.is_monotonic():
         raise DiagramError("monotonic diagrams are basis elements, not rewritable")
-    (bi, _br), (ai, _ar) = dd.fused()
-    if bi == ai:
-        return LinComb.single(dd)
-    D, arcs = _shrink_arcs(dd)
-    rewrites = {}
-    for arc in arcs:
-        b = BasedDiagram(D, arc)
-        eps = epsilon(b)
-        for key, terms, mu, mono, direct in _parents_at(D, arc):
-            target = DegenerateDiagram(terms[(mono, "L")][0])
-            _bt, c = terms[direct]
-            u = Fraction(mu * c, eps)
-            if key in rewrites:
-                if rewrites[key] != (target, u):
-                    raise AssertionError("parent relation disagrees between basings")
-            else:
-                rewrites[key] = (target, u)
-    if not rewrites:
+    rewrite = _triangle_rewrite(dd._key)
+    if rewrite is None:
         raise NormalizationError(
             "no triangle relation for %r" % (dd,)
         )
     out = {dd: Fraction(1)}
-    for target, u in rewrites.values():
-        _add_into(out, {target: -u})
+    for key, u, target in rewrite:
+        _add_into(out, {_degenerate(key, target): -u})
     return LinComb._of(out)
-
-
-@cache
-def _triangle_rewrite(dd, window):
-    """dd (non-monotonic) as a combination of monotonic diagrams."""
-    out = {dd: Fraction(1)}
-    _add_into(out, triangle_relation(dd).scale(-1).terms)
-    out = LinComb._of(out)
-    if not _in_window(out, window):
-        raise NormalizationError(
-            "rewriting %r needs a marking outside the window" % (dd,)
-        )
-    for k in out.keys():
-        if not k.is_monotonic():
-            raise AssertionError("triangle rewrite produced a non-monotonic diagram")
-    return out
 
 
 def normalize_triangle(x, window):
@@ -222,22 +306,31 @@ def normalize_triangle(x, window):
 
     Out-of-window rewrites raise NormalizationError rather than dropping
     terms.  Keys are processed in canonical order for reproducibility."""
-    x = as_lincomb(x)
-    out = {}
-    for dd in sorted(x.keys()):
-        c = x.coeff(dd)
-        if dd.is_monotonic():
-            _add_into(out, {dd: c})
-        else:
-            _add_into(out, _triangle_rewrite(dd, window).scale(c).terms)
-    return LinComb._of(out)
+    raw = {dd._key: [c, dd.arrows] for dd, c in as_lincomb(x).items()}
+    return _lincomb(_normalize(raw, window))
 
 
 def boundary_d(a, window):
     """d on arrow combinations: all nice basings, shrunk with epsilon, in
-    the monotonic basis."""
-    raw = base_expand(a).map_terms(lambda b, c: d_based(b).scale(c))
-    return normalize_triangle(raw, window)
+    the monotonic basis.
+
+    Equal basings of one diagram (at arcs that a rotation symmetry
+    identifies) are summed first, as the based expansion of the diagram
+    sums them, so the terms cancel and re-enter in the same order."""
+    raw = {}
+    for d, c in as_lincomb(a).items():
+        basings = {}
+        for arc in range(2 * d.n):
+            word = _based_word(d.arrows, arc)
+            basings[word] = basings.get(word, 0) + 1
+        for word, count in basings.items():
+            fused = _fused(word)
+            if fused[0][0] == fused[1][0]:
+                continue  # not nice
+            if d.signed:
+                raise DiagramError("degenerate diagrams are defined over arrow diagrams")
+            _add_term(raw, _degenerate_key(d.K, word, fused), _epsilon(word, fused) * count * c, word)
+    return _lincomb(_normalize(raw, window))
 
 
 def based_6T_pairing_check(b, dd, window):

@@ -226,10 +226,7 @@ class BasedDiagram:
             raise DiagramError("the empty diagram has no arcs to base")
         if not 0 <= base_arc < 2 * n:
             raise DiagramError("base arc %d out of range" % base_arc)
-        r = (base_arc + 1) % (2 * n)
-        shift = lambda p: (p - r) % (2 * n)
-        moved = [(shift(t), shift(h), m, s) for (t, h, m, s) in diagram.arrows]
-        self._store(diagram.K, moved, diagram.signed)
+        self._store(diagram.K, _based_word(diagram.arrows, base_arc), diagram.signed)
 
     @classmethod
     def from_word(cls, K, arrows):
@@ -277,8 +274,7 @@ class BasedDiagram:
     def boundary_endpoints(self):
         """(before, after): the (arrow index, role) pairs bounding the base
         arc, in circle order.  'before' is the endpoint at position 2n-1."""
-        ends = _endpoint_map(self.n, self.arrows)
-        return ends[2 * self.n - 1], ends[0]
+        return _fused(self.arrows)
 
     def aut_order(self):
         return 1
@@ -300,16 +296,21 @@ class DegenerateDiagram:
     def __init__(self, based):
         if based.signed:
             raise DiagramError("degenerate diagrams are defined over arrow diagrams")
-        object.__setattr__(self, "K", based.K)
-        object.__setattr__(self, "arrows", based.arrows)
+        arrows = based.arrows
+        self._store(based.K, arrows, _degenerate_key(based.K, arrows, _fused(arrows)))
+
+    @classmethod
+    def _of(cls, K, arrows, key):
+        """The degenerate diagram of the based word `arrows` (sign-less, in
+        _by_first order) whose key _degenerate_key has already returned."""
+        dd = cls.__new__(cls)
+        dd._store(K, arrows, key)
+        return dd
+
+    def _store(self, K, arrows, key):
+        object.__setattr__(self, "K", K)
+        object.__setattr__(self, "arrows", arrows)
         object.__setattr__(self, "signed", False)
-        (bi, _br), (ai, _ar) = based.boundary_endpoints()
-        n = len(based.arrows)
-        if bi == ai:
-            key = ("s", self.K, self.arrows)
-        else:
-            swapped = _swap_positions(self.arrows, 2 * n - 1, 0)
-            key = ("d", self.K, min(self.arrows, swapped))
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
 
@@ -334,8 +335,7 @@ class DegenerateDiagram:
 
     def fused(self):
         """((arrow, role), (arrow, role)) at the degenerate point, in order."""
-        ends = _endpoint_map(self.n, self.arrows)
-        return ends[2 * self.n - 1], ends[0]
+        return _fused(self.arrows)
 
     def word(self):
         """Canonical based word: for a different-arrow fusion, the smaller of
@@ -344,8 +344,47 @@ class DegenerateDiagram:
         return self._key[2]
 
     def is_monotonic(self):
-        (bi, br), (ai, ar) = self.fused()
-        return bi != ai and br != ar
+        return _monotonic(_fused(self.arrows))
+
+
+def _based_word(arrows, arc):
+    """The based word of a diagram's arrows at a base arc: rotated so that
+    the arc sits between positions 2n-1 and 0, in _by_first order.  A
+    basing is this word; BasedDiagram stores it."""
+    size = 2 * len(arrows)
+    r = (arc + 1) % size
+    return _by_first([((t - r) % size, (h - r) % size, m, s) for (t, h, m, s) in arrows])
+
+
+def _fused(arrows):
+    """((arrow, role), (arrow, role)) of the endpoints at positions 2n-1
+    and 0 of a based word, in that circle order; role 0 = tail, 1 = head."""
+    last = 2 * len(arrows) - 1
+    for i, (t, h, _m, _s) in enumerate(arrows):
+        if t == last:
+            before = (i, 0)
+        elif h == last:
+            before = (i, 1)
+    after = (0, 0 if arrows[0][0] == 0 else 1)  # arrow 0 holds position 0
+    return before, after
+
+
+def _degenerate_key(K, arrows, fused):
+    """The key of the degenerate diagram that shrinks the based word
+    `arrows` (with fused = _fused(arrows)) at its base arc: the word
+    itself when one arrow bounds the arc, else the lesser of the word and
+    the word with its two fused endpoints swapped."""
+    (bi, _br), (ai, _ar) = fused
+    if bi == ai:
+        return ("s", K, arrows)
+    return ("d", K, min(arrows, _swap_positions(arrows, 2 * len(arrows) - 1, 0)))
+
+
+def _monotonic(fused):
+    """True iff two different arrows meet at the fused point, one with its
+    head and the other with its tail."""
+    (bi, br), (ai, ar) = fused
+    return bi != ai and br != ar
 
 
 def _swap_positions(arrows, p, q):

@@ -48,7 +48,6 @@ from . import textio
 from .boundary import boundary_d
 from .diagrams import ArrowDiagram, DiagramError, GaussDiagram, arrows_cross, canonical_arrows
 from .lincomb import Formula, LinComb
-from .maps import pair_norm
 from .moves import models
 from .ratlinalg import index_kernel
 from .relations import (
@@ -57,9 +56,10 @@ from .relations import (
     _apply_move,
     _chord_matchings,
     _constraint_rows,
+    _family_instances,
+    _family_vectors,
     _shapes,
     enumerate_diagrams,
-    gen_family,
     move_census,
 )
 
@@ -179,24 +179,37 @@ def check_formula(f, window):
 
     The 6-term pairings and the boundary vanishing are two renderings of the
     same condition, so (given the kink and bigon checks pass) they must
-    agree; a disagreement means one of the two machineries is broken."""
+    agree; a disagreement means one of the two machineries is broken.
+
+    The pairings run on the tuple core: each instance is a summed row of
+    relations._family_vectors, {canonical arrows: [coefficient, |Aut|,
+    inside]}, and its pairing < f, instance > is the sum of f's
+    coefficient times coefficient times |Aut| over the row.  Objects are
+    built only for the first (family, degree) with a nonzero pairing, to
+    report the instance and its index in gen_family's sorted list."""
     for m in f.markings():
         if m not in window:
             raise ValueError("formula marking %d outside the window" % m)
     families = {}
     first = None
-    support = list(f.vector.keys())
+    coeffs = {k.arrows: c for k, c in f.vector.items()}  # one K
     for fam in CONSTRAINT_FAMILIES:
         worst = Fraction(0)
         for deg in f.degrees():
             # only instances meeting f's support can pair nonzero, so
             # anchoring the generator there is exhaustive for this check
-            instances = gen_family(fam, deg, window, closure=False, hosts=support)
-            for i, inst in enumerate(instances):
-                pairing = pair_norm(f.vector, inst.vector)
-                if pairing and first is None:
-                    first = {"family": fam, "degree": deg, "index": i, "instance": inst}
-                worst = max(worst, abs(pairing))
+            hosts = [k for k in f.vector.keys() if k.n == deg]
+            vectors = _family_vectors(fam, hosts, window.allowed, {}, False)
+            pairings = [
+                sum(coeffs.get(arrows, 0) * c * aut for arrows, (c, aut, _in) in vec.items())
+                for _d, vec in vectors.values()
+            ]
+            if first is None and any(pairings):
+                instances = _family_instances(fam, vectors)
+                order = sorted(range(len(instances)), key=lambda j: instances[j].key())
+                i = next(i for i, j in enumerate(order) if pairings[j])
+                first = {"family": fam, "degree": deg, "index": i, "instance": instances[order[i]]}
+            worst = max([worst] + [abs(p) for p in pairings])
         families[fam] = worst
     d = boundary_d(f.vector, normalization_window(window))
     zero_d = not d

@@ -14,7 +14,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 
-from .diagrams import BasedDiagram
 from .lincomb import LinComb, as_lincomb
 
 
@@ -105,14 +104,3 @@ def double_angle(a, g):
             total += ca * cg * aut * double_paren(ka, kg)
     return total
 
-
-def base_expand(a):
-    """The sum of all based diagrams obtained by choosing a base arc.
-
-    The empty diagram has no arcs, so it maps to 0.  Extended linearly."""
-    a = as_lincomb(a)
-
-    def expand(d, c):
-        return LinComb((BasedDiagram(d, arc), c) for arc in range(2 * d.n))
-
-    return a.map_terms(expand)

@@ -898,7 +898,8 @@ def gen_family(family, n, window, skipped=None, closure=True, hosts=None):
 
     Generation runs over the tuple core (_family_vectors): instances are
     summed and deduplicated as canonical arrow tuples, and objects are
-    built only for the first copy of each, the one returned."""
+    built only for the first copy of each, the one returned
+    (_family_instances)."""
     if skipped is None:
         skipped = {}
     if family not in FAMILY_SPECIES:
@@ -908,7 +909,13 @@ def gen_family(family, n, window, skipped=None, closure=True, hosts=None):
     else:
         hosts = [d for d in hosts if d.n == n]
     first = _family_vectors(family, hosts, window.allowed, skipped, closure)
-    diagrams = {}  # (K, canonical arrows) -> diagram, shared by the instances
+    return sorted(_family_instances(family, first), key=RelationInstance.key)
+
+
+def _family_instances(family, first):
+    """The RelationInstances of _family_vectors' result `first`, in its
+    order, with the diagrams that several instances share built once."""
+    diagrams = {}  # (K, canonical arrows) -> diagram
     out = []
     for (K, _key), (d, vec) in first.items():
         terms = {}
@@ -918,7 +925,7 @@ def gen_family(family, n, window, skipped=None, closure=True, hosts=None):
                 k = diagrams[K, arrows] = type(d)._canonical(K, arrows, aut)
             terms[k] = Fraction(c)
         out.append(RelationInstance(family, LinComb._of(terms)))
-    return sorted(out, key=RelationInstance.key)
+    return out
 
 
 def _constraint_rows(window, columns):
@@ -1208,11 +1215,18 @@ def _I_row(r):
 
 def _p_relation_rows(diagrams, window, skipped):
     """The p1, p2 and p3 instances at every degree 1 <= deg < len(diagrams),
-    anchored at the hosts diagrams[deg] and closed under the window
-    (_family_vectors), as integer rows {canonical arrows: int}."""
+    anchored at the hosts diagrams[deg] (_family_vectors), as integer rows
+    {canonical arrows: int}.
+
+    They are built without window closure, which is equivalent: the hosts
+    are enumerated over the window, and every p1, p2 and p3 term carries
+    markings of its host only (a term is the host, the host with one arrow
+    of a bigon dropped, or the host with its R3 triple moved or cut), so
+    no term lies outside the window and nothing is ever counted into
+    `skipped`."""
     for deg in range(1, len(diagrams)):
         for family in ("p1", "p2", "p3"):
-            first = _family_vectors(family, diagrams[deg], window.allowed, skipped, True)
+            first = _family_vectors(family, diagrams[deg], window.allowed, skipped, False)
             for _d, vec in first.values():
                 yield {arrows: e[0] for arrows, e in vec.items()}
 
@@ -1222,7 +1236,8 @@ def check_I_span_compat(n, window, limit_per_kind=None):
     R-relation vector r at degree <= n.  Returns a report dict:
     {"checked": number of vectors r, "failures": [(kind, r)] for each r
     whose I(r) is outside the span, "skipped": window-closure skips per
-    family}.
+    family}.  "skipped" is always {} (see _p_relation_rows); the key is
+    kept for the report's readers.
 
     The check runs on the tuple core: the P-relation instances
     (_p_relation_rows) and every I(r) (_I_row) are integer rows keyed by

@@ -11,7 +11,12 @@ relation generation, which built a diagram, a LinComb and a
 RelationInstance for every instance found, is the oracle of the tuple core
 behind gen_family and the solver's rows; the object path of the Polyak
 span check, which spanned I(r) over those instances as LinCombs, is the
-oracle of its tuple rows.
+oracle of its tuple rows.  The object path of the boundary map, which
+built a BasedDiagram for every basing and every spliced triangle term, a
+DegenerateDiagram for every shrink and a Fraction LinComb for every
+rewrite, is the oracle of boundary's based-word core, and the object path
+of check_formula, which paired f with gen_family's RelationInstances, the
+oracle of its pairings on summed rows.
 
 _cyclic_ordered and _other_pos, the slot-order test and endpoint lookup
 these scans share, live here: the program's matchers read the slot order
@@ -21,13 +26,23 @@ from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
 
-from arrowforms.diagrams import ArrowDiagram, DiagramError, GaussDiagram
-from arrowforms.lincomb import LinComb
-from arrowforms.maps import subdiagram_expand_I
+from arrowforms.boundary import NormalizationError
+from arrowforms.diagrams import (
+    ArrowDiagram,
+    BasedDiagram,
+    DegenerateDiagram,
+    DiagramError,
+    GaussDiagram,
+    arrows_cross,
+)
+from arrowforms.engine import normalization_window
+from arrowforms.lincomb import LinComb, _add_into, as_lincomb
+from arrowforms.maps import pair_norm, subdiagram_expand_I
 from arrowforms.moves import HEAD, TAIL, models
 from arrowforms.relations import (
     _PAIRS,
     _SIDE_SIGN,
+    CONSTRAINT_FAMILIES,
     FAMILY_SPECIES,
     Match,
     RelationInstance,
@@ -590,3 +605,246 @@ def check_I_span_compat_objects(n, window, limit_per_kind=None):
         if not spans(ech, vec):
             failures.append((kind, r))
     return {"checked": checked, "failures": failures, "skipped": skipped}
+
+
+# ---------------------------------------------------------------------------
+# the object path of the boundary map and of check_formula
+
+
+def base_expand(a):
+    """The sum of all based diagrams obtained by choosing a base arc.
+
+    The empty diagram has no arcs, so it maps to 0.  Extended linearly."""
+    a = as_lincomb(a)
+
+    def expand(d, c):
+        return LinComb((BasedDiagram(d, arc), c) for arc in range(2 * d.n))
+
+    return a.map_terms(expand)
+
+
+def is_nice(b):
+    """True iff the endpoints bounding the base arc belong to two arrows."""
+    (i1, _r1), (i2, _r2) = b.boundary_endpoints()
+    return i1 != i2
+
+
+def eta(b):
+    """+1 if the two arrows bounding the base arc cross, else -1."""
+    (i1, _r1), (i2, _r2) = b.boundary_endpoints()
+    if i1 == i2:
+        raise DiagramError("eta is defined for nice based diagrams only")
+    return 1 if arrows_cross(b.arrows[i1], b.arrows[i2]) else -1
+
+
+def head_count(b):
+    """How many of the two base-arc boundary endpoints are arrowheads."""
+    (_i1, r1), (_i2, r2) = b.boundary_endpoints()
+    return (r1 == HEAD) + (r2 == HEAD)
+
+
+def epsilon(b):
+    return eta(b) * (-1) ** head_count(b)
+
+
+def d_based(b):
+    """epsilon(b) times the shrunk diagram; 0 when the basing is not nice."""
+    if not is_nice(b):
+        return LinComb.zero()
+    return LinComb.single(DegenerateDiagram(b), epsilon(b))
+
+
+def _based_term(m, pair, side):
+    """The based diagram of one two-crossing term of match m, based at the
+    shared arc."""
+    shared = next(
+        s for s in range(3)
+        if sum(1 for (c, _r) in m.model.words[side][s] if c in pair) == 2
+    )
+    arrows, anchor = _assemble_term(m, pair, side)
+    # a based diagram has no rotation freedom: rotate the assembled word so
+    # the shared arc sits between positions 2n-1 and 0, no canonical form
+    size = 2 * len(arrows)
+    shift = lambda p: (p - anchor[shared] - 1) % size
+    return BasedDiagram.from_word(
+        m.host.K, [(shift(t), shift(h), mark, s) for (t, h, mark, s) in arrows]
+    )
+
+
+def _pair_is_monotonic(model, pair):
+    """True iff the pair's endpoints on the shared strand are a head and a
+    tail (side-independent: the two sides only reverse the order)."""
+    for s in range(3):
+        grp = [(c, r) for (c, r) in model.words["L"][s] if c in pair]
+        if len(grp) == 2:
+            return grp[0][1] != grp[1][1]
+    raise AssertionError("pair shares no strand")
+
+
+def _parents_at(D, arc):
+    """Parent triple-point instances whose collision at `arc` matches.
+
+    Yields (parent_key, based_terms, mu) where based_terms maps
+    (pair, side) -> (BasedDiagram, transport coefficient) and mu normalizes
+    the relation so a direct basing of the monotonic shrink carries its
+    epsilon."""
+    b0 = BasedDiagram(D, arc)
+    for m in r3_pair_matches(D, positions=[arc]):
+        terms = {}
+        for pair in _PAIRS:
+            for side in ("L", "R"):
+                bt = _based_term(m, pair, side)
+                terms[(pair, side)] = (bt, _six_term_coeff(m.model, side, pair, D.signed))
+        direct = (tuple(sorted(m.present)), m.side)
+        if terms[direct][0] != b0:
+            raise AssertionError("matched term does not rebuild its own basing")
+        mono = next(p for p in _PAIRS if _pair_is_monotonic(m.model, p))
+        bL, cL = terms[(mono, "L")]
+        bR, cR = terms[(mono, "R")]
+        mu = Fraction(epsilon(bL), cL)
+        if mu != Fraction(epsilon(bR), cR):
+            raise AssertionError("inconsistent normalization across move sides")
+        if DegenerateDiagram(bL) != DegenerateDiagram(bR):
+            raise AssertionError("the two monotonic basings shrink differently")
+        key = frozenset((bt, mu * c) for bt, c in terms.values())
+        yield key, terms, mu, mono, direct
+
+
+def _shrink_arcs(dd):
+    """Arcs of the underlying diagram whose shrinking gives dd."""
+    D = ArrowDiagram(dd.K, dd.arrows)
+    return D, [
+        arc for arc in range(2 * D.n) if DegenerateDiagram(BasedDiagram(D, arc)) == dd
+    ]
+
+
+def a6t_based_objects(dd):
+    """The based 6-term combination attached to a monotonic diagram."""
+    if not dd.is_monotonic():
+        raise DiagramError("based 6-term combinations attach to monotonic diagrams")
+    D, arcs = _shrink_arcs(dd)
+    vectors = set()
+    for arc in arcs:
+        for key, _terms, _mu, _mono, _direct in _parents_at(D, arc):
+            vectors.add(key)
+    if not vectors:
+        raise NormalizationError(
+            "no triple-point completion for %r" % (dd,)
+        )
+    if len(vectors) > 1:
+        raise AssertionError("monotonic diagram with several parent instances")
+    # a frozenset iterates in hash order, which varies between runs
+    return LinComb(sorted(vectors.pop()))
+
+
+def triangle_relation_objects(dd):
+    """The unique relation containing the non-monotonic diagram dd, as a
+    vector with coefficient 1 on dd.  Fused endpoints of a single arrow give
+    the one-term relation dd = 0."""
+    if dd.is_monotonic():
+        raise DiagramError("monotonic diagrams are basis elements, not rewritable")
+    (bi, _br), (ai, _ar) = dd.fused()
+    if bi == ai:
+        return LinComb.single(dd)
+    D, arcs = _shrink_arcs(dd)
+    rewrites = {}
+    for arc in arcs:
+        b = BasedDiagram(D, arc)
+        eps = epsilon(b)
+        for key, terms, mu, mono, direct in _parents_at(D, arc):
+            target = DegenerateDiagram(terms[(mono, "L")][0])
+            _bt, c = terms[direct]
+            u = Fraction(mu * c, eps)
+            if key in rewrites:
+                if rewrites[key] != (target, u):
+                    raise AssertionError("parent relation disagrees between basings")
+            else:
+                rewrites[key] = (target, u)
+    if not rewrites:
+        raise NormalizationError(
+            "no triangle relation for %r" % (dd,)
+        )
+    out = {dd: Fraction(1)}
+    for target, u in rewrites.values():
+        _add_into(out, {target: -u})
+    return LinComb._of(out)
+
+
+@cache
+def triangle_rewrite_objects(dd, window):
+    """dd (non-monotonic) as a combination of monotonic diagrams."""
+    out = {dd: Fraction(1)}
+    _add_into(out, triangle_relation_objects(dd).scale(-1).terms)
+    out = LinComb._of(out)
+    if not _in_window(out, window):
+        raise NormalizationError(
+            "rewriting %r needs a marking outside the window" % (dd,)
+        )
+    for k in out.keys():
+        if not k.is_monotonic():
+            raise AssertionError("triangle rewrite produced a non-monotonic diagram")
+    return out
+
+
+def normalize_triangle_objects(x, window):
+    """Rewrite every non-monotonic key into the monotonic basis.
+
+    Out-of-window rewrites raise NormalizationError rather than dropping
+    terms.  Keys are processed in canonical order for reproducibility."""
+    x = as_lincomb(x)
+    out = {}
+    for dd in sorted(x.keys()):
+        c = x.coeff(dd)
+        if dd.is_monotonic():
+            _add_into(out, {dd: c})
+        else:
+            _add_into(out, triangle_rewrite_objects(dd, window).scale(c).terms)
+    return LinComb._of(out)
+
+
+def boundary_d_objects(a, window):
+    """d on arrow combinations: all nice basings, shrunk with epsilon, in
+    the monotonic basis."""
+    raw = base_expand(a).map_terms(lambda b, c: d_based(b).scale(c))
+    return normalize_triangle_objects(raw, window)
+
+
+def check_formula_objects(f, window):
+    """Static report on one formula: the three constraint-family pairings,
+    the first instance pairing nonzero with f (family, degree, index into
+    gen_family's list, instance; None when all vanish), the boundary
+    vanishing flag, and a cross-consistency verdict.
+
+    The 6-term pairings and the boundary vanishing are two renderings of the
+    same condition, so (given the kink and bigon checks pass) they must
+    agree; a disagreement means one of the two machineries is broken."""
+    for m in f.markings():
+        if m not in window:
+            raise ValueError("formula marking %d outside the window" % m)
+    families = {}
+    first = None
+    support = list(f.vector.keys())
+    for fam in CONSTRAINT_FAMILIES:
+        worst = Fraction(0)
+        for deg in f.degrees():
+            # only instances meeting f's support can pair nonzero, so
+            # anchoring the generator there is exhaustive for this check
+            instances = gen_family(fam, deg, window, closure=False, hosts=support)
+            for i, inst in enumerate(instances):
+                pairing = pair_norm(f.vector, inst.vector)
+                if pairing and first is None:
+                    first = {"family": fam, "degree": deg, "index": i, "instance": inst}
+                worst = max(worst, abs(pairing))
+        families[fam] = worst
+    d = boundary_d_objects(f.vector, normalization_window(window))
+    zero_d = not d
+    ap_ok = families["ap1"] == 0 and families["ap2"] == 0
+    a6t_zero = families["a6t"] == 0
+    consistent = (not ap_ok) or (a6t_zero == zero_d)
+    return {
+        "families": families,
+        "first_nonzero": first,
+        "boundary_zero": zero_d,
+        "consistent": consistent,
+        "passes": ap_ok and a6t_zero and zero_d,
+    }

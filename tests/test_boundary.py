@@ -3,15 +3,19 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import arrowforms
-from arrowforms import relations
+from arrowforms import boundary, relations
 from arrowforms.boundary import (
     NormalizationError,
     _triangle_rewrite,
+    a6t_based,
     based_6T_pairing_check,
     boundary_d,
     d_based,
@@ -32,8 +36,15 @@ from arrowforms.engine import normalization_window
 from arrowforms.lincomb import LinComb
 from arrowforms.relations import MarkingWindow
 
+import move_oracles
 from conftest import random_arrows, random_based_diagram, seeded
-from move_oracles import unreduced_pair_table
+from move_oracles import (
+    a6t_based_objects,
+    boundary_d_objects,
+    triangle_relation_objects,
+    triangle_rewrite_objects,
+    unreduced_pair_table,
+)
 
 WIDE = normalization_window(MarkingWindow(range(-2, 4), 2))
 
@@ -171,6 +182,118 @@ def test_triangle_normalization_matches_the_unreduced_descriptor_table():
     _triangle_rewrite.cache_clear()
     assert fast == slow
     assert sum(isinstance(x, list) for x in fast[:40]) > 20
+
+
+# ---------------------------------------------------------------------------
+# the based-word core against the object path (move_oracles)
+
+
+def _outcome(fn, *args):
+    """fn(*args) as its terms, each with its stored word and coefficient
+    type, in insertion order; the error text when it raises
+    NormalizationError."""
+    try:
+        return [(k, k.arrows, c, type(c)) for k, c in fn(*args).items()]
+    except NormalizationError as e:
+        return "NormalizationError: %s" % e
+
+
+@st.composite
+def arrow_diagrams(draw, n, K):
+    """An arrow diagram of degree n over K with markings in -2..4."""
+    pos = draw(st.permutations(list(range(2 * n))))
+    ms = draw(st.lists(st.integers(-2, 4), min_size=n, max_size=n))
+    return ArrowDiagram(K, [(pos[2 * i], pos[2 * i + 1], ms[i], 0) for i in range(n)])
+
+
+@st.composite
+def cancelling_combinations(draw):
+    """(K, a combination of arrow diagrams of degrees 1-4 over K), K in
+    -2..5, with Fraction coefficients.  Some terms come with the diagram whose
+    endpoints at two neighbouring positions are swapped, at the same
+    coefficient: the two basings at the arc between those positions shrink
+    to one degenerate diagram with opposite epsilons, so they cancel."""
+    K = draw(st.integers(-2, 5))
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        d = draw(arrow_diagrams(draw(st.integers(1, 4)), K))
+        c = Fraction(draw(st.sampled_from((-3, -2, -1, 1, 2, 3))), draw(st.integers(1, 3)))
+        terms.append((d, c))
+        if d.n >= 2 and draw(st.booleans()):
+            p = draw(st.integers(0, 2 * d.n - 1))
+            q = (p + 1) % (2 * d.n)
+            swap = {p: q, q: p}
+            arrows = [(swap.get(t, t), swap.get(h, h), m, 0) for t, h, m, _s in d.arrows]
+            terms.append((ArrowDiagram(K, arrows), c))
+    return K, LinComb(terms)
+
+
+@st.composite
+def windows(draw, K):
+    """The normalization window of -2..4, or a narrow one that makes some
+    rewrites leave it."""
+    if draw(st.booleans()):
+        return normalization_window(MarkingWindow(range(-2, 5), K))
+    return MarkingWindow(draw(st.sets(st.integers(-4, 8), min_size=1, max_size=8)), K)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_boundary_matches_the_object_path(data):
+    K, a = data.draw(cancelling_combinations())
+    window = data.draw(windows(K))
+    assert _outcome(boundary_d, a, window) == _outcome(boundary_d_objects, a, window)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_triangle_relations_match_the_object_path(data):
+    n = data.draw(st.integers(2, 4))
+    K = data.draw(st.integers(-2, 5))
+    d = data.draw(arrow_diagrams(n, K))
+    dd = DegenerateDiagram(BasedDiagram(d, data.draw(st.integers(0, 2 * n - 1))))
+    if dd.is_monotonic():
+        assert _outcome(a6t_based, dd) == _outcome(a6t_based_objects, dd)
+    else:
+        assert _outcome(triangle_relation, dd) == _outcome(triangle_relation_objects, dd)
+        window = data.draw(windows(K))
+        assert _outcome(normalize_triangle, LinComb.single(dd, 3), window) == _outcome(
+            move_oracles.normalize_triangle_objects, LinComb.single(dd, 3), window
+        )
+
+
+@pytest.mark.parametrize("window", [MarkingWindow({0, 1, 2}, 2), WIDE], ids=["narrow", "wide"])
+def test_equal_basings_of_a_symmetric_diagram_are_summed_before_they_cancel(window):
+    # d has |Aut| = 2, so two of its arcs give one basing; its partner's
+    # basing cancels a single copy of it, so only summing the two copies
+    # first keeps the partner's word on the term (as the based expansion
+    # sums them)
+    d = ArrowDiagram(2, [(0, 3, 2, 0), (2, 1, 2, 0)])
+    partner = ArrowDiagram(2, [(0, 2, 2, 0), (1, 3, 2, 0)])
+    assert d.aut_order() == 2
+    a = LinComb([(partner, 1), (d, 1)])
+    assert _outcome(boundary_d, a, window) == _outcome(boundary_d_objects, a, window)
+
+
+def test_a_diagram_without_a_triple_point_completion_is_reported_alike():
+    d = ArrowDiagram(2, [(0, 2, 1, 0), (3, 1, 1, 0), (4, 5, 1, 0)])
+    a = LinComb.single(d, Fraction(1, 2))
+
+    def no_matches(_d, positions=None):
+        return iter(())
+
+    _triangle_rewrite.cache_clear()
+    triangle_rewrite_objects.cache_clear()
+    try:
+        with mock.patch.object(boundary, "r3_pair_matches", no_matches), \
+                mock.patch.object(move_oracles, "r3_pair_matches", no_matches):
+            fast = _outcome(boundary_d, a, WIDE)
+            slow = _outcome(boundary_d_objects, a, WIDE)
+    finally:
+        _triangle_rewrite.cache_clear()
+        triangle_rewrite_objects.cache_clear()
+    assert fast == slow
+    assert fast.startswith("NormalizationError: no triangle relation for DegenerateDiagram(K=2, ")
 
 
 _BASED6T_DIGEST = """

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -31,7 +32,7 @@ from arrowforms.maps import double_angle
 from arrowforms.relations import MarkingWindow
 
 from conftest import boundary_route, random_gauss_diagram, seeded
-from move_oracles import available_moves
+from move_oracles import available_moves, check_formula_objects
 
 
 def test_formula_accessors():
@@ -115,6 +116,65 @@ def test_solver_cache_hit_returns_what_a_miss_returns(tmp_path):
     cold = solve_formula_space(2, w, cache_dir=str(tmp_path))
     warm = solve_formula_space(2, w, cache_dir=str(tmp_path))
     assert [(f.vector, f.K) for f in warm] == [(f.vector, f.K) for f in cold]
+
+
+def _plain_report(rep):
+    """A check report with its instance as (family, key, terms) and every
+    family's pairing with its type, for comparing reports."""
+    rep = dict(rep)
+    hit = rep["first_nonzero"]
+    if hit is not None:
+        hit = dict(hit)
+        inst = hit.pop("instance")
+        hit["instance"] = (inst.family, inst.key(), list(inst.vector.items()))
+    rep["first_nonzero"] = hit
+    rep["families"] = [(fam, v, type(v)) for fam, v in rep["families"].items()]
+    return rep
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 3).flatmap(
+        lambda n: st.lists(st.sampled_from((-2, -1, 1, 2, 3)), min_size=n + 1, max_size=n + 1)
+    ),
+    st.integers(0, 10 ** 6),
+    st.sampled_from((None, 1, -1, Fraction(1, 2), Fraction(-3, 2))),
+)
+def test_check_report_matches_the_object_path(gamma, pick, change):
+    # a gv formula, or a copy with one coefficient changed (None: unchanged,
+    # and a change may cancel the term)
+    f = gv_formula(len(gamma) - 1, gamma)
+    if change is not None:
+        terms = list(f.vector.items())
+        k, c = terms[pick % len(terms)]
+        terms[pick % len(terms)] = (k, c + change)
+        f = Formula(LinComb(terms), f.K)
+    w = MarkingWindow(set(f.markings()) | {0, f.K}, f.K)
+    assert _plain_report(check_formula(f, w)) == _plain_report(check_formula_objects(f, w))
+
+
+def test_a_seeded_degree_four_planar_chain_sample_checks_and_walks():
+    # four degree-4 gv formulas: each passes its static check, a copy with
+    # one coefficient raised fails at a 6-term instance, and short walks
+    # from its first term keep its (nonzero) value
+    rng = seeded(4)
+    t0 = time.perf_counter()
+    for _ in range(4):
+        gamma = tuple(rng.choice((-2, -1, 1, 2)) for _ in range(5))
+        f = gv_formula(4, gamma)
+        w = MarkingWindow(set(f.markings()) | {0, f.K}, f.K)
+        rep = check_formula(f, w)
+        assert rep["passes"] and rep["consistent"], gamma
+        terms = list(f.vector.items())
+        j = rng.randrange(len(terms))
+        terms[j] = (terms[j][0], terms[j][1] + 1)
+        rep = check_formula(Formula(LinComb(terms), f.K), w)
+        assert not rep["passes"] and rep["consistent"], gamma
+        assert rep["first_nonzero"]["family"] == "a6t" and not rep["boundary_zero"]
+        first = next(iter(f.vector.keys()))
+        walk = verify_invariance(f, first.with_signs([1] * 4), 3, 10, rng.randrange(1 << 30))
+        assert walk["constant"] and walk["value"] != 0, gamma
+    assert time.perf_counter() - t0 < 30
 
 
 def test_check_formula_rejects_out_of_window_marks():

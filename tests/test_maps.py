@@ -5,7 +5,6 @@ from fractions import Fraction
 from arrowforms.diagrams import ArrowDiagram, GaussDiagram
 from arrowforms.lincomb import LinComb
 from arrowforms.maps import (
-    base_expand,
     double_angle,
     double_paren,
     pair_norm,
@@ -17,6 +16,7 @@ from arrowforms.maps import (
 from arrowforms.relations import MarkingWindow, gen_family
 
 from conftest import random_arrow_diagram, random_gauss_diagram, seeded
+from move_oracles import base_expand
 
 
 def test_sign_expansion_is_odd_per_arrow():

@@ -425,15 +425,15 @@ def _plain(x):
 
 
 def _rewritable_degenerate_diagram():
-    """The first non-monotonic degenerate diagram of degree 2 over {1, 2},
-    K=3, whose triangle rewrite is nonzero, and its normalization window."""
+    """The key, as a one-element argument tuple, of the first non-monotonic
+    degenerate diagram of degree 2 over {1, 2}, K=3, whose triangle rewrite
+    is nonzero."""
     w = MarkingWindow({1, 2}, 3)
-    wide = engine.normalization_window(w)
     for d in enumerate_diagrams("arrow", 2, w):
         for arc in range(2 * d.n):
             dd = DegenerateDiagram(BasedDiagram(d, arc))
-            if not dd.is_monotonic() and boundary._triangle_rewrite(dd, wide):
-                return dd, wide
+            if not dd.is_monotonic() and boundary._triangle_rewrite(dd._key):
+                return (dd._key,)
     raise AssertionError("no rewritable diagram")
 
 
@@ -1023,6 +1023,31 @@ def test_the_tuple_P_rows_span_the_object_rows(n, marks, K):
     fast, slow = echelon_of(rows), echelon_of(oracle)
     assert fast.rank() == slow.rank()
     assert all(spans(fast, r) for r in oracle) and all(spans(slow, r) for r in rows)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.sets(st.integers(-1, 3), min_size=1, max_size=3),
+    st.integers(-2, 3),
+)
+@example(3, {0, 1}, 1)
+def test_the_span_rows_need_no_window_closure(n, marks, K):
+    window = MarkingWindow(marks, K)
+    hosts = [enumerate_diagrams("gauss", deg, window) for deg in range(n + 1)]
+    skipped = {}
+    list(relations._p_relation_rows(hosts, window, skipped))
+    assert skipped == {}
+    for deg in range(1, n + 1):
+        for family in ("p1", "p2", "p3"):
+            closed, open_ = {}, {}
+            assert list(
+                relations._family_vectors(family, hosts[deg], window.allowed, closed, True).items()
+            ) == list(
+                relations._family_vectors(family, hosts[deg], window.allowed, open_, False).items()
+            )
+            assert closed == open_ == {}
+    assert relations.check_I_span_compat(min(n, 2), window, 5)["skipped"] == {}
 
 
 def test_withheld_p3_rows_make_the_span_check_report_R3_failures(monkeypatch):
