@@ -25,10 +25,11 @@ canonicalized.  The core builds no diagram object, LinComb or Fraction.
 _family_vectors sums and deduplicates instances as tuples; gen_family
 builds diagrams and RelationInstances only for the instances it returns.
 The solver's rows (_constraint_rows) key each term's |Aut|-rescaled
-coefficient by its column index and never spell a term outside the
-window.  The Polyak span check (check_I_span_compat) spans its P-relation
-rows and subdiagram expansions as integer rows keyed by canonical arrow
-tuples, and builds objects only for the move vectors it checks.
+coefficient by its column index, never spell a term outside the window,
+and spell each instance from its least in-window host only.  The Polyak
+span check (check_I_span_compat) spans its P-relation rows and subdiagram
+expansions as integer rows keyed by canonical arrow tuples, and builds
+objects only for the move vectors it checks.
 
 The same matching machinery drives Reidemeister rewriting (apply_R_move)
 and the move census (move_census) that random invariance walks draw from.
@@ -198,15 +199,29 @@ def _gap_relation(model):
     scale: the signed maximal minors.  The system is then consistent iff
     y[0]*K + sum(y[c+1]*mark_c) == 0, which is how matches are checked and
     how six-term matches complete their hidden crossing (_complete_marks).
-    Raises ValueError for a model whose system is not of that shape."""
+    Raises ValueError for a model whose system is not of that shape.
+
+    The system depends on the slot count and markexpr only, so y is
+    computed once per such pair (_gap_minors) for all the models and
+    descriptors that share it."""
     ns = model.nslots
-    rows = [[1] * ns] + [[int(s in e) for s in range(ns)] for e in model.markexpr]
-    if len(rows) != ns + 1:
-        raise ValueError("gap system of %r has %d rows for %d gaps" % (model, len(rows), ns))
-    y = [(-1) ** i * _det(rows[:i] + rows[i + 1:]) for i in range(ns + 1)]
+    if len(model.markexpr) != ns:
+        raise ValueError(
+            "gap system of %r has %d rows for %d gaps" % (model, len(model.markexpr) + 1, ns)
+        )
+    y = _gap_minors(ns, model.markexpr)
     if not any(y):
         raise ValueError("gap system of %r has more than one left-null vector" % (model,))
-    g = gcd(*y)
+    return y
+
+
+@cache
+def _gap_minors(ns, markexpr):
+    """The signed maximal minors of the square-plus-one gap system of
+    _gap_relation, divided by their gcd (all zero when they all vanish)."""
+    rows = [[1] * ns] + [[int(s in e) for s in range(ns)] for e in markexpr]
+    y = [(-1) ** i * _det(rows[:i] + rows[i + 1:]) for i in range(ns + 1)]
+    g = gcd(*y) or 1
     return tuple(v // g for v in y)
 
 
@@ -378,14 +393,15 @@ def _rotated(model, rot):
     return words, tuple(frozenset((x - rot) % ns for x in e) for e in model.markexpr)
 
 
-def _normalize_model(model, rot):
+def _normalize_model(model, rot, rotated=None):
     """The normal form (_NormalForm) of a model at slot rotation rot: the
     slot-rotated model with crossings renamed by the slots they occupy.
+    `rotated` is _rotated(model, rot) when the caller has it already.
 
     Two descriptors whose normal forms agree (under a sign mode, see
     _signature) match the same sites and build the same instance terms, so
     one representative suffices."""
-    words, markexpr = _rotated(model, rot)
+    words, markexpr = rotated or _rotated(model, rot)
     slots_of = {}
     for s in range(model.nslots):
         for c, _r in words["L"][s]:
@@ -412,7 +428,9 @@ def _normal_forms(kind):
     the list, which then has the same normal forms, shifted.  So the forms
     are computed once per rotation orbit, at each rotation of the orbit's
     first model: 96 orbits of 3 R3 models and 8 orbits of 2 R2 models, 304
-    normalizations in all."""
+    normalizations in all.  Each rotation is computed once, for both the
+    normal form and the key of the rotated model.  The models of an orbit
+    share the form objects (see _orbit_forms)."""
     ms = models(kind)
     by_key = {m.key: i for i, m in enumerate(ms)}
     out = [None] * len(ms)
@@ -420,14 +438,28 @@ def _normal_forms(kind):
         if out[i] is not None:
             continue
         ns = model.nslots
-        forms = [_normalize_model(model, rot) for rot in range(ns)]
+        forms, members = [], []
         for rot in range(ns):
-            words, markexpr = _rotated(model, rot)
+            rotated = words, markexpr = _rotated(model, rot)
+            forms.append(_normalize_model(model, rot, rotated))
             # the LocalModel.key of the rotated model
-            j = by_key.get((kind, model.signs, markexpr, tuple(sorted(words.items()))))
+            members.append(by_key.get((kind, model.signs, markexpr, tuple(sorted(words.items())))))
+        for rot, j in enumerate(members):
             if j is not None and out[j] is None:
                 out[j] = tuple(forms[(rot + s) % ns] for s in range(ns))
     return tuple(out)
+
+
+def _orbit_forms(kind):
+    """(model, normal forms) of the first model of each rotation orbit of
+    models(kind), in model order.  The other models of an orbit have the
+    same form objects, rotated (_normal_forms), so in a descriptor table
+    they would add no shape and no lesser signature."""
+    seen = set()
+    for model, forms in zip(models(kind), _normal_forms(kind)):
+        if id(forms[0]) not in seen:
+            seen.update(map(id, forms))
+            yield model, forms
 
 
 def _signature(form, mode):
@@ -530,7 +562,9 @@ def _pair_descriptors(mode):
 
     The shapes are the (side, normal form) classes of every R3 model, side
     and choice of shared strand, the normal forms read from _normal_forms
-    (one per model and slot rotation, computed once per rotation orbit); a
+    (one per model and slot rotation, computed once per rotation orbit).
+    Only the first model of each orbit is visited (_orbit_forms): the
+    others' forms are the same, rotated, so they add no shape.  A
     LocalModel is built only for the first shape of each group, the one
     kept.  Many of the shapes build the same 6-term
     instance: at one host position, L/R twin models and the placements of
@@ -545,7 +579,7 @@ def _pair_descriptors(mode):
     12 groups; 'gauss': 192 in 96.)"""
     shapes = set()
     groups = {}  # signature -> [first shape, number of shapes]
-    for model, forms in zip(models("R3"), _normal_forms("R3")):
+    for model, forms in _orbit_forms("R3"):
         for side in ("L", "R"):
             for form in forms:
                 base_sig = _signature(form, mode)
@@ -606,10 +640,12 @@ def r3_pair_matches(d, positions=None):
 def _full_descriptors(kind, mode):
     """Deduplicated complete local model shapes: list of (model, side).
     Each model stands for its least normal form (see _normal_forms) under
-    the mode's signature; a LocalModel is built only for a kept shape."""
+    the mode's signature; a LocalModel is built only for a kept shape.  Only
+    the first model of each rotation orbit is visited (_orbit_forms): the
+    others have the same forms, so no lesser signature."""
     table = {}
     sides = ("L", "R") if kind == "R3" else ("L",)
-    for model, forms in zip(models(kind), _normal_forms(kind)):
+    for model, forms in _orbit_forms(kind):
         # the first form whose signature no later one undercuts by `<`
         best = min(forms, key=lambda form: _signature(form, mode))
         sig = _signature(best, mode)
@@ -937,23 +973,39 @@ def _constraint_rows(window, columns):
     A term outside the window has no column, so it is never spelled.  Rows
     that are proportional are one row; the rows come shortest first (then
     by their proportion key), an order that keeps the fill of exact
-    elimination low."""
+    elimination low.
+
+    Each instance is emitted from its least in-window host only: at host
+    column i its in-window terms are spelled in order, and the instance is
+    dropped at the first term whose column index is less than i.  The own
+    term (the host) costs nothing.  This is exact because the instance is
+    also found from that lesser column.  An ap1 or ap2 instance has one
+    term, its host.  Every in-window term of an a6t instance is a column,
+    and the pair descriptors cover every (model, side, pair) shape, up to a
+    grouping that keeps matches and terms (_pair_descriptors).  Any two
+    crossings of an R3 model share a strand, on which their endpoints are
+    adjacent, so r3_pair_matches anchors there and finds the instance from
+    every one of its terms.  The rows are a set, so dropping the later
+    copies of an instance changes no row."""
     index = {d.arrows: i for i, d in enumerate(columns)}
     allowed = window.allowed
     rows = set()
     for family in CONSTRAINT_FAMILIES:
-        for d in columns:
+        for i, d in enumerate(columns):
             for _weight, terms in _host_instances(family, d, allowed):
                 row = {}
                 for c, inside, spell in terms:
                     if inside:
                         arrows, aut = spell()
                         j = index[arrows]
+                        if j < i:
+                            break  # emitted from host column j
                         v = row.pop(j, 0) + c * aut
                         if v:
                             row[j] = v
-                if row:
-                    rows.add(_proportion_key(row))
+                else:
+                    if row:
+                        rows.add(_proportion_key(row))
     return [dict(k) for k in sorted(rows, key=lambda k: (len(k), k))]
 
 
@@ -1160,14 +1212,18 @@ def r_relation_vectors(n, window, limit_per_kind=None):
     other move is matched below degree n.  A kink whose forced marking
     (0 or K) is outside the window is left out.  Once a kind has
     limit_per_kind vectors, the next diagrams add none of it."""
-    return _r_vectors(
+    vectors = _r_vectors(
         n, window, limit_per_kind, lambda deg: enumerate_diagrams("gauss", deg, window)
     )
+    return [(kind, vec) for kind, vec, _change in vectors]
 
 
 def _r_vectors(n, window, limit_per_kind, diagrams):
     """r_relation_vectors over diagrams(deg), the Gauss diagrams of degree
-    deg over the window, which it asks for in increasing degree."""
+    deg over the window, which it asks for in increasing degree, each
+    vector as (kind, vector, change).  change is (arrows after the move,
+    indices of the arrows it created, arrows before it, indices of the
+    arrows it removed), the arrows before canonicalization, for _I_row."""
     out = []
     counts = {"R1": 0, "R2": 0, "R3": 0}
     for deg in range(0, n):
@@ -1180,37 +1236,59 @@ def _r_vectors(n, window, limit_per_kind, diagrams):
                     move, site, params = decode(u)
                     if kind == "R1" and (0 if params[0] == "ht" else window.K) not in window:
                         continue
-                    g2 = apply_R_move(g, move, site, params)
-                    out.append((kind, LinComb.single(g2) - LinComb.single(g)))
+                    g2, arrows, created, removed = _apply_move(g, move, site, params)
+                    vec = LinComb.single(g2) - LinComb.single(g)
+                    out.append((kind, vec, (arrows, created, g.arrows, removed)))
                     counts[kind] += 1
     for g in diagrams(n) if n >= 3 else ():
         if limit_per_kind is not None and counts["R3"] >= limit_per_kind:
             break
         for m in _full_matches(g, "R3"):
-            g2 = GaussDiagram._canonical(g.K, *_canonical_pair(_reversed_r3(m)))
+            arrows = _reversed_r3(m)
+            g2 = GaussDiagram._canonical(g.K, *_canonical_pair(arrows))
             vec = LinComb.single(g2) - LinComb.single(g)
             if vec and _in_window(vec, window):
-                out.append(("R3", vec))
+                created = tuple(range(len(arrows) - 3, len(arrows)))
+                out.append(("R3", vec, (arrows, created, g.arrows, _r3_site(m)[0])))
                 counts["R3"] += 1
                 break
     return out
 
 
-def _I_row(r):
-    """I(r) (maps.subdiagram_expand_I) as an integer row {canonical arrows:
-    int}: every subset of every diagram's arrows, induced and
-    canonicalized as a tuple.  The coefficients of r, a move difference,
-    are integers."""
+def _I_row(change):
+    """I(r) (maps.subdiagram_expand_I) of a move difference r as an integer
+    row {canonical arrows: int}, from the move's change (see _r_vectors).
+
+    Only the subsets that the move changes are induced and canonicalized.
+    R1+ and R2+ insert endpoints and keep the old arrows in their cyclic
+    order, so the subsets of the new diagram that avoid the created arrows
+    are the subsets of the old one and cancel: I(r) is the sum over the
+    subsets holding a created arrow.  An R3 move (the only one here that
+    removes arrows) keeps every subset holding at most one arrow of its
+    triple (see engine._walk_step), so I(r) is the sum over the new
+    subsets holding two or more created arrows minus the old ones holding
+    two or more removed ones."""
+    after, created, before, removed = change
+    least = 2 if removed else 1
     row = {}
-    for g, c in r.items():
-        c = int(c)
-        for k in range(g.n + 1):
-            for sub in combinations(range(g.n), k):
-                arrows = canonical_arrows(k, _induced(g.arrows, sub))[0]
-                v = row.pop(arrows, 0) + c
-                if v:
-                    row[arrows] = v
+    _add_subsets(row, after, created, least, 1)
+    _add_subsets(row, before, removed, least, -1)
     return row
+
+
+def _add_subsets(row, arrows, touched, least, c):
+    """Add c to `row` at the canonical arrows of every subset of `arrows`
+    holding at least `least` of the indices in `touched`."""
+    rest = [i for i in range(len(arrows)) if i not in touched]
+    for k in range(least, len(touched) + 1):
+        for part in combinations(touched, k):
+            for j in range(len(rest) + 1):
+                for others in combinations(rest, j):
+                    sub = sorted(part + others)
+                    key = canonical_arrows(len(sub), _induced(arrows, sub))[0]
+                    v = row.pop(key, 0) + c
+                    if v:
+                        row[key] = v
 
 
 def _p_relation_rows(diagrams, window, skipped):
@@ -1240,9 +1318,10 @@ def check_I_span_compat(n, window, limit_per_kind=None):
     kept for the report's readers.
 
     The check runs on the tuple core: the P-relation instances
-    (_p_relation_rows) and every I(r) (_I_row) are integer rows keyed by
-    canonical arrow tuples, which order as the diagrams do since K is
-    fixed.  Diagram objects are built only for the move vectors r."""
+    (_p_relation_rows) and every I(r) (_I_row, over the subsets the move
+    changes) are integer rows keyed by canonical arrow tuples, which order
+    as the diagrams do since K is fixed.  Diagram objects are built only
+    for the move vectors r."""
     # each degree's Gauss diagrams, enumerated once for the P-relation
     # hosts and the R-relation moves
     diagrams = [enumerate_diagrams("gauss", deg, window) for deg in range(n + 1)]
@@ -1252,8 +1331,8 @@ def check_I_span_compat(n, window, limit_per_kind=None):
         ech.insert(row)
     failures = []
     checked = 0
-    for kind, r in _r_vectors(n, window, limit_per_kind, diagrams.__getitem__):
+    for kind, r, change in _r_vectors(n, window, limit_per_kind, diagrams.__getitem__):
         checked += 1
-        if ech.reduce(_I_row(r)):
+        if ech.reduce(_I_row(change)):
             failures.append((kind, r))
     return {"checked": checked, "failures": failures, "skipped": skipped}

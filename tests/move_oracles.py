@@ -11,12 +11,15 @@ relation generation, which built a diagram, a LinComb and a
 RelationInstance for every instance found, is the oracle of the tuple core
 behind gen_family and the solver's rows; the object path of the Polyak
 span check, which spanned I(r) over those instances as LinCombs, is the
-oracle of its tuple rows.  The object path of the boundary map, which
-built a BasedDiagram for every basing and every spliced triangle term, a
-DegenerateDiagram for every shrink and a Fraction LinComb for every
-rewrite, is the oracle of boundary's based-word core, and the object path
-of check_formula, which paired f with gen_family's RelationInstances, the
-oracle of its pairings on summed rows.
+oracle of its tuple rows.  The solver's row loop that spelled each
+instance from every in-window host is the oracle of its rows spelled from
+the least host, and the I(r) row over every subset that of the span
+check's rows over the subsets a move changes.  The object path of the
+boundary map, which built a BasedDiagram for every basing and every
+spliced triangle term, a DegenerateDiagram for every shrink and a Fraction
+LinComb for every rewrite, is the oracle of boundary's based-word core,
+and the object path of check_formula, which paired f with gen_family's
+RelationInstances, the oracle of its pairings on summed rows.
 
 _cyclic_ordered and _other_pos, the slot-order test and endpoint lookup
 these scans share, live here: the program's matchers read the slot order
@@ -24,7 +27,7 @@ off the other endpoints of the anchor arrows instead."""
 
 from fractions import Fraction
 from functools import cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from arrowforms.boundary import NormalizationError
 from arrowforms.diagrams import (
@@ -33,7 +36,9 @@ from arrowforms.diagrams import (
     DegenerateDiagram,
     DiagramError,
     GaussDiagram,
+    _induced,
     arrows_cross,
+    canonical_arrows,
 )
 from arrowforms.engine import normalization_window
 from arrowforms.lincomb import LinComb, _add_into, as_lincomb
@@ -53,10 +58,12 @@ from arrowforms.relations import (
     _full_descriptors,
     _full_matches,
     _gap_relation,
+    _host_instances,
     _in_window,
     _normalize_model,
     _pair_descriptors as _reduced_pair_descriptors,
     _pair_entry,
+    _proportion_key,
     _r_vectors,
     _signature,
     _six_term_coeff,
@@ -579,8 +586,50 @@ def constraint_rows_objects(n, window, columns):
     return rows
 
 
+def constraint_rows_all_hosts(window, columns):
+    """relations._constraint_rows as it spelled every instance from every
+    in-window host term: each copy of an instance is spelled again and
+    merged into the row set.  The solver now emits each instance from its
+    least in-window host only."""
+    index = {d.arrows: i for i, d in enumerate(columns)}
+    allowed = window.allowed
+    rows = set()
+    for family in CONSTRAINT_FAMILIES:
+        for d in columns:
+            for _weight, terms in _host_instances(family, d, allowed):
+                row = {}
+                for c, inside, spell in terms:
+                    if inside:
+                        arrows, aut = spell()
+                        j = index[arrows]
+                        v = row.pop(j, 0) + c * aut
+                        if v:
+                            row[j] = v
+                if row:
+                    rows.add(_proportion_key(row))
+    return [dict(k) for k in sorted(rows, key=lambda k: (len(k), k))]
+
+
 # ---------------------------------------------------------------------------
 # the object path of the Polyak span check
+
+
+def I_row_all_subsets(r):
+    """relations._I_row as it expanded a move difference r: every subset of
+    every diagram's arrows, induced and canonicalized as a tuple, as an
+    integer row {canonical arrows: int}.  The coefficients of r, a move
+    difference, are integers.  The program induces only the subsets that
+    the move changes."""
+    row = {}
+    for g, c in r.items():
+        c = int(c)
+        for k in range(g.n + 1):
+            for sub in combinations(range(g.n), k):
+                arrows = canonical_arrows(k, _induced(g.arrows, sub))[0]
+                v = row.pop(arrows, 0) + c
+                if v:
+                    row[arrows] = v
+    return row
 
 
 def check_I_span_compat_objects(n, window, limit_per_kind=None):
@@ -599,7 +648,7 @@ def check_I_span_compat_objects(n, window, limit_per_kind=None):
     ech = echelon_of(rows)
     failures = []
     checked = 0
-    for kind, r in _r_vectors(n, window, limit_per_kind, diagrams.__getitem__):
+    for kind, r, _change in _r_vectors(n, window, limit_per_kind, diagrams.__getitem__):
         vec = subdiagram_expand_I(r)
         checked += 1
         if not spans(ech, vec):

@@ -1,11 +1,16 @@
 """Exit codes and output formats of the command-line front end."""
 
 import hashlib
+import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import arrowforms
 from arrowforms import textio
 from arrowforms.cli import build_parser, main
 from arrowforms.engine import gv_formula
@@ -82,6 +87,50 @@ def test_the_degree_four_basis_is_pinned(tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "219590ad08e963b4fa7ef9ce5797592d6350500d8adb670d9ce1c4b1b7d6e544"
     )
+
+
+_LAZY_TABLES = """
+import io, json, sys
+from contextlib import redirect_stderr
+import arrowforms.cli
+from arrowforms import relations
+
+def sizes():
+    tables = {}
+    for name, mod in sorted(sys.modules.items()):
+        if name.split(".")[0] == "arrowforms":
+            for attr in vars(mod).values():
+                if callable(getattr(attr, "cache_info", None)):
+                    tables[attr.__module__ + "." + attr.__qualname__] = attr.cache_info().currsize
+    return tables
+
+at_import = sizes()
+with redirect_stderr(io.StringIO()):
+    arrowforms.cli.main(["solve", "--degree", "2", "--K", "5", "--markings", "1..4", "-o", sys.argv[1]])
+after = sizes()
+hits = relations._pair_descriptors.cache_info().hits
+relations._pair_descriptors("pairprod")
+cached = relations._pair_descriptors.cache_info().hits == hits + 1
+print(json.dumps([at_import, after, cached]))
+"""
+
+
+def test_importing_the_cli_builds_no_table_and_a_solve_only_its_own(tmp_path):
+    # in a fresh process: importing the command line fills no cached table,
+    # and a cold degree-2 solve (arrow diagrams) builds the sign-forgotten
+    # six-term table ("pairprod") but not the signed one ("gauss")
+    src = os.path.dirname(os.path.dirname(arrowforms.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", _LAZY_TABLES, str(tmp_path / "basis.txt")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+        timeout=300,
+    )
+    at_import, after, pairprod_cached = json.loads(out.stdout)
+    assert "arrowforms.relations._pair_descriptors" in at_import
+    assert len(at_import) >= 10
+    assert {name: size for name, size in at_import.items() if size} == {}
+    assert after["arrowforms.relations._pair_descriptors"] == 1 and pairprod_cached
+    assert after["arrowforms.moves.models"] >= 1
 
 
 def test_check_passes(formula_file, capsys):
