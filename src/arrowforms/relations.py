@@ -238,7 +238,7 @@ class Match:
 
     anchors[s]: position in `host` of the first endpoint of slot group s.
     The layout (see _extract_layout) is built from them on first access,
-    since the move census reads only arrow_map and the anchors.
+    since a site check (apply_R_move) reads only arrow_map and the anchors.
 
     marks: the marking of every crossing of the model, visible or not.  A
     full match reads them off the host; a six-term match completes its
@@ -679,16 +679,23 @@ def _full_anchor_table(kind, mode):
     return table
 
 
-def _full_matches(d, kind, positions=None):
-    """Matches of a complete local model (all crossings visible) inside d.
+def _full_hits(d, r2, r3, positions=None):
+    """The one circle scan for complete local models (all crossings
+    visible) inside d: the R2 hits when r2 and the R3 hits when r3, as
+    plain tuples (kind, model, side, arrow map, anchors), where the arrow
+    map sends each model crossing to its host arrow and anchors[s] is the
+    position of the first endpoint of slot group s.
 
     Anchored search: every slot group is two consecutive endpoints of two
     different crossings, and the first group sits on an adjacent endpoint
-    pair (p, p+1 mod 2n) of arrows u != v.  Matches come in the order of p,
-    over all of 0..2n-1 or, when `positions` is given, over those positions
-    only; at one p, in descriptor order.
+    pair (p, p+1 mod 2n) of arrows u != v.  The arrow, role and partner
+    position of each endpoint are read into arrays once, and p walks them
+    once, over all of 0..2n-1 or, when `positions` is given, over those
+    only.  At each p come the R2 hits, then the R3 hits, each kind in
+    descriptor order; so a consumer that reads one kind, or drops repeats
+    per kind keeping the first, sees what one scan per kind would show.
 
-    At p the few configurations that can hold a match are read off the
+    At p the few configurations that can hold a hit are read off the
     circle, and each is looked up by its slot signature (see
     _full_anchor_table):
       * R2: the other endpoints x of u and y of v must be adjacent; they
@@ -702,69 +709,79 @@ def _full_matches(d, kind, positions=None):
     first-appearance labelling, so equal signatures mean equal slot words,
     roles and, on a signed host ('gauss' mode), signs.  A hit then holds
     iff the model's integer gap relation (_gap_relation) vanishes on
-    (K, markings).
-
-    The matches' layouts are built lazily (see Match)."""
-    gauss = d.signed
-    table = _full_anchor_table(kind, "gauss" if gauss else "plain")
-    r3 = kind == "R3"
-    if d.n < (3 if r3 else 2):
+    (K, markings)."""
+    n = d.n
+    if n < 2:
         return
-    size = 2 * d.n
-    arrows = d.arrows
-    ends = d.endpoint_roles()
+    mode = "gauss" if d.signed else "plain"
+    table2 = _full_anchor_table("R2", mode) if r2 else None
+    table3 = _full_anchor_table("R3", mode) if r3 and n >= 3 else None
+    size, K, arrows = 2 * n, d.K, d.arrows
+    at, role, other = [0] * size, [0] * size, [0] * size
+    for i, (t, h, _m, _s) in enumerate(arrows):
+        at[t] = at[h] = i
+        role[h] = 1
+        other[t], other[h] = h, t
     for p in range(size) if positions is None else positions:
-        (u, ru), (v, rv) = ends[p], ends[(p + 1) % size]
+        p1 = (p + 1) % size
+        u, v = at[p], at[p1]
         if u == v:
             continue
-        x, y = arrows[u][1 - ru], arrows[v][1 - rv]  # the other endpoints
+        ru, rv, x, y = role[p], role[p1], other[p], other[p1]
         first = ((0, ru), (1, rv))
-        if not r3:
+        if table2 is not None and (y == (x + 1) % size or x == (y + 1) % size):
             if y == (x + 1) % size:
                 q0, grp = x, ((0, 1 - ru), (1, 1 - rv))
-            elif x == (y + 1) % size:
-                q0, grp = y, ((1, 1 - rv), (0, 1 - ru))
             else:
-                continue
-            signs = (arrows[u][3], arrows[v][3]) if gauss else ()
-            for _i, model, side, order, relation in table.get(((first, grp), signs), ()):
-                arrow_map = {order[0]: u, order[1]: v}
-                marks = {c: arrows[arrow_map[c]][2] for c in range(2)}
-                if relation[0] * d.K + relation[1] * marks[0] + relation[2] * marks[1]:
-                    continue
-                yield Match(model, side, (0, 1), arrow_map, marks, d, [p, q0])
+                q0, grp = y, ((1, 1 - rv), (0, 1 - ru))
+            signs = (arrows[u][3], arrows[v][3]) if d.signed else ()
+            for _i, model, side, order, rel in table2.get(((first, grp), signs), ()):
+                amap = dict(zip(order, (u, v)))
+                if not rel[0] * K + rel[1] * arrows[amap[0]][2] + rel[2] * arrows[amap[1]][2]:
+                    yield "R2", model, side, amap, [p, q0]
+        if table3 is None:
             continue
         hits = []
         for nx in ((x - 1) % size, (x + 1) % size):
-            w, rw = ends[nx]
+            w = at[nx]
             if w == u or w == v:
                 continue
-            ny = arrows[w][1 - rw]
+            rw, ny = role[nx], other[nx]
+            # each group as (start, word over the labels u=0, v=1, w=2)
             if ny == (y - 1) % size:
-                gy = (ny, y)
+                gy = (ny, ((2, 1 - rw), (1, 1 - rv)))
             elif ny == (y + 1) % size:
-                gy = (y, ny)
+                gy = (y, ((1, 1 - rv), (2, 1 - rw)))
             else:
                 continue
-            gx = (nx, x) if nx == (x - 1) % size else (x, nx)
+            if nx == (x - 1) % size:
+                gx = (nx, ((2, rw), (0, 1 - ru)))
+            else:
+                gx = (x, ((0, 1 - ru), (2, rw)))
             if (gx[0] - p) % size > (gy[0] - p) % size:
                 gx, gy = gy, gx
-            label = {u: 0, v: 1, w: 2}
-            sig = (
-                first,
-                tuple((label[ends[q][0]], ends[q][1]) for q in gx),
-                tuple((label[ends[q][0]], ends[q][1]) for q in gy),
-            )
-            signs = (arrows[u][3], arrows[v][3], arrows[w][3]) if gauss else ()
-            for i, model, side, order, relation in table.get((sig, signs), ()):
-                arrow_map = {order[0]: u, order[1]: v, order[2]: w}
-                marks = {c: arrows[arrow_map[c]][2] for c in range(3)}
-                if relation[0] * d.K + sum(relation[c + 1] * marks[c] for c in range(3)):
-                    continue
-                hits.append((i, Match(model, side, (0, 1, 2), arrow_map, marks, d, [p, gx[0], gy[0]])))
-        hits.sort(key=lambda h: h[0])
-        for _i, m in hits:
-            yield m
+            signs = (arrows[u][3], arrows[v][3], arrows[w][3]) if d.signed else ()
+            for i, model, side, order, rel in table3.get(((first, gx[1], gy[1]), signs), ()):
+                amap = dict(zip(order, (u, v, w)))
+                gap = rel[0] * K + rel[1] * arrows[amap[0]][2] + rel[2] * arrows[amap[1]][2]
+                if not gap + rel[3] * arrows[amap[2]][2]:
+                    hits.append((i, ("R3", model, side, amap, [p, gx[0], gy[0]])))
+        if hits:
+            hits.sort(key=lambda h: h[0])
+            for _i, hit in hits:
+                yield hit
+
+
+def _full_matches(d, kind, positions=None):
+    """Matches of a complete local model of `kind` inside d: the one scan's
+    hits of that kind alone (_full_hits), in its order, as Match objects
+    with marks keyed 0..k-1.  The layouts are built lazily (see Match)."""
+    r3 = kind == "R3"
+    present = (0, 1, 2) if r3 else (0, 1)
+    arrows = d.arrows
+    for _kind, model, side, amap, anchors in _full_hits(d, not r3, r3, positions):
+        marks = {c: arrows[amap[c]][2] for c in present}
+        yield Match(model, side, present, amap, marks, d, anchors)
 
 
 def r1_matches(d):
@@ -1013,10 +1030,10 @@ def _constraint_rows(window, columns):
 # Reidemeister rewriting
 
 
-def _r3_site(m):
-    """The R3 site of a match: (arrow triple, position of the first
-    endpoint of the first strand, which is the match's anchor)."""
-    return tuple(m.arrow_map[i] for i in (0, 1, 2)), m.anchors[0]
+def _r3_site(arrow_map, anchors):
+    """The R3 site of a hit or match: (arrow triple, position of the first
+    endpoint of the first strand, which is the hit's anchor)."""
+    return (arrow_map[0], arrow_map[1], arrow_map[2]), anchors[0]
 
 
 def _reversed_r3(m):
@@ -1138,7 +1155,7 @@ def _apply_move(g, move, site, params=()):
             anchor = parts[1]
             spots = [p for p in range(2 * g.n) if p == anchor]  # see _r3_site
             for m in _full_matches(g, "R3", positions=spots):
-                if _r3_site(m) != (triple, anchor):
+                if _r3_site(m.arrow_map, m.anchors) != (triple, anchor):
                     continue
                 arrows = _reversed_r3(m)
                 created = tuple(range(len(arrows) - 3, len(arrows)))
@@ -1186,11 +1203,18 @@ def move_census(g, marking_set, max_degree=None):
     apply_R_move.  Insertion blocks are counted arithmetically and never
     listed (_insertion_blocks).  R1 markings are forced by the kink (0 or
     K); R2 markings come from `marking_set`.  Moves that would exceed
-    max_degree are left out."""
+    max_degree are left out.  Bigons and R3 sites come from one pass of
+    _full_hits, which builds no Match; each keeps the first copy of every
+    site in its own kind's order, as one scan per kind did."""
     r1_plus, r2_plus = _insertion_blocks(g, marking_set, max_degree)
     kinks = r1_matches(g)
-    bigons = list(dict.fromkeys((m.arrow_map[0], m.arrow_map[1]) for m in _full_matches(g, "R2")))
-    triples = list(dict.fromkeys(_r3_site(m) for m in _full_matches(g, "R3")))
+    bigons, triples = {}, {}  # insertion-ordered sets
+    for kind, _model, _side, amap, anchors in _full_hits(g, True, True):
+        if kind == "R2":
+            bigons.setdefault((amap[0], amap[1]))
+        else:
+            triples.setdefault(_r3_site(amap, anchors))
+    bigons, triples = list(bigons), list(triples)
     return [
         r1_plus,
         (len(kinks), lambda u: ("R1-", kinks[u][0], ())),
@@ -1249,7 +1273,8 @@ def _r_vectors(n, window, limit_per_kind, diagrams):
             vec = LinComb.single(g2) - LinComb.single(g)
             if vec and _in_window(vec, window):
                 created = tuple(range(len(arrows) - 3, len(arrows)))
-                out.append(("R3", vec, (arrows, created, g.arrows, _r3_site(m)[0])))
+                triple = _r3_site(m.arrow_map, m.anchors)[0]
+                out.append(("R3", vec, (arrows, created, g.arrows, triple)))
                 counts["R3"] += 1
                 break
     return out

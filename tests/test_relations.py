@@ -274,7 +274,8 @@ def test_anchored_matcher_matches_the_scan_with_layouts(d):
 
 def _ordered_match_keys(matches):
     return [
-        (id(m.model), m.side, m.present, tuple(sorted(m.arrow_map.items())), tuple(m.anchors))
+        (id(m.model), m.side, m.present, tuple(sorted(m.arrow_map.items())), tuple(m.anchors),
+         tuple(m.marks.items()))
         for m in matches
     ]
 
@@ -295,6 +296,26 @@ def test_signature_matcher_matches_the_bucket_scan_in_order():
                 assert fast == _ordered_match_keys(full_matches_bucket_scan(d, kind, mode))
                 found[kind] += len(fast)
     assert found["R2"] and found["R3"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_site_diagrams(), st.data())
+def test_the_one_scan_gives_the_bucket_scan_sites_and_anchored_matches(d, data):
+    # the census reads both kinds from one interleaved pass, and
+    # _full_matches reads one kind of it, at all positions or at some
+    mode = "gauss" if d.signed else "plain"
+    scans = {kind: list(full_matches_bucket_scan(d, kind, mode)) for kind in ("R2", "R3")}
+    blocks = move_census(d, {0, 1})
+    bigons = dict.fromkeys((m.arrow_map[0], m.arrow_map[1]) for m in scans["R2"])
+    sites = dict.fromkeys(
+        ((m.arrow_map[0], m.arrow_map[1], m.arrow_map[2]), m.anchors[0]) for m in scans["R3"]
+    )
+    for (count, decode), move, want in ((blocks[3], "R2-", bigons), (blocks[4], "R3", sites)):
+        assert [decode(u) for u in range(count)] == [(move, site, ()) for site in want]
+    positions = sorted(data.draw(st.sets(st.integers(0, 2 * d.n - 1))))
+    for kind, scan in scans.items():
+        want = _ordered_match_keys(m for m in scan if m.anchors[0] in positions)
+        assert _ordered_match_keys(_full_matches(d, kind, positions=positions)) == want
 
 
 def test_gap_relation_agrees_with_solve_gaps():
