@@ -25,13 +25,13 @@ non-monotonic diagram is computed once per degenerate key, whatever the
 window (_triangle_rewrite), and the window check runs per call.
 boundary_d sums Fraction coefficients over degenerate keys and builds a
 DegenerateDiagram only for each term it returns, so a formula whose
-boundary vanishes builds none.  triangle_relation, normalize_triangle,
-a6t_based, based_6T_pairing_check, gen_degenerate_family and the
-epsilon/d_based helpers build their objects from the same core.
+boundary vanishes builds none.
 
-eta, a6t_based, based_6T_pairing_check and gen_degenerate_family (the
-triangle and based6t families) are kept as API for checking the paper's
-statements; the program itself calls boundary_d only.
+boundary_d is the module's one entry point; the program calls nothing
+else here.  The paper-level helpers (epsilon on based diagrams, the
+triangle relations, the based 6-term combinations and the duality check
+between them) build objects and live in tests/move_oracles.py as the
+oracles of this core.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from functools import cache
 
 from .diagrams import (
     ArrowDiagram,
-    BasedDiagram,
     DegenerateDiagram,
     DiagramError,
     _based_word,
@@ -51,18 +50,9 @@ from .diagrams import (
     arrows_cross,
     canonical_arrows,
 )
-from .lincomb import LinComb, _add_into, as_lincomb
-from .maps import pair_ortho
+from .lincomb import LinComb, as_lincomb
 from .moves import HEAD
-from .relations import (
-    _PAIRS,
-    _assemble_term,
-    _in_window,
-    _six_term_coeff,
-    RelationInstance,
-    enumerate_diagrams,
-    r3_pair_matches,
-)
+from .relations import _PAIRS, _assemble_term, _six_term_coeff, r3_pair_matches
 
 
 class NormalizationError(DiagramError):
@@ -78,34 +68,6 @@ def _epsilon(word, fused):
         raise DiagramError("eta is defined for nice based diagrams only")
     eta = 1 if arrows_cross(word[i1], word[i2]) else -1
     return eta * (-1) ** ((r1 == HEAD) + (r2 == HEAD))
-
-
-def is_nice(b):
-    """True iff the endpoints bounding the base arc belong to two arrows."""
-    (i1, _r1), (i2, _r2) = b.boundary_endpoints()
-    return i1 != i2
-
-
-def eta(b):
-    """+1 if the two arrows bounding the base arc cross, else -1."""
-    return epsilon(b) * (-1) ** head_count(b)
-
-
-def head_count(b):
-    """How many of the two base-arc boundary endpoints are arrowheads."""
-    (_i1, r1), (_i2, r2) = b.boundary_endpoints()
-    return (r1 == HEAD) + (r2 == HEAD)
-
-
-def epsilon(b):
-    return _epsilon(b.arrows, b.boundary_endpoints())
-
-
-def d_based(b):
-    """epsilon(b) times the shrunk diagram; 0 when the basing is not nice."""
-    if not is_nice(b):
-        return LinComb.zero()
-    return LinComb.single(DegenerateDiagram(b), epsilon(b))
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +201,11 @@ def _triangle_rewrite(key):
 
 
 def _normalize(raw, window):
-    """normalize_triangle on the tuple core: {key: [coefficient, word]} in,
-    the same out, every key monotonic."""
+    """Rewrite every non-monotonic key into the monotonic basis:
+    {key: [coefficient, word]} in, the same out.
+
+    Out-of-window rewrites raise NormalizationError rather than dropping
+    terms.  Keys are processed in sorted order for reproducibility."""
     out = {}
     allowed = window.allowed
     for key in sorted(raw):
@@ -265,51 +230,6 @@ def _lincomb(acc):
     return LinComb._of({_degenerate(key, word): c for key, (c, word) in acc.items()})
 
 
-def a6t_based(dd):
-    """The based 6-term combination attached to a monotonic diagram."""
-    if not dd.is_monotonic():
-        raise DiagramError("based 6-term combinations attach to monotonic diagrams")
-    D, arcs = _shrink_arcs(dd._key)
-    vectors = set()
-    for arc in arcs:
-        for key, _terms, _mu, _mono, _direct in _parents_at(D, arc):
-            vectors.add(key)
-    if not vectors:
-        raise NormalizationError(
-            "no triple-point completion for %r" % (dd,)
-        )
-    if len(vectors) > 1:
-        raise AssertionError("monotonic diagram with several parent instances")
-    # a frozenset iterates in hash order, which varies between runs
-    return LinComb((BasedDiagram.from_word(dd.K, bt), c) for bt, c in sorted(vectors.pop()))
-
-
-def triangle_relation(dd):
-    """The unique relation containing the non-monotonic diagram dd, as a
-    vector with coefficient 1 on dd.  Fused endpoints of a single arrow give
-    the one-term relation dd = 0."""
-    if dd.is_monotonic():
-        raise DiagramError("monotonic diagrams are basis elements, not rewritable")
-    rewrite = _triangle_rewrite(dd._key)
-    if rewrite is None:
-        raise NormalizationError(
-            "no triangle relation for %r" % (dd,)
-        )
-    out = {dd: Fraction(1)}
-    for key, u, target in rewrite:
-        _add_into(out, {_degenerate(key, target): -u})
-    return LinComb._of(out)
-
-
-def normalize_triangle(x, window):
-    """Rewrite every non-monotonic key into the monotonic basis.
-
-    Out-of-window rewrites raise NormalizationError rather than dropping
-    terms.  Keys are processed in canonical order for reproducibility."""
-    raw = {dd._key: [c, dd.arrows] for dd, c in as_lincomb(x).items()}
-    return _lincomb(_normalize(raw, window))
-
-
 def boundary_d(a, window):
     """d on arrow combinations: all nice basings, shrunk with epsilon, in
     the monotonic basis.
@@ -331,48 +251,3 @@ def boundary_d(a, window):
                 raise DiagramError("degenerate diagrams are defined over arrow diagrams")
             _add_term(raw, _degenerate_key(d.K, word, fused), _epsilon(word, fused) * count * c, word)
     return _lincomb(_normalize(raw, window))
-
-
-def based_6T_pairing_check(b, dd, window):
-    """Duality check (d(b), dd) = (b, based-6T(dd)) for monotonic dd."""
-    lhs = pair_ortho(normalize_triangle(d_based(b), window), LinComb.single(dd))
-    try:
-        rel = a6t_based(dd)
-    except NormalizationError:
-        rel = LinComb.zero()
-    rhs = rel.coeff(b)
-    return lhs == rhs
-
-
-# ---------------------------------------------------------------------------
-# relation-family generation (triangle, based 6-term)
-
-
-def gen_degenerate_family(family, n, window, skipped=None):
-    """gen_family for the triangle and based6t tags."""
-    if skipped is None:
-        skipped = {}
-    seen = {}
-    for D in enumerate_diagrams("arrow", n, window):
-        for arc in range(2 * D.n):
-            b = BasedDiagram(D, arc)
-            dd = DegenerateDiagram(b)
-            try:
-                if family == "triangle":
-                    if dd.is_monotonic():
-                        continue
-                    vec = triangle_relation(dd)
-                    if not _in_window(vec, window):
-                        raise NormalizationError("out of window")
-                elif family == "based6t":
-                    if not is_nice(b) or not dd.is_monotonic():
-                        continue
-                    vec = a6t_based(dd)
-                else:
-                    raise ValueError("unknown family tag %r" % family)
-            except NormalizationError:
-                skipped[family] = skipped.get(family, 0) + 1
-                continue
-            inst = RelationInstance(family, vec)
-            seen.setdefault(inst.key(), inst)
-    return sorted(seen.values(), key=lambda r: r.key())

@@ -1,12 +1,12 @@
 """Structural maps between diagram spaces and the four pairings.
 
 The maps: S (signed expansion of an arrow diagram), I (subdiagram sum of a
-Gauss diagram), the degree projections, the orthonormal pairing ( , ), its
-automorphism-normalized version < , >, and the subset-counting brackets
-(( , )) and << , >>.
+Gauss diagram), the orthonormal pairing ( , ), its automorphism-normalized
+version < , >, and the subset-counting brackets (( , )) and << , >>.  The
+degree projections are LinComb.filtered (engine.homogeneous_components).
 
-project_pi, pair_ortho, sign_expand_S, double_paren and double_angle are
-kept as API, for checking the paper's statements directly.
+The selftest's bracket identity (cli) reads all of them but pair_ortho,
+the paper's ( , ), which is kept for checking its statements directly.
 """
 
 from __future__ import annotations
@@ -46,11 +46,6 @@ def subdiagram_expand_I(x):
         return LinComb(out)
 
     return x.map_terms(expand)
-
-
-def project_pi(x, n):
-    """Orthogonal projection onto the degree-n part."""
-    return as_lincomb(x).filtered(lambda k: k.n == n)
 
 
 def pair_ortho(x, y):

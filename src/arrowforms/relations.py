@@ -15,8 +15,6 @@ Families (the tags gen_family takes):
   g6t, g2t                    homogeneous projections of p3
   ap1, ap2, a6t, a2t          arrow-diagram counterparts
 
-The triangle and based6t families come from boundary.gen_degenerate_family.
-
 Generation runs on one tuple core (_host_instances).  For each host and
 match it yields every term as an int coefficient and a function spelling
 the term's canonical arrow tuple and |Aut|, plus whether the term lies in
@@ -31,8 +29,9 @@ span check (check_I_span_compat) spans its P-relation rows and subdiagram
 expansions as integer rows keyed by canonical arrow tuples, and builds
 objects only for the move vectors it checks.
 
-The same matching machinery drives Reidemeister rewriting (apply_R_move)
-and the move census (move_census) that random invariance walks draw from.
+The same matching machinery drives the move census (move_census) that
+random invariance walks draw from, and Reidemeister rewriting (_apply_move)
+of the moves it names and of the insertion moves of the span check.
 """
 
 from __future__ import annotations
@@ -238,7 +237,8 @@ class Match:
 
     anchors[s]: position in `host` of the first endpoint of slot group s.
     The layout (see _extract_layout) is built from them on first access,
-    since a site check (apply_R_move) reads only arrow_map and the anchors.
+    since the R3 site match (_apply_move) reads only arrow_map and the
+    anchors of the matches it passes over.
 
     marks: the marking of every crossing of the model, visible or not.  A
     full match reads them off the host; a six-term match completes its
@@ -1036,130 +1036,81 @@ def _r3_site(arrow_map, anchors):
     return (arrow_map[0], arrow_map[1], arrow_map[2]), anchors[0]
 
 
-def _reversed_r3(m):
-    """The arrows of an R3 match's host with the other side of its model
-    spliced in, in an un-rotated word; the three crossings come last."""
-    return _assemble_term(m, (0, 1, 2), "R" if m.side == "L" else "L")[0]
+def _diagram_like(g, arrows):
+    """The diagram of g's class and K over a valid arrow list: canonicalized,
+    not validated again."""
+    return type(g)._canonical(g.K, *_canonical_pair(arrows))
 
 
-def apply_R_move(g, move, site, params=()):
-    """Rewrite g by one Reidemeister move.
-
-    move/site/params:
-      'R1+'  site = insertion index 0..2n-1 (0 for the empty diagram);
-             params = (kind 'ht'|'th', sign)
-      'R1-'  site = arrow index (isolated, marking 0 or K as the kind demands)
-      'R2+'  site = (ins1, ins2) insertion indices, ins1 <= ins2;
-             params = (model index into moves.models('R2'), integer marking)
-      'R2-'  site = (arrow_i, arrow_j) forming a bigon pair
-      'R3'   site = (arrow triple, anchor position of the first strand)
-
-    R2- and R3 sites are checked by matching only where the site says: at
-    the four endpoints of the two arrows, or at the R3 anchor.  Any match
-    naming the site is anchored there, so a site that is not a bigon or an
-    R3 configuration of g raises DiagramError, as a full scan would.  So
-    does a site, parameter tuple or marking of the wrong shape or type.
-    """
-    return _apply_move(g, move, site, params)[0]
-
-
-def _site_parts(site, count):
-    """The `count` entries of a sequence site (or parameter tuple), or None
-    when it has another shape."""
-    try:
-        parts = tuple(site)
-    except TypeError:
-        return None
-    return parts if len(parts) == count else None
+def _r3_result(m):
+    """The R3 move at the full match m, as _apply_move returns it: the host
+    with the other side of m's model spliced in, its arrows in an
+    un-rotated word where the three created crossings come last, their
+    indices, and the triple of m's arrows it removes."""
+    arrows = _assemble_term(m, (0, 1, 2), "R" if m.side == "L" else "L")[0]
+    created = tuple(range(len(arrows) - 3, len(arrows)))
+    return _diagram_like(m.host, arrows), arrows, created, _r3_site(m.arrow_map, m.anchors)[0]
 
 
 def _apply_move(g, move, site, params=()):
-    """apply_R_move, also returning what the move changed:
+    """Rewrite g by one Reidemeister move, returning what the move changed:
     (new diagram, its arrows before canonicalization, indices in those
     arrows of the arrows the move created, indices in g of the arrows it
     removed).  An R3 move removes the site's triple and creates its
     reversed copy; the created arrows are always the last ones.
 
-    Splicing endpoints into a valid diagram, or cutting arrows out of it,
-    gives a valid one, so the result is canonicalized but not validated
-    again; the parameters a move adds (an R1 sign, an R2 marking) are
-    checked here instead."""
+    move/site/params, as move_census decodes them:
+      'R1+'  site = insertion index 0..2n-1 (0 for the empty diagram);
+             params = (kind 'ht'|'th', sign)
+      'R1-'  site = arrow index of a kink (r1_matches)
+      'R2+'  site = (ins1, ins2) insertion indices, ins1 <= ins2;
+             params = (model index into moves.models('R2'), integer marking)
+      'R2-'  site = (arrow_i, arrow_j) forming a bigon
+      'R3'   site = (arrow triple, anchor position of the first strand)
 
-    def diagram(arrows):
-        return type(g)._canonical(g.K, *_canonical_pair(arrows))
+    The callers pass only the moves that the census decodes (walks) or the
+    insertion blocks decode (_r_vectors), so sites and parameters are not
+    checked again.  An R3 move needs its match for the splice: the match is
+    found anchored at the site's position, and a site that is no R3
+    configuration of g raises DiagramError.  Splicing endpoints into a valid
+    diagram, or cutting arrows out of it, gives a valid one, so the result
+    is canonicalized but not validated again."""
 
     def insert(groups, new_arrows):
         host = [a[2:] for a in g.arrows]
         arrows, _starts = _splice(g.endpoint_roles(), host, groups, new_arrows)
         k = len(new_arrows)
-        return diagram(arrows), arrows, tuple(range(len(arrows) - k, len(arrows))), ()
+        return _diagram_like(g, arrows), arrows, tuple(range(len(arrows) - k, len(arrows))), ()
 
     def remove(drop):
-        new = diagram(_induced(g.arrows, [i for i in range(g.n) if i not in drop]))
+        new = _diagram_like(g, _induced(g.arrows, [i for i in range(g.n) if i not in drop]))
         return new, new.arrows, (), tuple(sorted(drop))
 
     if move == "R1+":
-        # the errors are built only when raised: walks apply many moves
-        parts = _site_parts(params, 2)
-        if parts is None or parts[0] not in ("ht", "th"):
-            raise DiagramError("R1 parameters %r are not (kind 'ht' or 'th', sign)" % (params,))
-        kind, sign = parts
-        if g.signed and sign not in (1, -1):
-            raise DiagramError("R1 sign %r is not +1 or -1" % (sign,))
+        kind, sign = params
         mark = 0 if kind == "ht" else g.K
         order = ((0, HEAD), (0, TAIL)) if kind == "ht" else ((0, TAIL), (0, HEAD))
-        if not isinstance(site, int) or not 0 <= site <= 2 * g.n:
-            raise DiagramError("R1 insertion index %r out of range" % (site,))
         return insert([(site, order)], [(0, mark, sign if g.signed else 0)])
     if move == "R1-":
-        if site not in [i for i, _kind in r1_matches(g)]:
-            raise DiagramError("arrow %r is not a removable kink" % (site,))
         return remove({site})
     if move == "R2+":
-        r2 = models("R2")
-        parts = _site_parts(params, 2)
-        if parts is None or not (isinstance(parts[0], int) and 0 <= parts[0] < len(r2)):
-            raise DiagramError(
-                "R2 parameters %r are not (model index 0..%d, marking)" % (params, len(r2) - 1)
-            )
-        k, mark = parts
-        model = r2[k]
-        ins = _site_parts(site, 2)
-        if not (
-            ins is not None and isinstance(ins[0], int) and isinstance(ins[1], int)
-            and 0 <= ins[0] <= ins[1] <= 2 * g.n
-        ):
-            raise DiagramError("R2 insertion indices %r out of range" % (site,))
         # every R2 model marks both crossings with one single gap, so the
         # gap system (total row [1, 1] plus one unit row) has rank 2 and
         # every integer marking is consistent with it
-        if not isinstance(mark, int):
-            raise DiagramError("R2 marking %r is not an integer" % (mark,))
+        k, mark = params
+        model = models("R2")[k]
         return insert(
-            [(ins[0], model.words["L"][0]), (ins[1], model.words["L"][1])],
+            [(site[0], model.words["L"][0]), (site[1], model.words["L"][1])],
             [(c, mark, model.signs[c] if g.signed else 0) for c in (0, 1)],
         )
     if move == "R2-":
-        # a match naming these arrows is anchored at one of their endpoints
-        pair = _site_parts(site, 2)
-        if pair is not None:
-            spots = sorted(p for i in range(g.n) if i in pair for p in g.arrows[i][:2])
-            for m in _full_matches(g, "R2", positions=spots):
-                if (m.arrow_map[0], m.arrow_map[1]) == pair:
-                    return remove(set(pair))
-        raise DiagramError("arrows %r do not form a removable bigon" % (site,))
+        return remove(set(site))
     if move == "R3":
-        parts = _site_parts(site, 2)
-        triple = None if parts is None else _site_parts(parts[0], 3)
-        if triple is not None:
-            anchor = parts[1]
-            spots = [p for p in range(2 * g.n) if p == anchor]  # see _r3_site
-            for m in _full_matches(g, "R3", positions=spots):
-                if _r3_site(m.arrow_map, m.anchors) != (triple, anchor):
-                    continue
-                arrows = _reversed_r3(m)
-                created = tuple(range(len(arrows) - 3, len(arrows)))
-                return diagram(arrows), arrows, created, triple
+        triple, anchor = site
+        spots = [p for p in range(2 * g.n) if p == anchor]  # see _r3_site
+        for m in _full_matches(g, "R3", positions=spots):
+            if _r3_site(m.arrow_map, m.anchors) == (triple, anchor):
+                return _r3_result(m)
         raise DiagramError("no R3 site at %r" % (site,))
     raise ValueError("unknown move %r" % (move,))
 
@@ -1200,7 +1151,7 @@ def move_census(g, marking_set, max_degree=None):
 
     Blocks come in the order R1+, R1-, R2+, R2-, R3; decode(u) for
     0 <= u < count is the u-th (move, site, params) of its block, ready for
-    apply_R_move.  Insertion blocks are counted arithmetically and never
+    _apply_move.  Insertion blocks are counted arithmetically and never
     listed (_insertion_blocks).  R1 markings are forced by the kink (0 or
     K); R2 markings come from `marking_set`.  Moves that would exceed
     max_degree are left out.  Bigons and R3 sites come from one pass of
@@ -1268,12 +1219,9 @@ def _r_vectors(n, window, limit_per_kind, diagrams):
         if limit_per_kind is not None and counts["R3"] >= limit_per_kind:
             break
         for m in _full_matches(g, "R3"):
-            arrows = _reversed_r3(m)
-            g2 = GaussDiagram._canonical(g.K, *_canonical_pair(arrows))
+            g2, arrows, created, triple = _r3_result(m)
             vec = LinComb.single(g2) - LinComb.single(g)
             if vec and _in_window(vec, window):
-                created = tuple(range(len(arrows) - 3, len(arrows)))
-                triple = _r3_site(m.arrow_map, m.anchors)[0]
                 out.append(("R3", vec, (arrows, created, g.arrows, triple)))
                 counts["R3"] += 1
                 break

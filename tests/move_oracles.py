@@ -5,8 +5,8 @@ two-crossing descriptor table, the full-scan removal of R2/R3 sites, the
 rational marking completion and the labelled diagram enumeration, against
 which the program's counted move census (whose insertion blocks are also
 behind r_relation_vectors), signature-keyed matcher, order-flag six-term
-matcher, six-term descriptor classes, site-local apply_R_move, integer gap
-relations and shape-class enumeration are tested.  The object path of
+matcher, six-term descriptor classes, site-local R3 match of _apply_move,
+integer gap relations and shape-class enumeration are tested.  The object path of
 relation generation, which built a diagram, a LinComb and a
 RelationInstance for every instance found, is the oracle of the tuple core
 behind gen_family and the solver's rows; the object path of the Polyak
@@ -19,7 +19,13 @@ boundary map, which built a BasedDiagram for every basing and every
 spliced triangle term, a DegenerateDiagram for every shrink and a Fraction
 LinComb for every rewrite, is the oracle of boundary's based-word core,
 and the object path of check_formula, which paired f with gen_family's
-RelationInstances, the oracle of its pairings on summed rows.
+RelationInstances, the oracle of its pairings on summed rows.  The
+paper-level statements about the boundary (epsilon of a based diagram, the
+triangle and based 6-term families, the duality between d and based 6T)
+are checked on that object path.
+
+apply_R_move is one move on g through relations._apply_move, for tests that
+want only the new diagram.
 
 _cyclic_ordered and _other_pos, the slot-order test and endpoint lookup
 these scans share, live here: the program's matchers read the slot order
@@ -42,7 +48,7 @@ from arrowforms.diagrams import (
 )
 from arrowforms.engine import normalization_window
 from arrowforms.lincomb import LinComb, _add_into, as_lincomb
-from arrowforms.maps import pair_norm, subdiagram_expand_I
+from arrowforms.maps import pair_norm, pair_ortho, subdiagram_expand_I
 from arrowforms.moves import HEAD, TAIL, models
 from arrowforms.relations import (
     _PAIRS,
@@ -67,7 +73,7 @@ from arrowforms.relations import (
     _r_vectors,
     _signature,
     _six_term_coeff,
-    apply_R_move,
+    _apply_move,
     enumerate_diagrams,
     gen_family,
     r1_matches,
@@ -417,6 +423,11 @@ def available_moves(g, marking_set, max_degree=None):
             seen_r3.add(key)
             out.append(("R3", key, ()))
     return out
+
+
+def apply_R_move(g, move, site, params=()):
+    """The diagram after one Reidemeister move (see relations._apply_move)."""
+    return _apply_move(g, move, site, params)[0]
 
 
 def apply_R_move_full_scan(g, move, site):
@@ -849,6 +860,47 @@ def normalize_triangle_objects(x, window):
         else:
             _add_into(out, triangle_rewrite_objects(dd, window).scale(c).terms)
     return LinComb._of(out)
+
+
+def based_6T_pairing_check(b, dd, window):
+    """Duality check (d(b), dd) = (b, based-6T(dd)) for monotonic dd."""
+    lhs = pair_ortho(normalize_triangle_objects(d_based(b), window), LinComb.single(dd))
+    try:
+        rel = a6t_based_objects(dd)
+    except NormalizationError:
+        rel = LinComb.zero()
+    return lhs == rel.coeff(b)
+
+
+def gen_degenerate_family(family, n, window):
+    """The triangle or based6t relation instances over the degree-n arrow
+    diagrams of the window, from every basing: the triangle relation of each
+    non-monotonic shrink whose relation stays in the window, the based
+    6-term combination of each nice monotonic one.  A shrink without a
+    triple-point completion gives none."""
+    seen = {}
+    for D in enumerate_diagrams("arrow", n, window):
+        for arc in range(2 * D.n):
+            b = BasedDiagram(D, arc)
+            dd = DegenerateDiagram(b)
+            try:
+                if family == "triangle":
+                    if dd.is_monotonic():
+                        continue
+                    vec = triangle_relation_objects(dd)
+                    if not _in_window(vec, window):
+                        continue
+                elif family == "based6t":
+                    if not is_nice(b) or not dd.is_monotonic():
+                        continue
+                    vec = a6t_based_objects(dd)
+                else:
+                    raise ValueError("unknown family tag %r" % family)
+            except NormalizationError:
+                continue
+            inst = RelationInstance(family, vec)
+            seen.setdefault(inst.key(), inst)
+    return sorted(seen.values(), key=lambda r: r.key())
 
 
 def boundary_d_objects(a, window):

@@ -166,7 +166,7 @@ def test_criterion_04_kernel_equality_and_walks():
 
 
 def test_criterion_05_duality():
-    from arrowforms.boundary import based_6T_pairing_check
+    from move_oracles import based_6T_pairing_check
 
     rng = seeded(105)
     wide = engine.normalization_window(MarkingWindow(range(-2, 4), 2))

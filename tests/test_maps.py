@@ -9,7 +9,6 @@ from arrowforms.maps import (
     double_paren,
     pair_norm,
     pair_ortho,
-    project_pi,
     sign_expand_S,
     subdiagram_expand_I,
 )
@@ -38,8 +37,9 @@ def test_subdiagram_expansion_counts_subsets():
 def test_projections():
     g = GaussDiagram(2, [(0, 2, 1, 1), (1, 3, 1, -1)])
     i = subdiagram_expand_I(g)
-    assert project_pi(i, 2) == LinComb.single(g)
-    assert project_pi(i, 0) + project_pi(i, 1) + project_pi(i, 2) == i
+    parts = [i.filtered(lambda k, n=n: k.n == n) for n in range(3)]
+    assert parts[2] == LinComb.single(g)
+    assert parts[0] + parts[1] + parts[2] == i
 
 
 def test_bracket_identity_random_pairs():
