@@ -1072,7 +1072,7 @@ def _apply_move(g, move, site, params=()):
     insertion blocks decode (_r_vectors), so sites and parameters are not
     checked again.  An R3 move needs its match for the splice: the match is
     found anchored at the site's position, and a site that is no R3
-    configuration of g raises DiagramError.  Splicing endpoints into a valid
+    configuration of g, whatever its shape, raises DiagramError.  Splicing endpoints into a valid
     diagram, or cutting arrows out of it, gives a valid one, so the result
     is canonicalized but not validated again."""
 
@@ -1106,10 +1106,11 @@ def _apply_move(g, move, site, params=()):
     if move == "R2-":
         return remove(set(site))
     if move == "R3":
-        triple, anchor = site
+        # a site that is no (triple, anchor) pair anchors no match
+        anchor = site[1] if type(site) is tuple and len(site) == 2 else None
         spots = [p for p in range(2 * g.n) if p == anchor]  # see _r3_site
         for m in _full_matches(g, "R3", positions=spots):
-            if _r3_site(m.arrow_map, m.anchors) == (triple, anchor):
+            if _r3_site(m.arrow_map, m.anchors) == site:
                 return _r3_result(m)
         raise DiagramError("no R3 site at %r" % (site,))
     raise ValueError("unknown move %r" % (move,))

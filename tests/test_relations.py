@@ -1,6 +1,7 @@
 """Relation families, move matching, and Reidemeister rewriting."""
 
 import hashlib
+import re
 from itertools import product
 from unittest import mock
 
@@ -529,6 +530,15 @@ def test_site_local_removal_matches_the_full_scan(d):
         assert isinstance(apply_R_move(d, mv, site), type(d))
 
 
+@pytest.mark.parametrize("move", ["R3"])
+@pytest.mark.parametrize("site", [5, None, (), (0,), "ab", ((0, 1), 0), (5, 0)])
+def test_a_site_of_the_wrong_shape_is_a_diagram_error(move, site):
+    # R3 is the one move whose site _apply_move still matches on g
+    g = GaussDiagram(2, [(0, 3, 1, 1), (1, 2, 1, -1), (4, 5, 0, 1)])
+    with pytest.raises(DiagramError, match=re.escape(repr(site))):
+        apply_R_move(g, move, site)
+
+
 @pytest.mark.parametrize("n, markings, K, limit, kinds", [
     (3, "1", 1, 20, "R1 R2 R3"), (3, "0..1", 1, 5, "R1 R2 R3"), (1, "0..2", 2, None, "R1"),
     (2, "0..2", 2, None, "R1 R2"), (3, "0..2", 2, None, "R1 R2 R3"),
@@ -556,9 +566,10 @@ def test_r_relation_vectors_match_only_the_degree_n_diagrams(n, markings, K, lim
     assert {(c.args[0].n, c.args[1]) for c in full.call_args_list} == {(n, "R3")}
 
 
-def test_r2_insertion_accepts_every_integer_marking():
+def test_r2_insertion_accepts_exactly_the_integer_markings():
     # every R2 model marks both crossings with one single gap, so the gap
-    # system has rank 2 and each integer marking is consistent with it
+    # system has rank 2 and each integer marking is consistent with it; the
+    # census offers R2+ insertions with exactly the marking set's markings
     rs = models("R2")
     assert len(rs) == 16
     for k, model in enumerate(rs):
@@ -568,6 +579,12 @@ def test_r2_insertion_accepts_every_integer_marking():
             for mark in range(-5, 6):
                 assert _solve_gaps(model, (0,), {0: mark}, K) is not None
                 assert apply_R_move(g, "R2+", (0, 1), (k, mark)).n == 3
+    g = GaussDiagram(1, [(0, 1, 0, 1)])
+    for marking_set in ({0}, {-3, 2}, set(range(-5, 6))):
+        count, decode = move_census(g, marking_set)[2]
+        offered = [decode(u) for u in range(count)]
+        assert {params[1] for _mv, _site, params in offered} == marking_set
+        assert count == 3 * len(models("R2")) * len(marking_set)  # 3 sites on 2 positions
 
 
 def test_instances_are_deduplicated():
