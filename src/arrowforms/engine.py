@@ -80,9 +80,13 @@ def _template_hash():
     table change invalidates cached bases.
 
     It is pinned: the SHA-256 of repr([sorted(m.key for m in models(k))
-    for k in ("R1", "R2", "R3")]).  A test recomputes it from the tables
-    and requires this value, so a changed table must change the pin.
-    Naming a cache file builds no move model."""
+    for k in ("R1", "R2", "R3")]) over the kink models, the bigons and
+    every placement of the three R3 lines (288 models, of which models("R3")
+    keeps one per rotation orbit).  The tests keep those builders
+    (oracle_models in tests/move_oracles.py), recompute the pin from them
+    and require that the program's R2 models, and the rotations of its R3
+    models, are theirs, so a changed table must change the pin.  Naming a
+    cache file builds no move model."""
     return "a6a92a1525e43e3334f103216d6dd828b13f735204962ad2403e82108edf3883"
 
 

@@ -1,12 +1,11 @@
-"""Structural maps between diagram spaces and the four pairings.
+"""Structural maps between diagram spaces and the pairings the program reads.
 
 The maps: S (signed expansion of an arrow diagram), I (subdiagram sum of a
-Gauss diagram), the orthonormal pairing ( , ), its automorphism-normalized
-version < , >, and the subset-counting brackets (( , )) and << , >>.  The
-degree projections are LinComb.filtered (engine.homogeneous_components).
-
-The selftest's bracket identity (cli) reads all of them but pair_ortho,
-the paper's ( , ), which is kept for checking its statements directly.
+Gauss diagram), the automorphism-normalized pairing < , >, and the
+subset-counting brackets (( , )) and << , >>.  The degree projections are
+LinComb.filtered (engine.homogeneous_components).  The selftest's bracket
+identity (cli) reads all of them.  The paper's orthonormal pairing ( , ),
+which < , > rescales by |Aut|, is pair_ortho in tests/move_oracles.py.
 """
 
 from __future__ import annotations
@@ -46,17 +45,6 @@ def subdiagram_expand_I(x):
         return LinComb(out)
 
     return x.map_terms(expand)
-
-
-def pair_ortho(x, y):
-    """( , ): orthonormal with respect to the diagram basis."""
-    x, y = as_lincomb(x), as_lincomb(y)
-    if len(y) < len(x):
-        x, y = y, x
-    total = Fraction(0)
-    for k, c in x.items():
-        total += c * y.coeff(k)
-    return total
 
 
 def pair_norm(x, y):

@@ -1,8 +1,8 @@
 """Local models of the diagram-level Reidemeister moves.
 
-Each move is modelled by an explicit planar picture of the strands involved
-(straight lines for the triple-point move, a bigon for the double-point
-move, a small loop for the kink move).  From the picture we read off, for
+The triple-point and double-point moves are modelled by an explicit planar
+picture of the strands involved (straight lines for the triple-point move,
+a bigon for the double-point move).  From the picture we read off, for
 every orientation of the strands and every admissible over/under
 assignment:
 
@@ -15,8 +15,10 @@ Arrows point from the over-passing strand to the under-passing one: the
 tail of an arrow sits on the over strand.
 
 The left/right sides of a model are the configurations before/after the
-move; for the kink and bigon moves the right side is simply the picture
-with the local crossings removed.
+move; for the bigon move the right side is simply the picture with the
+local crossings removed.  The kink move, one arrow with adjacent ends, is
+hand-coded where it is matched and applied (relations.r1_matches,
+relations._apply_move).
 """
 
 from __future__ import annotations
@@ -63,19 +65,6 @@ def _sign(x):
     return 1 if x > 0 else -1
 
 
-def r1_models():
-    """Kink insertion/removal.  Two adjacency types: head-then-tail with
-    marking 0, tail-then-head with marking K (the little loop must be
-    nullhomologous); either sign."""
-    out = []
-    for word, expr in ((((0, HEAD), (0, TAIL)), frozenset()), (((0, TAIL), (0, HEAD)), frozenset({0}))):
-        for s in (1, -1):
-            out.append(
-                LocalModel("R1", 1, 1, (s,), (expr,), {"L": (word,), "R": ((),)})
-            )
-    return out
-
-
 def r2_models():
     """Bigon insertion/removal: two strands crossing twice, one strand over
     at both crossings; the two crossings carry opposite signs and equal
@@ -111,15 +100,19 @@ def r2_models():
 def r3_models():
     """Triple-point move: three lines forming a triangle, one line entirely
     over or under the other two.  Both sides of the move are kept; the move
-    reverses the order of the two crossings along every strand."""
+    reverses the order of the two crossings along every strand.
+
+    Only line 1 in slot 0: the other placements of the lines are the slot
+    rotations of these models, which the descriptor tables read off each
+    model (relations._normal_forms), so one model per rotation orbit."""
     # crossing ids: 0 between lines 1,2; 1 between lines 1,3; 2 between lines 2,3
-    cross_of = {frozenset((1, 2)): 0, frozenset((1, 3)): 1, frozenset((2, 3)): 2}
     lines_of = {0: (1, 2), 1: (1, 3), 2: (2, 3)}
     # geometric order of each line's crossings along its positive direction
     line_cross = {1: (0, 1), 2: (0, 2), 3: (2, 1)}
     base_dir = {1: (1, 0), 2: (0, 1), 3: (1, -1)}
     models = {}
-    for perm in permutations((1, 2, 3)):  # slot s hosts line perm[s]
+    for rest in permutations((2, 3)):
+        perm = (1,) + rest  # slot s hosts line perm[s]
         slot_of = {perm[s]: s for s in range(3)}
         for o1, o2, o3 in product((1, -1), repeat=3):
             o = {1: o1, 2: o2, 3: o3}
@@ -157,4 +150,11 @@ def r3_models():
 
 @cache
 def models(kind):
-    return {"R1": r1_models, "R2": r2_models, "R3": r3_models}[kind]()
+    """The R2 or R3 models, in build order.
+
+    R3 has one model per slot-rotation orbit (96).  R2 keeps both members
+    of each orbit (16): move_census and _apply_move decode an R2+ move by
+    its index into this list, so the seeded walks depend on it, and the
+    R2 descriptor tables drop the rotated copies by signature.  The kink
+    (R1) is hand-coded where it is matched and applied."""
+    return {"R2": r2_models, "R3": r3_models}[kind]()

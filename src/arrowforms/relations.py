@@ -382,28 +382,21 @@ def _shared(x):
     return x
 
 
-def _rotated(model, rot):
-    """The words and markexpr of a model with its slots rotated by rot and
-    its crossings unrenamed."""
+def _normalize_model(model, rot):
+    """The normal form (_NormalForm) of a model at slot rotation rot: the
+    slot-rotated model with crossings renamed by the slots they occupy.
+
+    Two descriptors whose normal forms agree (under a sign mode, see
+    _signature) match the same sites and build the same instance terms, so
+    one representative suffices."""
     ns = model.nslots
     words = {
         side: tuple(model.words[side][(s + rot) % ns] for s in range(ns))
         for side in model.words
     }
-    return words, tuple(frozenset((x - rot) % ns for x in e) for e in model.markexpr)
-
-
-def _normalize_model(model, rot, rotated=None):
-    """The normal form (_NormalForm) of a model at slot rotation rot: the
-    slot-rotated model with crossings renamed by the slots they occupy.
-    `rotated` is _rotated(model, rot) when the caller has it already.
-
-    Two descriptors whose normal forms agree (under a sign mode, see
-    _signature) match the same sites and build the same instance terms, so
-    one representative suffices."""
-    words, markexpr = rotated or _rotated(model, rot)
+    markexpr = tuple(frozenset((x - rot) % ns for x in e) for e in model.markexpr)
     slots_of = {}
-    for s in range(model.nslots):
+    for s in range(ns):
         for c, _r in words["L"][s]:
             slots_of.setdefault(c, []).append(s)
     order = sorted(slots_of, key=lambda c: tuple(slots_of[c]))
@@ -422,44 +415,13 @@ def _normalize_model(model, rot, rotated=None):
 @cache
 def _normal_forms(kind):
     """Per model of models(kind), in order: its normal forms at slot
-    rotations 0..nslots-1.
-
-    Rotating a model's slots (crossings unrenamed) gives another model of
-    the list, which then has the same normal forms, shifted.  So the forms
-    are computed once per rotation orbit, at each rotation of the orbit's
-    first model: 96 orbits of 3 R3 models and 8 orbits of 2 R2 models, 304
-    normalizations in all.  Each rotation is computed once, for both the
-    normal form and the key of the rotated model.  The models of an orbit
-    share the form objects (see _orbit_forms)."""
-    ms = models(kind)
-    by_key = {m.key: i for i, m in enumerate(ms)}
-    out = [None] * len(ms)
-    for i, model in enumerate(ms):
-        if out[i] is not None:
-            continue
-        ns = model.nslots
-        forms, members = [], []
-        for rot in range(ns):
-            rotated = words, markexpr = _rotated(model, rot)
-            forms.append(_normalize_model(model, rot, rotated))
-            # the LocalModel.key of the rotated model
-            members.append(by_key.get((kind, model.signs, markexpr, tuple(sorted(words.items())))))
-        for rot, j in enumerate(members):
-            if j is not None and out[j] is None:
-                out[j] = tuple(forms[(rot + s) % ns] for s in range(ns))
-    return tuple(out)
-
-
-def _orbit_forms(kind):
-    """(model, normal forms) of the first model of each rotation orbit of
-    models(kind), in model order.  The other models of an orbit have the
-    same form objects, rotated (_normal_forms), so in a descriptor table
-    they would add no shape and no lesser signature."""
-    seen = set()
-    for model, forms in zip(models(kind), _normal_forms(kind)):
-        if id(forms[0]) not in seen:
-            seen.update(map(id, forms))
-            yield model, forms
+    rotations 0..nslots-1 (96 R3 models x 3 and 16 R2 models x 2, 320
+    normalizations in all).  The rotations stand for the models a rotation
+    of the slots gives, which models("R3") does not build."""
+    return tuple(
+        tuple(_normalize_model(model, rot) for rot in range(model.nslots))
+        for model in models(kind)
+    )
 
 
 def _signature(form, mode):
@@ -561,13 +523,11 @@ def _pair_descriptors(mode):
     singles = ((crossing, slot, role), (crossing, slot, role)).
 
     The shapes are the (side, normal form) classes of every R3 model, side
-    and choice of shared strand, the normal forms read from _normal_forms
-    (one per model and slot rotation, computed once per rotation orbit).
-    Only the first model of each orbit is visited (_orbit_forms): the
-    others' forms are the same, rotated, so they add no shape.  A
-    LocalModel is built only for the first shape of each group, the one
-    kept.  Many of the shapes build the same 6-term
-    instance: at one host position, L/R twin models and the placements of
+    and choice of shared strand: the shared strand is the slot that a
+    rotation moves to slot 0, so the forms are read from _normal_forms (one
+    per model and slot rotation).  A LocalModel is built only for the first
+    shape of each group, the one kept.  Many of the shapes build the same
+    6-term instance: at one host position, L/R twin models and the placements of
     the absent third crossing give the same six (diagram, coefficient)
     pairs up to one global sign.  So the shapes are grouped by
     _six_term_signature and only the first of each group, in shape order,
@@ -579,7 +539,7 @@ def _pair_descriptors(mode):
     12 groups; 'gauss': 192 in 96.)"""
     shapes = set()
     groups = {}  # signature -> [first shape, number of shapes]
-    for model, forms in _orbit_forms("R3"):
+    for model, forms in zip(models("R3"), _normal_forms("R3")):
         for side in ("L", "R"):
             for form in forms:
                 base_sig = _signature(form, mode)
@@ -640,12 +600,12 @@ def r3_pair_matches(d, positions=None):
 def _full_descriptors(kind, mode):
     """Deduplicated complete local model shapes: list of (model, side).
     Each model stands for its least normal form (see _normal_forms) under
-    the mode's signature; a LocalModel is built only for a kept shape.  Only
-    the first model of each rotation orbit is visited (_orbit_forms): the
-    others have the same forms, so no lesser signature."""
+    the mode's signature; a LocalModel is built only for a kept shape.  The
+    second R2 model of each rotation orbit has the first one's forms,
+    rotated, so it adds no shape."""
     table = {}
     sides = ("L", "R") if kind == "R3" else ("L",)
-    for model, forms in _orbit_forms(kind):
+    for model, forms in zip(models(kind), _normal_forms(kind)):
         # the first form whose signature no later one undercuts by `<`
         best = min(forms, key=lambda form: _signature(form, mode))
         sig = _signature(best, mode)

@@ -24,6 +24,13 @@ paper-level statements about the boundary (epsilon of a based diagram, the
 triangle and based 6-term families, the duality between d and based 6T)
 are checked on that object path.
 
+oracle_models are the move models as the template pin
+(engine._template_hash) hashes them: the kink models, which the program
+hand-codes, the bigons and every placement of the three R3 lines, of which
+models("R3") builds one per rotation orbit.  The unreduced six-term table
+and the gap-relation test read them.  pair_ortho is the paper's
+orthonormal pairing ( , ), which only the tests of its statements read.
+
 apply_R_move is one move on g through relations._apply_move, for tests that
 want only the new diagram.
 
@@ -48,8 +55,8 @@ from arrowforms.diagrams import (
 )
 from arrowforms.engine import normalization_window
 from arrowforms.lincomb import LinComb, _add_into, as_lincomb
-from arrowforms.maps import pair_norm, pair_ortho, subdiagram_expand_I
-from arrowforms.moves import HEAD, TAIL, models
+from arrowforms.maps import pair_norm, subdiagram_expand_I
+from arrowforms.moves import HEAD, TAIL, LocalModel, _det, _gap_interval, _sign, models, r2_models
 from arrowforms.relations import (
     _PAIRS,
     _SIDE_SIGN,
@@ -93,6 +100,90 @@ def _cyclic_ordered(anchors, size):
 def _other_pos(d, arrow, role):
     a = d.arrows[arrow]
     return a[0] if role == TAIL else a[1]
+
+
+# ---------------------------------------------------------------------------
+# the move models the template pin (engine._template_hash) was taken from:
+# the kink models, which the program hand-codes, and every placement of the
+# three R3 lines, where models("R3") keeps one per rotation orbit
+
+
+def r1_models():
+    """Kink insertion/removal.  Two adjacency types: head-then-tail with
+    marking 0, tail-then-head with marking K (the little loop must be
+    nullhomologous); either sign."""
+    out = []
+    for word, expr in ((((0, HEAD), (0, TAIL)), frozenset()), (((0, TAIL), (0, HEAD)), frozenset({0}))):
+        for s in (1, -1):
+            out.append(
+                LocalModel("R1", 1, 1, (s,), (expr,), {"L": (word,), "R": ((),)})
+            )
+    return out
+
+
+def r3_models():
+    """Triple-point move: three lines forming a triangle, one line entirely
+    over or under the other two.  Both sides of the move are kept; the move
+    reverses the order of the two crossings along every strand."""
+    # crossing ids: 0 between lines 1,2; 1 between lines 1,3; 2 between lines 2,3
+    cross_of = {frozenset((1, 2)): 0, frozenset((1, 3)): 1, frozenset((2, 3)): 2}
+    lines_of = {0: (1, 2), 1: (1, 3), 2: (2, 3)}
+    # geometric order of each line's crossings along its positive direction
+    line_cross = {1: (0, 1), 2: (0, 2), 3: (2, 1)}
+    base_dir = {1: (1, 0), 2: (0, 1), 3: (1, -1)}
+    models = {}
+    for perm in permutations((1, 2, 3)):  # slot s hosts line perm[s]
+        slot_of = {perm[s]: s for s in range(3)}
+        for o1, o2, o3 in product((1, -1), repeat=3):
+            o = {1: o1, 2: o2, 3: o3}
+            for over_bits in product((0, 1), repeat=3):
+                over = {c: lines_of[c][b] for c, b in zip((0, 1, 2), over_bits)}
+                # admissible iff the 'over' relation is not a 3-cycle
+                beats = {ln: 0 for ln in (1, 2, 3)}
+                for c in (0, 1, 2):
+                    beats[over[c]] += 1
+                if sorted(beats.values()) != [0, 1, 2]:
+                    continue
+                signs = []
+                markexpr = []
+                for c in (0, 1, 2):
+                    a, b = lines_of[c]
+                    ov = over[c]
+                    un = b if ov == a else a
+                    du = tuple(o[ov] * x for x in base_dir[ov])
+                    dv = tuple(o[un] * x for x in base_dir[un])
+                    signs.append(_sign(_det(du, dv)))
+                    markexpr.append(_gap_interval(slot_of[un], slot_of[ov], 3))
+                groups_L, groups_R = [], []
+                for s in range(3):
+                    ln = perm[s]
+                    order = line_cross[ln] if o[ln] > 0 else tuple(reversed(line_cross[ln]))
+                    grp = tuple((c, TAIL if over[c] == ln else HEAD) for c in order)
+                    groups_L.append(grp)
+                    groups_R.append(tuple(reversed(grp)))
+                m = LocalModel(
+                    "R3", 3, 3, signs, markexpr, {"L": tuple(groups_L), "R": tuple(groups_R)}
+                )
+                models[m.key] = m
+    return list(models.values())
+
+
+@cache
+def oracle_models(kind):
+    """The kink, bigon or R3 models, all 4 + 16 + 288 of them, in the order
+    in which the template pin hashes them."""
+    return {"R1": r1_models, "R2": r2_models, "R3": r3_models}[kind]()
+
+
+def pair_ortho(x, y):
+    """( , ): orthonormal with respect to the diagram basis."""
+    x, y = as_lincomb(x), as_lincomb(y)
+    if len(y) < len(x):
+        x, y = y, x
+    total = Fraction(0)
+    for k, c in x.items():
+        total += c * y.coeff(k)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -356,13 +447,14 @@ _PAIR_DESC = {}
 
 def _pair_descriptors(mode):
     """Deduplicated two-crossing R3 term shapes, indexed by the role pair of
-    the shared adjacent endpoints.  Entries: (model, side, pair, singles)
+    the shared adjacent endpoints, read off all 288 R3 models
+    (oracle_models) at every rotation.  Entries: (model, side, pair, singles)
     with the shared strand normalized to slot 0 and
     singles = ((crossing, slot, role), (crossing, slot, role))."""
     if mode in _PAIR_DESC:
         return _PAIR_DESC[mode]
     table = {(TAIL, TAIL): {}, (TAIL, HEAD): {}, (HEAD, TAIL): {}, (HEAD, HEAD): {}}
-    for model in models("R3"):
+    for model in oracle_models("R3"):
         for side in ("L", "R"):
             for shared in range(3):
                 form = _normalize_model(model, shared)

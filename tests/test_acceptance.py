@@ -23,7 +23,6 @@ from arrowforms.maps import (
     double_angle,
     double_paren,
     pair_norm,
-    pair_ortho,
     sign_expand_S,
     subdiagram_expand_I,
 )
@@ -46,6 +45,7 @@ from conftest import (
     seeded,
     spans,
 )
+from move_oracles import pair_ortho
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 

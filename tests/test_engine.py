@@ -111,6 +111,15 @@ def test_solver_cache_round_trip(tmp_path):
     assert files[0].read_bytes() == payload
 
 
+def test_solver_cache_path_is_pinned(tmp_path):
+    # the path carries the window and the template pin: a change to either
+    # orphans every cached basis, so it changes only with this test
+    path = engine._cache_path(tmp_path, 2, MarkingWindow({1, 2}, 3))
+    assert path.relative_to(tmp_path).as_posix() == "3/2/2dda400d7a3a34a9.basis"
+    solve_formula_space(2, MarkingWindow({1, 2}, 3), cache_dir=str(tmp_path))
+    assert list(tmp_path.rglob("*.basis")) == [path]
+
+
 def test_solver_cache_hit_returns_what_a_miss_returns(tmp_path):
     w = MarkingWindow({1, 2}, 3)
     cold = solve_formula_space(2, w, cache_dir=str(tmp_path))

@@ -8,14 +8,13 @@ from arrowforms.maps import (
     double_angle,
     double_paren,
     pair_norm,
-    pair_ortho,
     sign_expand_S,
     subdiagram_expand_I,
 )
 from arrowforms.relations import MarkingWindow, gen_family
 
 from conftest import random_arrow_diagram, random_gauss_diagram, seeded
-from move_oracles import base_expand
+from move_oracles import base_expand, pair_ortho
 
 
 def test_sign_expansion_is_odd_per_arrow():

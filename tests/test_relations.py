@@ -61,6 +61,7 @@ from move_oracles import (
     enumerate_diagrams_labelled,
     full_matches_bucket_scan,
     gen_family_objects,
+    oracle_models,
     r3_pair_matches_scan,
     r_relation_vectors_explicit,
     unreduced_pair_table,
@@ -249,7 +250,7 @@ def dense_site_diagrams(draw):
             k = draw(st.integers(0, len(models("R2")) - 1))
             g = apply_R_move(g, "R2+", tuple(ins[:2]), (k, draw(mark)))
         else:
-            model = draw(st.sampled_from(models("R3")))
+            model = draw(st.sampled_from(oracle_models("R3")))
             g0, g1 = draw(mark), draw(mark)
             g = _insert_r3(g, model, ins, (g0, g1, K - g0 - g1), draw(st.sampled_from((0, 0, 1))))
     return g
@@ -320,7 +321,7 @@ def test_the_one_scan_gives_the_bucket_scan_sites_and_anchored_matches(d, data):
 
 def test_gap_relation_agrees_with_solve_gaps():
     # every model has one (16 R2, 288 R3); the matcher uses the descriptors'
-    assert len([_gap_relation(m) for kind in ("R2", "R3") for m in models(kind)]) == 304
+    assert len([_gap_relation(m) for kind in ("R2", "R3") for m in oracle_models(kind)]) == 304
     grid = range(-1, 3)
     for kind in ("R2", "R3"):
         for mode in ("gauss", "plain"):
@@ -391,13 +392,12 @@ def test_a_pair_descriptor_that_does_not_pin_its_hidden_crossing_is_rejected(coe
 
 
 def test_descriptor_tables_normalize_each_model_once_per_rotation():
-    # the normal forms are computed once per process and rotation orbit:
-    # 288 R3 models in 96 orbits of 3, and 16 R2 models in 8 orbits of 2,
-    # for all four tables in both of their modes (one R3 table build alone
-    # used to normalize 288 x 3 = 864 times)
-    assert (len(models("R3")), len(models("R2"))) == (288, 16)
+    # the normal forms are computed once per process, model and rotation:
+    # 96 R3 models x 3 and 16 R2 models x 2, for all four tables in both of
+    # their modes
+    assert (len(models("R3")), len(models("R2"))) == (96, 16)
     try:
-        for kind, normalizations in (("R3", 288), ("R2", 16)):
+        for kind, normalizations in (("R3", 96 * 3), ("R2", 16 * 2)):
             _clear_descriptor_tables()
             with mock.patch.object(relations, "_normalize_model",
                                    wraps=relations._normalize_model) as spy:
@@ -409,14 +409,28 @@ def test_descriptor_tables_normalize_each_model_once_per_rotation():
             assert spy.call_count == normalizations
             forms = _normal_forms(kind)
             assert len({id(f) for rotations in forms for f in rotations}) == normalizations
-        # each orbit's shared forms are the ones each model normalizes to
-        for kind in ("R2", "R3"):
-            for model, rotations in zip(models(kind), _normal_forms(kind)):
-                assert rotations == tuple(
-                    relations._normalize_model(model, rot) for rot in range(model.nslots)
-                )
     finally:
         _clear_descriptor_tables()
+
+
+def _rotated_key(model, rot):
+    """The LocalModel.key of model with its slots rotated by rot and its
+    crossings unrenamed."""
+    ns = model.nslots
+    words = {side: tuple(g[(s + rot) % ns] for s in range(ns)) for side, g in model.words.items()}
+    markexpr = tuple(frozenset((x - rot) % ns for x in e) for e in model.markexpr)
+    return (model.kind, model.signs, markexpr, tuple(sorted(words.items())))
+
+
+def test_the_r3_models_are_one_per_rotation_orbit_of_the_oracle():
+    # the rotations of the program's 96 R3 models are the oracle's 288, and
+    # no orbit is shorter than 3, so each model stands for three
+    oracle = {m.key for m in oracle_models("R3")}
+    assert len(oracle) == 288
+    orbits = [{_rotated_key(m, rot) for rot in range(3)} for m in models("R3")]
+    assert all(len(orbit) == 3 for orbit in orbits)
+    assert set().union(*orbits) == oracle
+    assert sum(map(len, orbits)) == 288
 
 
 @pytest.mark.parametrize("table, args, digest", [
@@ -448,10 +462,12 @@ def _plain(x):
 
 
 def test_the_template_hash_is_the_digest_of_the_move_tables():
-    # the digest the cache paths carry, recomputed from the move tables: a
-    # change to any model must change the pin, so that no stale basis is
-    # served
-    blob = repr([sorted(m.key for m in models(k)) for k in ("R1", "R2", "R3")])
+    # the digest the cache paths carry, recomputed from the oracle's move
+    # lists in their build order (sorted() over keys holding frozensets is
+    # a partial order, so the blob depends on it), which the test above
+    # ties to the program's models: a change to any model must change the
+    # pin, so that no stale basis is served
+    blob = repr([sorted(m.key for m in oracle_models(k)) for k in ("R1", "R2", "R3")])
     assert hashlib.sha256(blob.encode()).hexdigest() == engine._template_hash() == (
         "a6a92a1525e43e3334f103216d6dd828b13f735204962ad2403e82108edf3883"
     )
@@ -471,7 +487,7 @@ def _rewritable_degenerate_diagram():
 
 
 _CACHED_TABLES = (
-    [(moves.models, (kind,)) for kind in ("R1", "R2", "R3")]
+    [(moves.models, (kind,)) for kind in ("R2", "R3")]
     + [(_pair_descriptors, (mode,)) for mode in ("pairprod", "gauss")]
     + [
         (table, (kind, mode))

@@ -109,8 +109,6 @@ PERFBENCH = ROOT / "perfbench"
 
 # deliberate keeps that no root reaches, each with its reason
 KEPT = {
-    # the paper's orthonormal pairing ( , ), kept for checking its statements
-    "maps.pair_ortho",
     # the reader of print_lincomb's format
     "textio.parse_lincomb",
     # the kernel of a ratlinalg.DiagramIndexedMatrix, which the benchmark's
