@@ -17,15 +17,15 @@ diagram in monotonic ones.
 Everything runs on one tuple core.  A basing is a based word: the arrows
 rotated so that the base arc sits between positions 2n-1 and 0, ordered by
 first endpoint (diagrams._based_word).  Its shrink is the key of a
-DegenerateDiagram (diagrams._degenerate_key), and epsilon is read off the
-word (_epsilon).  The parent search (_parents_at) splices the six terms of
-each triple-point completion into based words without validating them
-again: a spliced term of a valid diagram is valid.  The rewrite of a
-non-monotonic diagram is computed once per degenerate key, whatever the
-window (_triangle_rewrite), and the window check runs per call.
-boundary_d sums Fraction coefficients over degenerate keys and builds a
-DegenerateDiagram only for each term it returns, so a formula whose
-boundary vanishes builds none.
+DegenerateDiagram (diagrams._degenerate_key), which is all a degenerate
+diagram stores, and epsilon is read off the word (_epsilon).  The parent
+search (_parents_at) splices the six terms of each triple-point completion
+into based words without validating them again: a spliced term of a valid
+diagram is valid.  The rewrite of a non-monotonic diagram is computed once
+per degenerate key, whatever the window (_triangle_rewrite), and the
+window check runs per call.  boundary_d sums coefficients in
+{key: coefficient} dicts and builds a DegenerateDiagram only for each term
+it returns, so a formula whose boundary vanishes builds none.
 
 boundary_d is the module's one entry point; the program calls nothing
 else here.  The paper-level helpers (epsilon on based diagrams, the
@@ -71,26 +71,19 @@ def _epsilon(word, fused):
 
 
 # ---------------------------------------------------------------------------
-# the tuple core: degenerate keys with [coefficient, word] entries
+# the tuple core: {degenerate key: coefficient}
 
 
-def _add_term(acc, key, c, word):
-    """acc[key] += c as lincomb._add_into adds, on [coefficient, word]
-    entries: a key whose coefficient cancels leaves, and one that comes
-    back re-enters last, with the word it comes back with."""
-    entry = acc.get(key)
-    if entry is None:
-        if c:
-            acc[key] = [c, word]
-    else:
-        entry[0] += c
-        if not entry[0]:
+def _add_term(acc, key, c):
+    """acc[key] += c as lincomb._add_into adds: a key whose coefficient
+    cancels leaves, and one that comes back re-enters last."""
+    if key in acc:
+        c += acc[key]
+        if not c:
             del acc[key]
-
-
-def _degenerate(key, word):
-    """The DegenerateDiagram of a key, stored with the based word `word`."""
-    return DegenerateDiagram._of(key[1], word, key)
+            return
+    if c:
+        acc[key] = c
 
 
 # ---------------------------------------------------------------------------
@@ -168,11 +161,11 @@ def _shrink_arcs(key):
 @cache
 def _triangle_rewrite(key):
     """The non-monotonic degenerate diagram of `key` as a combination of
-    monotonic ones: a tuple of (target key, coefficient, target word) in
-    insertion order, or None when no triple-point completion rewrites it.
-    Fused endpoints of a single arrow give the one-term relation dd = 0,
-    so the empty rewrite.  Computed from the key alone, once per key: the
-    window check is the caller's."""
+    monotonic ones: a tuple of (target key, coefficient) in insertion
+    order, or None when no triple-point completion rewrites it.  Fused
+    endpoints of a single arrow give the one-term relation dd = 0, so the
+    empty rewrite.  Computed from the key alone, once per key: the window
+    check is the caller's."""
     if key[0] == "s":
         return ()
     D, arcs = _shrink_arcs(key)
@@ -185,69 +178,57 @@ def _triangle_rewrite(key):
             tkey = _degenerate_key(D.K, target, _fused(target))
             u = Fraction(mu * terms[direct][1], eps)
             if parent in rewrites:
-                if rewrites[parent][:2] != (tkey, u):
+                if rewrites[parent] != (tkey, u):
                     raise AssertionError("parent relation disagrees between basings")
             else:
-                rewrites[parent] = (tkey, u, target)
+                rewrites[parent] = (tkey, u)
     if not rewrites:
         return None
     out = {}
-    for tkey, u, target in rewrites.values():
-        _add_term(out, tkey, u, target)
-    for tkey, (_u, target) in out.items():
-        if not _monotonic(_fused(target)):
-            raise AssertionError("triangle rewrite produced a non-monotonic diagram")
-    return tuple((tkey, u, target) for tkey, (u, target) in out.items())
+    for tkey, u in rewrites.values():
+        _add_term(out, tkey, u)
+    if not all(_monotonic(_fused(tkey[2])) for tkey in out):
+        raise AssertionError("triangle rewrite produced a non-monotonic diagram")
+    return tuple(out.items())
 
 
 def _normalize(raw, window):
     """Rewrite every non-monotonic key into the monotonic basis:
-    {key: [coefficient, word]} in, the same out.
+    {key: coefficient} in, the same out.
 
     Out-of-window rewrites raise NormalizationError rather than dropping
     terms.  Keys are processed in sorted order for reproducibility."""
     out = {}
     allowed = window.allowed
     for key in sorted(raw):
-        c, word = raw[key]
-        if _monotonic(_fused(word)):
-            _add_term(out, key, c, word)
+        c = raw[key]
+        if _monotonic(_fused(key[2])):
+            _add_term(out, key, c)
             continue
         rewrite = _triangle_rewrite(key)
         if rewrite is None:
-            raise NormalizationError("no triangle relation for %r" % (_degenerate(key, word),))
-        if not all(a[2] in allowed for _t, _u, target in rewrite for a in target):
+            raise NormalizationError("no triangle relation for %r" % (DegenerateDiagram._of(key),))
+        if not all(a[2] in allowed for tkey, _u in rewrite for a in tkey[2]):
             raise NormalizationError(
-                "rewriting %r needs a marking outside the window" % (_degenerate(key, word),)
+                "rewriting %r needs a marking outside the window" % (DegenerateDiagram._of(key),)
             )
-        for tkey, u, target in rewrite:
-            _add_term(out, tkey, c * u, target)
+        for tkey, u in rewrite:
+            _add_term(out, tkey, c * u)
     return out
-
-
-def _lincomb(acc):
-    """A LinComb over DegenerateDiagrams from {key: [coefficient, word]}."""
-    return LinComb._of({_degenerate(key, word): c for key, (c, word) in acc.items()})
 
 
 def boundary_d(a, window):
     """d on arrow combinations: all nice basings, shrunk with epsilon, in
-    the monotonic basis.
-
-    Equal basings of one diagram (at arcs that a rotation symmetry
-    identifies) are summed first, as the based expansion of the diagram
-    sums them, so the terms cancel and re-enter in the same order."""
+    the monotonic basis."""
     raw = {}
     for d, c in as_lincomb(a).items():
-        basings = {}
         for arc in range(2 * d.n):
             word = _based_word(d.arrows, arc)
-            basings[word] = basings.get(word, 0) + 1
-        for word, count in basings.items():
             fused = _fused(word)
             if fused[0][0] == fused[1][0]:
                 continue  # not nice
             if d.signed:
                 raise DiagramError("degenerate diagrams are defined over arrow diagrams")
-            _add_term(raw, _degenerate_key(d.K, word, fused), _epsilon(word, fused) * count * c, word)
-    return _lincomb(_normalize(raw, window))
+            _add_term(raw, _degenerate_key(d.K, word, fused), _epsilon(word, fused) * c)
+    out = _normalize(raw, window)
+    return LinComb._of({DegenerateDiagram._of(key): c for key, c in out.items()})

@@ -21,7 +21,8 @@ from functools import cache
 from . import engine, textio
 from .boundary import boundary_d
 from .diagrams import DiagramError, GaussDiagram, canonical_arrows
-from .maps import double_angle, pair_norm, sign_expand_S, subdiagram_expand_I
+from .lincomb import Formula
+from .maps import pair_norm, sign_expand_S, subdiagram_expand_I
 from .relations import CONSTRAINT_FAMILIES, MarkingWindow, check_I_span_compat, enumerate_diagrams
 
 CACHE_ENV = "ARROWFORMS_CACHE_DIR"
@@ -93,7 +94,9 @@ def cmd_enumerate(args):
     if args.species not in ("gauss", "arrow"):
         raise CliError("--species must be gauss or arrow")
     w = _window(args, args.K)
-    ds = enumerate_diagrams(args.species, _nonnegative(args.degree, "--degree"), w)
+    n = _nonnegative(args.degree, "--degree")
+    engine.guard_enumeration(args.species, n, w)
+    ds = enumerate_diagrams(args.species, n, w)
     lines = ["count=%d" % len(ds)]
     for d in ds:
         lines.append("aut=%d" % d.aut_order())
@@ -226,18 +229,24 @@ def cmd_selftest(args):
             ok = False
     step("canonical form: idempotent and rotation invariant", ok)
 
-    # bracket identity on random pairs
+    # bracket identity <<A, G>> = <S(A), I(G)>, <<A, G>> by engine.evaluate,
+    # on random pairs: degree-2 arrow diagrams against degree 3-4 knots
     w = MarkingWindow(range(0, 3), 2)
     arrs = enumerate_diagrams("arrow", 2, w)
-    gsss = enumerate_diagrams("gauss", 2, w)
     ok = True
     for _ in range(50):
-        a, g = rng.choice(arrs), rng.choice(gsss)
-        if double_angle(a, g) != pair_norm(sign_expand_S(a), subdiagram_expand_I(g)):
+        n = rng.randint(3, 4)
+        ends = rng.sample(range(2 * n), 2 * n)
+        g = GaussDiagram(w.K, [(t, h, rng.randint(0, 2), rng.choice((1, -1)))
+                               for t, h in zip(ends[::2], ends[1::2])])
+        a = rng.choice(arrs)
+        bracket = pair_norm(sign_expand_S(a), subdiagram_expand_I(g))
+        if engine.evaluate(Formula(a, w.K), g) != bracket:
             ok = False
     step("bracket identity on random pairs", ok)
 
     # file round trips
+    gsss = enumerate_diagrams("gauss", 2, w)
     ok = True
     for _ in range(50):
         d = rng.choice(gsss)

@@ -281,36 +281,35 @@ class BasedDiagram:
 
 
 class DegenerateDiagram:
-    """Diagram with one arc shrunk to a point.
+    """Diagram with one arc shrunk to a point, stored as its key alone.
 
-    Stored in the based rotation: the fused endpoints are the ones at
-    positions 2n-1 and 0, in that circle order.  When the fused endpoints
-    belong to two different arrows, the two circle orders give the same
-    degenerate picture, so canonical equality identifies them; when they
-    belong to one and the same arrow the order is an extra decoration and
-    is kept.
+    The key is ("s" or "d", K, word), the word a based word whose fused
+    endpoints sit at positions 2n-1 and 0, in that circle order.  When they
+    belong to two different arrows ("d") the two circle orders give the
+    same degenerate picture and the word is the lesser of the two; when
+    they belong to one arrow ("s") the order is an extra decoration and is
+    kept.  .arrows, fused() and repr read the word: equal diagrams print alike.
     """
 
-    __slots__ = ("K", "arrows", "signed", "_key", "_hash")
+    __slots__ = ("K", "arrows", "_key", "_hash")
+    signed = False
 
     def __init__(self, based):
         if based.signed:
             raise DiagramError("degenerate diagrams are defined over arrow diagrams")
         arrows = based.arrows
-        self._store(based.K, arrows, _degenerate_key(based.K, arrows, _fused(arrows)))
+        self._store(_degenerate_key(based.K, arrows, _fused(arrows)))
 
     @classmethod
-    def _of(cls, K, arrows, key):
-        """The degenerate diagram of the based word `arrows` (sign-less, in
-        _by_first order) whose key _degenerate_key has already returned."""
+    def _of(cls, key):
+        """The degenerate diagram of a key that _degenerate_key returned."""
         dd = cls.__new__(cls)
-        dd._store(K, arrows, key)
+        dd._store(key)
         return dd
 
-    def _store(self, K, arrows, key):
-        object.__setattr__(self, "K", K)
-        object.__setattr__(self, "arrows", arrows)
-        object.__setattr__(self, "signed", False)
+    def _store(self, key):
+        object.__setattr__(self, "K", key[1])
+        object.__setattr__(self, "arrows", key[2])
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
 
@@ -336,12 +335,6 @@ class DegenerateDiagram:
     def fused(self):
         """((arrow, role), (arrow, role)) at the degenerate point, in order."""
         return _fused(self.arrows)
-
-    def word(self):
-        """Canonical based word: for a different-arrow fusion, the smaller of
-        the two equivalent fused orders.  Printing this word and reparsing
-        reproduces the object byte for byte."""
-        return self._key[2]
 
     def is_monotonic(self):
         return _monotonic(_fused(self.arrows))

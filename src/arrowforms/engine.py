@@ -100,7 +100,25 @@ MAX_SOLVER_COLUMNS = 200000
 
 
 class SolverTooLarge(ValueError):
-    """The requested formula space exceeds the solver's column guard."""
+    """The requested formula space or enumeration exceeds the solver guard."""
+
+
+def guard_enumeration(species, n, window):
+    """Refuse (SolverTooLarge) the degree-n diagrams of `species` over the
+    window, a solve's columns or an enumerate's list, when they may number
+    more than MAX_SOLVER_COLUMNS.  Labelled decorations over their 2n
+    rotations bound the count below in O(1), before _shapes(n) is built;
+    past that, one decoration per shape class and choice of markings (and
+    signs) bounds it above (_shapes is cached for the enumeration)."""
+    choices = len(window.allowed) * (2 if species == "gauss" else 1)
+    count = math.prod(range(1, 2 * n, 2)) * (2 * choices) ** n // max(2 * n, 1)
+    if count <= MAX_SOLVER_COLUMNS:
+        count = len(_shapes(n)) * choices ** n
+    if count > MAX_SOLVER_COLUMNS:
+        raise SolverTooLarge(
+            "estimated count %d of degree-%d %s diagrams exceeds the solver guard (%d)"
+            % (count, n, species, MAX_SOLVER_COLUMNS)
+        )
 
 
 def _read_cached(path):
@@ -141,18 +159,7 @@ def solve_formula_space(n, window, cache_dir=None):
         basis = _read_cached(path)
         if basis is not None:
             return basis
-    # labelled decorations over their 2n rotations bound the columns below,
-    # in O(1), before _shapes(n) is built; past that bound, one decoration
-    # per shape class and marking choice bounds them above, exact unless a
-    # rotation fixing a shape merges decorations (_shapes is cached)
-    ncols = math.prod(range(1, 2 * n, 2)) * (2 * len(window.allowed)) ** n // max(2 * n, 1)
-    if ncols <= MAX_SOLVER_COLUMNS:
-        ncols = len(_shapes(n)) * len(window.allowed) ** n
-    if ncols > MAX_SOLVER_COLUMNS:
-        raise SolverTooLarge(
-            "estimated column count %d exceeds the solver guard (%d); "
-            "basis size is at most the column count" % (ncols, MAX_SOLVER_COLUMNS)
-        )
+    guard_enumeration("arrow", n, window)
     columns = enumerate_diagrams("arrow", n, window)
     rows = _constraint_rows(window, columns)
     basis = [

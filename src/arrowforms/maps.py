@@ -1,11 +1,12 @@
-"""Structural maps between diagram spaces and the pairings the program reads.
+"""Structural maps between diagram spaces and the pairing the program reads.
 
 The maps: S (signed expansion of an arrow diagram), I (subdiagram sum of a
-Gauss diagram), the automorphism-normalized pairing < , >, and the
-subset-counting brackets (( , )) and << , >>.  The degree projections are
-LinComb.filtered (engine.homogeneous_components).  The selftest's bracket
-identity (cli) reads all of them.  The paper's orthonormal pairing ( , ),
-which < , > rescales by |Aut|, is pair_ortho in tests/move_oracles.py.
+Gauss diagram) and the automorphism-normalized pairing < , >.  The degree
+projections are LinComb.filtered (engine.homogeneous_components).  The
+selftest (cli) checks engine.evaluate, the program's bracket << , >>,
+against < S(A), I(G) >.  The paper's pairing ( , ), which < , > rescales
+by |Aut|, and the object brackets (( , )) and << , >> (evaluate's oracle)
+are pair_ortho, double_paren and double_angle in tests/move_oracles.py.
 """
 
 from __future__ import annotations
@@ -58,32 +59,3 @@ def pair_norm(x, y):
         if cy:
             total += c * cy * k.aut_order()
     return total
-
-
-def double_paren(a, g):
-    """((A, G)): over subdiagrams of G matching A after forgetting signs,
-    sum the products of signs.  Zero when deg A > deg G."""
-    k = a.n
-    if k > g.n:
-        return 0
-    total = 0
-    for sub in combinations(range(g.n), k):
-        d = g.subdiagram(sub)
-        if d.forget_signs() == a:
-            prod = 1
-            for i in sub:
-                prod *= g.arrows[i][3]
-            total += prod
-    return total
-
-
-def double_angle(a, g):
-    """<<A, G>> = |Aut(A)| * ((A, G)), extended bilinearly."""
-    a, g = as_lincomb(a), as_lincomb(g)
-    total = Fraction(0)
-    for ka, ca in a.items():
-        aut = ka.aut_order()
-        for kg, cg in g.items():
-            total += ca * cg * aut * double_paren(ka, kg)
-    return total
-

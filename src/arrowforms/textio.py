@@ -44,20 +44,16 @@ def _fields(line, lineno, names):
     return out
 
 
+_SPECIES = {GaussDiagram: "gauss", ArrowDiagram: "arrow", DegenerateDiagram: "degenerate"}
+
+
 def print_diagram(d):
-    if isinstance(d, DegenerateDiagram):
-        species = "degenerate"
-        arrows = d.word()
-        signed = False
-    elif isinstance(d, GaussDiagram):
-        species, arrows, signed = "gauss", d.arrows, True
-    elif isinstance(d, ArrowDiagram):
-        species, arrows, signed = "arrow", d.arrows, False
-    else:
+    species = _SPECIES.get(type(d))
+    if species is None:
         raise TypeError("cannot print %r" % (d,))
     lines = ["%s K=%d n=%d" % (species, d.K, d.n)]
-    for t, h, m, s in arrows:
-        if signed:
+    for t, h, m, s in d.arrows:
+        if d.signed:
             lines.append("tail=%d head=%d sign=%s mark=%d" % (t, h, "+" if s > 0 else "-", m))
         else:
             lines.append("tail=%d head=%d mark=%d" % (t, h, m))

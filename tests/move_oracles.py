@@ -30,6 +30,9 @@ hand-codes, the bigons and every placement of the three R3 lines, of which
 models("R3") builds one per rotation orbit.  The unreduced six-term table
 and the gap-relation test read them.  pair_ortho is the paper's
 orthonormal pairing ( , ), which only the tests of its statements read.
+double_paren and double_angle are the subset-counting brackets (( , ))
+and << , >> on diagram objects, one subdiagram at a time: the oracle of
+engine.evaluate, which scores subsets on a rotation-compiled table.
 
 apply_R_move is one move on g through relations._apply_move, for tests that
 want only the new diagram.
@@ -183,6 +186,34 @@ def pair_ortho(x, y):
     total = Fraction(0)
     for k, c in x.items():
         total += c * y.coeff(k)
+    return total
+
+
+def double_paren(a, g):
+    """((A, G)): over subdiagrams of G matching A after forgetting signs,
+    sum the products of signs.  Zero when deg A > deg G."""
+    k = a.n
+    if k > g.n:
+        return 0
+    total = 0
+    for sub in combinations(range(g.n), k):
+        d = g.subdiagram(sub)
+        if d.forget_signs() == a:
+            prod = 1
+            for i in sub:
+                prod *= g.arrows[i][3]
+            total += prod
+    return total
+
+
+def double_angle(a, g):
+    """<<A, G>> = |Aut(A)| * ((A, G)), extended bilinearly."""
+    a, g = as_lincomb(a), as_lincomb(g)
+    total = Fraction(0)
+    for ka, ca in a.items():
+        aut = ka.aut_order()
+        for kg, cg in g.items():
+            total += ca * cg * aut * double_paren(ka, kg)
     return total
 
 

@@ -19,13 +19,7 @@ from arrowforms.diagrams import (
     canonical_arrows,
 )
 from arrowforms.lincomb import LinComb
-from arrowforms.maps import (
-    double_angle,
-    double_paren,
-    pair_norm,
-    sign_expand_S,
-    subdiagram_expand_I,
-)
+from arrowforms.maps import pair_norm, sign_expand_S, subdiagram_expand_I
 from arrowforms.ratlinalg import (
     DiagramIndexedMatrix,
     kernel,
@@ -45,7 +39,7 @@ from conftest import (
     seeded,
     spans,
 )
-from move_oracles import pair_ortho
+from move_oracles import double_angle, double_paren, pair_ortho
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 

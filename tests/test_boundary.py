@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import arrowforms
-from arrowforms import boundary, relations
+from arrowforms import boundary, relations, textio
 from arrowforms.boundary import NormalizationError, _triangle_rewrite, boundary_d
 from arrowforms.diagrams import (
     ArrowDiagram,
@@ -45,8 +45,8 @@ WIDE = normalization_window(MarkingWindow(range(-2, 4), 2))
 def _normalized(x, window):
     """The program's triangle normalization (boundary._normalize) of a
     combination of degenerate diagrams."""
-    raw = {dd._key: [c, dd.arrows] for dd, c in x.items()}
-    return boundary._lincomb(boundary._normalize(raw, window))
+    out = boundary._normalize({dd._key: c for dd, c in x.items()}, window)
+    return LinComb._of({DegenerateDiagram._of(key): c for key, c in out.items()})
 
 
 def _triangle_relation(dd):
@@ -57,8 +57,8 @@ def _triangle_relation(dd):
     if rewrite is None:
         raise NormalizationError("no triangle relation for %r" % (dd,))
     out = {dd: Fraction(1)}
-    for key, u, target in rewrite:
-        _add_into(out, {boundary._degenerate(key, target): -u})
+    for key, u in rewrite:
+        _add_into(out, {DegenerateDiagram._of(key): -u})
     return LinComb._of(out)
 
 
@@ -270,9 +270,8 @@ def test_triangle_relations_match_the_object_path(data):
 @pytest.mark.parametrize("window", [MarkingWindow({0, 1, 2}, 2), WIDE], ids=["narrow", "wide"])
 def test_equal_basings_of_a_symmetric_diagram_are_summed_before_they_cancel(window):
     # d has |Aut| = 2, so two of its arcs give one basing; its partner's
-    # basing cancels a single copy of it, so only summing the two copies
-    # first keeps the partner's word on the term (as the based expansion
-    # sums them)
+    # basing cancels a single copy of it, and the term that is left is the
+    # object path's, whichever basing enters first
     d = ArrowDiagram(2, [(0, 3, 2, 0), (2, 1, 2, 0)])
     partner = ArrowDiagram(2, [(0, 2, 2, 0), (1, 3, 2, 0)])
     assert d.aut_order() == 2
@@ -299,6 +298,36 @@ def test_a_diagram_without_a_triple_point_completion_is_reported_alike():
         triangle_rewrite_objects.cache_clear()
     assert fast == slow
     assert fast.startswith("NormalizationError: no triangle relation for DegenerateDiagram(K=2, ")
+
+
+def test_the_two_fused_orders_print_and_fail_alike():
+    # a different-arrow degenerate diagram and the one built from its
+    # swapped word are one diagram: the same repr, word, fused endpoints
+    # and printed block, and the same NormalizationError text
+    rng = seeded(36)
+    window = MarkingWindow({0, 1, 2}, 2)
+    checked = raised = 0
+    while checked < 200:
+        n = rng.randint(2, 4)
+        b = random_based_diagram(rng, n, 2, marks=(0, 1, 2))
+        (i1, _r1), (i2, _r2) = b.boundary_endpoints()
+        if i1 == i2:
+            continue
+        swap = {2 * n - 1: 0, 0: 2 * n - 1}
+        twin = BasedDiagram.from_word(
+            b.K, [(swap.get(t, t), swap.get(h, h), m, s) for t, h, m, s in b.arrows]
+        )
+        dd, dd2 = DegenerateDiagram(b), DegenerateDiagram(twin)
+        assert dd == dd2
+        assert repr(dd) == repr(dd2)
+        assert dd.arrows == dd2.arrows
+        assert dd.fused() == dd2.fused()
+        assert textio.print_diagram(dd) == textio.print_diagram(dd2)
+        outcome = _outcome(_normalized, LinComb.single(dd, 3), window)
+        assert outcome == _outcome(_normalized, LinComb.single(dd2, 3), window)
+        raised += isinstance(outcome, str)
+        checked += 1
+    assert raised > 20
 
 
 _BASED6T_DIGEST = """

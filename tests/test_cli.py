@@ -277,6 +277,29 @@ def test_solver_guard_refuses_a_high_degree_before_building_shapes(capsys, monke
     assert err.startswith("error:") and "solver guard" in err
 
 
+def test_enumerate_guard_refuses_before_building_shapes(capsys, monkeypatch):
+    # enumerate shares the solver guard: degree 8 over two markings is
+    # refused by the lower bound, degree 4 over 1..4 as Gauss diagrams
+    # (860,160 = 218 shape classes x 8^4 choices) by the estimate
+    from arrowforms import engine
+
+    rc = main(["enumerate", "--degree", "4", "--K", "5", "--markings", "1..4",
+               "--species", "gauss"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "solver guard" in err and "860160" in err
+
+    def unreachable(n):
+        raise AssertionError("shape classes built for a refused request")
+
+    monkeypatch.setattr(engine, "_shapes", unreachable)
+    rc = main(["enumerate", "--degree", "8", "--K", "0", "--markings", "0..1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "solver guard" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_negative_degree_is_named(capsys):
     rc = main(["solve", "--degree", "-1", "--K", "5", "--markings", "1..4"])
     assert rc == 2

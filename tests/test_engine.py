@@ -28,11 +28,10 @@ from arrowforms.engine import (
     verify_invariance,
 )
 from arrowforms.lincomb import LinComb
-from arrowforms.maps import double_angle
 from arrowforms.relations import MarkingWindow
 
 from conftest import boundary_route, random_gauss_diagram, seeded
-from move_oracles import available_moves, check_formula_objects
+from move_oracles import available_moves, check_formula_objects, double_angle
 
 
 def test_formula_accessors():

@@ -4,17 +4,11 @@ from fractions import Fraction
 
 from arrowforms.diagrams import ArrowDiagram, GaussDiagram
 from arrowforms.lincomb import LinComb
-from arrowforms.maps import (
-    double_angle,
-    double_paren,
-    pair_norm,
-    sign_expand_S,
-    subdiagram_expand_I,
-)
+from arrowforms.maps import pair_norm, sign_expand_S, subdiagram_expand_I
 from arrowforms.relations import MarkingWindow, gen_family
 
 from conftest import random_arrow_diagram, random_gauss_diagram, seeded
-from move_oracles import base_expand, pair_ortho
+from move_oracles import base_expand, double_angle, double_paren, pair_ortho
 
 
 def test_sign_expansion_is_odd_per_arrow():
