@@ -24,10 +24,11 @@ _family_vectors sums and deduplicates instances as tuples; gen_family
 builds diagrams and RelationInstances only for the instances it returns.
 The solver's rows (_constraint_rows) key each term's |Aut|-rescaled
 coefficient by its column index, never spell a term outside the window,
-and spell each instance from its least in-window host only.  The Polyak
-span check (check_I_span_compat) spans its P-relation rows and subdiagram
-expansions as integer rows keyed by canonical arrow tuples, and builds
-objects only for the move vectors it checks.
+and spell each orbit of instances under the window's symmetries from one
+host only.  The Polyak span check (check_I_span_compat) spans its
+P-relation rows and subdiagram expansions as integer rows keyed by
+canonical arrow tuples, and builds objects only for the move vectors it
+checks.
 
 The same matching machinery drives the move census (move_census) that
 random invariance walks draw from, and Reidemeister rewriting (_apply_move)
@@ -941,6 +942,27 @@ def _family_instances(family, first):
     return out
 
 
+def _symmetries(window, columns, index):
+    """The elements other than 1 of the group G that rho: (t, h, m) ->
+    (2n-1-h, 2n-1-t, m) and, when x -> K-x maps the window onto itself,
+    sigma: (t, h, m) -> (2n-1-t, 2n-1-h, K-m) generate on `columns` (the
+    arrow diagrams of one degree over the window; `index` maps their
+    arrows to their indices): rho, then sigma and rho sigma, each as the
+    permutation of column indices it induces."""
+    n = columns[0].n
+    last = 2 * n - 1
+
+    def perm(image):
+        return [index[canonical_arrows(n, [image(*a) for a in d.arrows])[0]] for d in columns]
+
+    rho = perm(lambda t, h, m, s: (last - h, last - t, m, s))
+    K = window.K
+    if {K - x for x in window.allowed} != window.allowed:
+        return [rho]
+    sigma = perm(lambda t, h, m, s: (last - t, last - h, K - m, s))
+    return [rho, sigma, [rho[j] for j in sigma]]
+
+
 def _constraint_rows(window, columns):
     """The formula-space constraints as the solver eliminates them: every
     kink, bigon and 6-term instance anchored at one of `columns` (the
@@ -952,37 +974,49 @@ def _constraint_rows(window, columns):
     by their proportion key), an order that keeps the fill of exact
     elimination low.
 
-    Each instance is emitted from its least in-window host only: at host
-    column i its in-window terms are spelled in order, and the instance is
-    dropped at the first term whose column index is less than i.  The own
-    term (the host) costs nothing.  This is exact because the instance is
-    also found from that lesser column.  An ap1 or ap2 instance has one
-    term, its host.  Every in-window term of an a6t instance is a column,
-    and the pair descriptors cover every (model, side, pair) shape, up to a
-    grouping that keeps matches and terms (_pair_descriptors).  Any two
-    crossings of an R3 model share a strand, on which their endpoints are
-    adjacent, so r3_pair_matches anchors there and finds the instance from
-    every one of its terms.  The rows are a set, so dropping the later
-    copies of an instance changes no row."""
+    Each G-orbit of instances (G: _symmetries) is spelled from one host.
+    Only a column i that is the least index of its G-orbit anchors; an
+    instance is dropped at its first in-window term j whose orbit's least
+    index rep[j] is less than i; every kept row is added with its images
+    under G.  The own term (the host) costs nothing.  Every in-window term
+    of an instance is a host from which it is found: an ap1 or ap2
+    instance has one term, its host.  Every in-window term of an a6t
+    instance is a column, and the pair descriptors cover every (model,
+    side, pair) shape, up to a grouping that keeps matches and terms
+    (_pair_descriptors).  Any two crossings of an R3 model share a strand,
+    on which their endpoints are adjacent, so r3_pair_matches anchors
+    there and finds the instance from every one of its terms.  So if
+    m = rep[j] is least over the in-window terms j of an instance and g
+    maps j to m, the instance's image under g is found from host m and is
+    not dropped there.  G maps the instances, and so the row set, onto
+    themselves (the tests check the rows against the all-hosts oracle), so
+    the images add no other row; with G = {1} this is the least-host
+    rule."""
     index = {d.arrows: i for i, d in enumerate(columns)}
+    others = _symmetries(window, columns, index)
+    rep = [min(i, *(g[i] for g in others)) for i in range(len(columns))]
     allowed = window.allowed
     rows = set()
     for family in CONSTRAINT_FAMILIES:
         for i, d in enumerate(columns):
+            if rep[i] < i:
+                continue
             for _weight, terms in _host_instances(family, d, allowed):
                 row = {}
                 for c, inside, spell in terms:
                     if inside:
                         arrows, aut = spell()
                         j = index[arrows]
-                        if j < i:
-                            break  # emitted from host column j
+                        if rep[j] < i:
+                            break  # its image is spelled from host rep[j]
                         v = row.pop(j, 0) + c * aut
                         if v:
                             row[j] = v
                 else:
                     if row:
                         rows.add(_proportion_key(row))
+                        for g in others:
+                            rows.add(_proportion_key({g[j]: c for j, c in row.items()}))
     return [dict(k) for k in sorted(rows, key=lambda k: (len(k), k))]
 
 

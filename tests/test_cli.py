@@ -89,6 +89,17 @@ def test_the_degree_four_basis_is_pinned(tmp_path, capsys):
     )
 
 
+def test_a_rho_only_degree_two_basis_is_pinned(tmp_path, capsys):
+    # K - x does not map -2..3 onto itself: only rho is a symmetry of the rows
+    out = tmp_path / "basis.txt"
+    rc = main(["solve", "--degree", "2", "--K", "2", "--markings=-2..3", "-o", str(out)])
+    assert rc == 0
+    assert "dimension=23" in capsys.readouterr().err
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "d00608195ef89d0c6143f59fc7ce8500f211264d89c6a6e2a0133c760012fe8a"
+    )
+
+
 _LAZY_TABLES = """
 import io, json, sys
 from contextlib import redirect_stderr

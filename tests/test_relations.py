@@ -921,6 +921,12 @@ def test_solver_rows_span_the_object_rows(n, marks, K):
 )
 @example(2, {1, 2}, 3)
 @example(3, {0, 1, 2}, 2)
+@example(3, {1, 2, 3, 4}, 5)
+@example(3, {-1, 1}, 0)
+@example(3, {0, 1, 2}, 3)  # rho only
+@example(0, {0, 1}, 1)
+@example(1, {0, 1, 2}, 2)
+@example(1, {0, 1}, 0)  # rho only
 def test_solver_rows_from_the_least_host_are_the_all_hosts_rows(n, marks, K):
     window = MarkingWindow(marks, K)
     columns = enumerate_diagrams("arrow", n, window)
@@ -929,9 +935,45 @@ def test_solver_rows_from_the_least_host_are_the_all_hosts_rows(n, marks, K):
     )
 
 
+def _reflected(d, K, flip):
+    """The arrows of d with the circle read backwards: rho reverses each
+    arrow, sigma (flip) keeps it and maps each marking m to K - m."""
+    last = 2 * d.n - 1
+    if flip:
+        return [(last - t, last - h, K - m, s) for t, h, m, s in d.arrows]
+    return [(last - h, last - t, m, s) for t, h, m, s in d.arrows]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 3),
+    st.sets(st.integers(-2, 4), min_size=1, max_size=3),
+    st.integers(-2, 5),
+)
+@example(3, {1, 2, 3, 4}, 5)
+@example(2, {-2, -1, 0, 1, 2, 3}, 2)  # rho only
+def test_the_solver_symmetries_are_involutions_that_fix_the_rows(n, marks, K):
+    window = MarkingWindow(marks, K)
+    columns = enumerate_diagrams("arrow", n, window)
+    index = {d: i for i, d in enumerate(columns)}
+    others = relations._symmetries(window, columns, {d.arrows: i for d, i in index.items()})
+    flip = {K - x for x in marks} == set(marks)
+    assert len(others) == (3 if flip else 1)
+    for g, f in zip(others[:2], (False, True)):
+        assert g == [index[ArrowDiagram(K, _reflected(d, K, f))] for d in columns]
+        assert all(g[g[i]] == i for i in range(len(columns)))
+    if flip:
+        rho, sigma, both = others
+        assert [rho[j] for j in sigma] == [sigma[j] for j in rho] == both
+    keys = {relations._proportion_key(r) for r in constraint_rows_all_hosts(window, columns)}
+    for g in others:
+        assert {relations._proportion_key({g[j]: c for j, c in k}) for k in keys} == keys
+
+
 def test_solver_rows_spell_each_instance_from_its_least_host_only(monkeypatch):
-    # degree 3 over 1..4 K=5: spelling each 6-term instance from every
-    # in-window host term took 23,136 _spliced calls for the same 2,580 rows
+    # degree 3 over 1..4 K=5: one host per orbit of the symmetries (rho and
+    # sigma) spells 4,309 terms for the 2,580 rows; spelling each 6-term
+    # instance from every in-window host term took 23,136
     window = MarkingWindow(range(1, 5), 5)
     columns = enumerate_diagrams("arrow", 3, window)
     calls = []
@@ -944,7 +986,7 @@ def test_solver_rows_spell_each_instance_from_its_least_host_only(monkeypatch):
     monkeypatch.setattr(relations, "_spliced", counted)
     rows = relations._constraint_rows(window, columns)
     assert len(rows) == 2580
-    assert len(calls) == 13666
+    assert len(calls) == 4309
     monkeypatch.setattr(relations, "_spliced", real)
     assert rows == constraint_rows_all_hosts(window, columns)
 
