@@ -28,7 +28,8 @@ and spell each orbit of instances under the window's symmetries from one
 host only.  The Polyak span check (check_I_span_compat) spans its
 P-relation rows and subdiagram expansions as integer rows keyed by
 canonical arrow tuples, and builds objects only for the move vectors it
-checks.
+checks; its P-relation rows (_p_relation_rows) come from one circle scan
+per host, with each R3 configuration spelled from one host only.
 
 The same matching machinery drives the move census (move_census) that
 random invariance walks draw from, and Reidemeister rewriting (_apply_move)
@@ -738,11 +739,15 @@ def _full_matches(d, kind, positions=None):
     hits of that kind alone (_full_hits), in its order, as Match objects
     with marks keyed 0..k-1.  The layouts are built lazily (see Match)."""
     r3 = kind == "R3"
-    present = (0, 1, 2) if r3 else (0, 1)
-    arrows = d.arrows
-    for _kind, model, side, amap, anchors in _full_hits(d, not r3, r3, positions):
-        marks = {c: arrows[amap[c]][2] for c in present}
-        yield Match(model, side, present, amap, marks, d, anchors)
+    for _kind, *hit in _full_hits(d, not r3, r3, positions):
+        yield _hit_match(d, *hit)
+
+
+def _hit_match(d, model, side, amap, anchors):
+    """The Match of one hit of _full_hits inside d."""
+    present = tuple(range(len(amap)))
+    marks = {c: d.arrows[amap[c]][2] for c in present}
+    return Match(model, side, present, amap, marks, d, anchors)
 
 
 def r1_matches(d):
@@ -1259,22 +1264,63 @@ def _add_subsets(row, arrows, touched, least, c):
                         row[key] = v
 
 
-def _p_relation_rows(diagrams, window, skipped):
+def _p_relation_rows(diagrams):
     """The p1, p2 and p3 instances at every degree 1 <= deg < len(diagrams),
-    anchored at the hosts diagrams[deg] (_family_vectors), as integer rows
-    {canonical arrows: int}.
+    anchored at the hosts diagrams[deg], as integer rows {canonical arrows:
+    int}: up to scale and repetition, the rows of _family_vectors.
 
-    They are built without window closure, which is equivalent: the hosts
-    are enumerated over the window, and every p1, p2 and p3 term carries
-    markings of its host only (a term is the host, the host with one arrow
-    of a bigon dropped, or the host with its R3 triple moved or cut), so
-    no term lies outside the window and nothing is ever counted into
-    `skipped`."""
+    One scan per host d = diagrams[deg][i]: any kink (r1_matches) gives the
+    p1 row {d: 1}, and one _full_hits pass gives a p2 row per bigon and a
+    p3 row per R3 configuration.  The scan hits a configuration more than
+    once (an R3 one once per mirrored model/side label, with rows equal up
+    to sign), and only its first hit counts.  A configuration's key is the
+    set of its host arrows with the set of its slot anchors: one triple can
+    carry two configurations (an inner and an outer triangle, anchors
+    {0, 2, 4} and {1, 3, 5}), whose rows differ.
+
+    Least host.  A p3 instance's only terms of degree deg are its full
+    terms, d and the far side's term d'.  The R3 move of d' at the
+    configuration it holds gives back d, so the instance is hit from both.
+    The far term is spelled first, and the instance is dropped when the
+    index of d' is below i: it is spelled from d' instead.  The drop is
+    strict, so an instance whose far term is d itself would be kept (none
+    was seen).  A p1 or p2 instance has one term of degree deg, its host.
+    d's own term is d.arrows, and d' is not spelled again.  Configurations
+    that an automorphism of d exchanges give equal rows, yielded twice (10
+    of 2,815 rows at degree 4 over {1} K=1).
+
+    Every term carries markings of its host only, and the hosts are
+    enumerated over the window, so the rows need no window closure."""
     for deg in range(1, len(diagrams)):
-        for family in ("p1", "p2", "p3"):
-            first = _family_vectors(family, diagrams[deg], window.allowed, skipped, False)
-            for _d, vec in first.values():
-                yield {arrows: e[0] for arrows, e in vec.items()}
+        hosts = diagrams[deg]
+        index = {d.arrows: i for i, d in enumerate(hosts)}
+        for i, d in enumerate(hosts):
+            if r1_matches(d):
+                yield {d.arrows: 1}
+            configurations = set()
+            for kind, model, side, amap, anchors in _full_hits(d, True, True):
+                config = (frozenset(amap.values()), frozenset(anchors))
+                if config in configurations:
+                    continue
+                configurations.add(config)
+                if kind == "R2":
+                    terms = [(d.arrows, 1)] + [(_dropped(d, j)[0], 1) for j in amap.values()]
+                else:
+                    m = _hit_match(d, model, side, amap, anchors)
+                    far = "R" if side == "L" else "L"
+                    arrows = _spliced(m, (0, 1, 2), far)[0]
+                    if index[arrows] < i:
+                        continue
+                    terms = [(d.arrows, _SIDE_SIGN[side]), (arrows, _SIDE_SIGN[far])]
+                    terms += [
+                        (_spliced(m, pair, s)[0], _SIDE_SIGN[s]) for s in ("L", "R") for pair in _PAIRS
+                    ]
+                row = {}
+                for arrows, c in terms:
+                    v = row.pop(arrows, 0) + c
+                    if v:
+                        row[arrows] = v
+                yield row
 
 
 def check_I_span_compat(n, window, limit_per_kind=None):
@@ -1289,13 +1335,19 @@ def check_I_span_compat(n, window, limit_per_kind=None):
     (_p_relation_rows) and every I(r) (_I_row, over the subsets the move
     changes) are integer rows keyed by canonical arrow tuples, which order
     as the diagrams do since K is fixed.  Diagram objects are built only
-    for the move vectors r."""
+    for the move vectors r.
+
+    The P-relation rows come from one circle scan per host.  Each R3
+    configuration (keyed by its host arrows and its slot anchors) is
+    spelled once, from the lesser of the two hosts that hold its instance
+    as a full term; the other host's R3 move gives back the first, so no
+    instance is lost (see _p_relation_rows).  The report depends only on
+    the span of the rows."""
     # each degree's Gauss diagrams, enumerated once for the P-relation
     # hosts and the R-relation moves
     diagrams = [enumerate_diagrams("gauss", deg, window) for deg in range(n + 1)]
     ech = Echelon()
-    skipped = {}
-    for row in _p_relation_rows(diagrams, window, skipped):
+    for row in _p_relation_rows(diagrams):
         ech.insert(row)
     failures = []
     checked = 0
@@ -1303,4 +1355,4 @@ def check_I_span_compat(n, window, limit_per_kind=None):
         checked += 1
         if ech.reduce(_I_row(change)):
             failures.append((kind, r))
-    return {"checked": checked, "failures": failures, "skipped": skipped}
+    return {"checked": checked, "failures": failures, "skipped": {}}

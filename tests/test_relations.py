@@ -1128,15 +1128,15 @@ def test_the_I_row_of_a_move_is_its_changed_subsets(n, marks, K, limit):
 def test_the_tuple_P_rows_span_the_object_rows(n, marks, K):
     window = MarkingWindow(marks, K)
     hosts = [enumerate_diagrams("gauss", deg, window) for deg in range(n + 1)]
-    skipped, oracle_skipped = {}, {}
-    rows = list(relations._p_relation_rows(hosts, window, skipped))
+    oracle_skipped = {}
+    rows = list(relations._p_relation_rows(hosts))
     oracle = [
         {k.arrows: int(c) for k, c in inst.vector.items()}
         for deg in range(1, n + 1)
         for family in ("p1", "p2", "p3")
         for inst in gen_family_objects(family, deg, window, oracle_skipped)
     ]
-    assert skipped == oracle_skipped
+    assert oracle_skipped == {}
     fast, slow = echelon_of(rows), echelon_of(oracle)
     assert fast.rank() == slow.rank()
     assert all(spans(fast, r) for r in oracle) and all(spans(slow, r) for r in rows)
@@ -1152,9 +1152,8 @@ def test_the_tuple_P_rows_span_the_object_rows(n, marks, K):
 def test_the_span_rows_need_no_window_closure(n, marks, K):
     window = MarkingWindow(marks, K)
     hosts = [enumerate_diagrams("gauss", deg, window) for deg in range(n + 1)]
-    skipped = {}
-    list(relations._p_relation_rows(hosts, window, skipped))
-    assert skipped == {}
+    for row in relations._p_relation_rows(hosts):
+        assert all(a[2] in window.allowed for arrows in row for a in arrows)
     for deg in range(1, n + 1):
         for family in ("p1", "p2", "p3"):
             closed, open_ = {}, {}
@@ -1167,12 +1166,68 @@ def test_the_span_rows_need_no_window_closure(n, marks, K):
     assert relations.check_I_span_compat(min(n, 2), window, 5)["skipped"] == {}
 
 
+def _family_keys(family, hosts, window):
+    vectors = relations._family_vectors(family, hosts, window.allowed, {}, False).values()
+    return {relations._proportion_key({k: e[0] for k, e in vec.items()}) for _d, vec in vectors}
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.sets(st.integers(-1, 3), min_size=1, max_size=2),
+    st.integers(-2, 3),
+)
+@example(3, {1}, 1)
+@example(3, {0, 1}, 1)
+@example(2, {0, 1, 2}, 2)
+@example(3, {0, 1, 2}, 2)
+@example(3, {-1, 0, 1}, 0)  # a triple that carries two R3 configurations
+@example(4, {1}, 1)
+def test_the_span_rows_are_the_family_rows_up_to_scale(n, marks, K):
+    # exactly the proportion keys of the p1, p2 and p3 instances, degree by
+    # degree: one hit per configuration and the least-host drop lose none
+    window = MarkingWindow(marks, K)
+    for deg in range(1, n + 1):
+        hosts = enumerate_diagrams("gauss", deg, window)
+        rows = relations._p_relation_rows([()] * deg + [hosts])
+        want = set().union(*(_family_keys(f, hosts, window) for f in ("p1", "p2", "p3")))
+        assert {relations._proportion_key(r) for r in rows} == want
+
+
+def test_span_rows_spell_each_r3_configuration_once_from_its_least_host(monkeypatch):
+    # degree 3 over {0,1} K=1, 5 moves per kind: one scan per host and one
+    # hit per configuration, spelled only from the lesser full term, spell
+    # 384 terms and scan 1,469 times; spelling every hit from every host
+    # that holds it took 1,344 and 2,813
+    calls = {"_spliced": 0, "_full_hits": 0}
+    for name in calls:
+        real = getattr(relations, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(relations, name, counted)
+    rep = relations.check_I_span_compat(3, MarkingWindow({0, 1}, 1), 5)
+    assert (rep["checked"], rep["failures"]) == (49, [])
+    assert calls == {"_spliced": 384, "_full_hits": 1469}
+
+
 def test_withheld_p3_rows_make_the_span_check_report_R3_failures(monkeypatch):
-    real = relations._host_instances
+    # the span check's P-row loop is its only scan for both kinds at once
+    # (its R3 moves are matched by _full_matches(g, "R3"), a scan for R3
+    # alone), so dropping that scan's R3 hits withholds every p3 row; the
+    # object path builds its p3 instances through _host_instances
+    real_hits, real_instances = relations._full_hits, relations._host_instances
+
+    def r2_hits_only(d, r2, r3, positions=None):
+        hits = real_hits(d, r2, r3, positions)
+        return (hit for hit in hits if hit[0] == "R2") if r2 and r3 else hits
 
     def without_p3(family, d, allowed):
-        return iter(()) if family == "p3" else real(family, d, allowed)
+        return iter(()) if family == "p3" else real_instances(family, d, allowed)
 
+    monkeypatch.setattr(relations, "_full_hits", r2_hits_only)
     monkeypatch.setattr(relations, "_host_instances", without_p3)
     window = MarkingWindow({1}, 1)
     rep = relations.check_I_span_compat(3, window, limit_per_kind=5)
