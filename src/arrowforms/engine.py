@@ -56,9 +56,10 @@ from .relations import (
     _chord_matchings,
     _constraint_rows,
     _family_instances,
-    _family_vectors,
     _shapes,
+    _support_vectors,
     enumerate_diagrams,
+    insertion_moves,
     move_census,
 )
 
@@ -81,12 +82,12 @@ def _template_hash():
 
     It is pinned: the SHA-256 of repr([sorted(m.key for m in models(k))
     for k in ("R1", "R2", "R3")]) over the kink models, the bigons and
-    every placement of the three R3 lines (288 models, of which models("R3")
-    keeps one per rotation orbit).  The tests keep those builders
-    (oracle_models in tests/move_oracles.py), recompute the pin from them
-    and require that the program's R2 models, and the rotations of its R3
-    models, are theirs, so a changed table must change the pin.  Naming a
-    cache file builds no move model."""
+    every placement of the three R3 lines (288 models), which the tests
+    build from the planar pictures of the moves (oracle_models in
+    tests/move_oracles.py).  They recompute the pin from them, build the
+    committed move tables (moves.read_table) from the same pictures, and
+    require the files to be that output byte for byte, so a changed table
+    must change the pin.  Naming a cache file reads no move table."""
     return "a6a92a1525e43e3334f103216d6dd828b13f735204962ad2403e82108edf3883"
 
 
@@ -196,11 +197,12 @@ def check_formula(f, window):
     agree; a disagreement means one of the two machineries is broken.
 
     The pairings run on the tuple core: each instance is a summed row of
-    relations._family_vectors, {canonical arrows: [coefficient, |Aut|,
-    inside]}, and its pairing < f, instance > is the sum of f's
-    coefficient times coefficient times |Aut| over the row.  Objects are
-    built only for the first (family, degree) with a nonzero pairing, to
-    report the instance and its index in gen_family's sorted list."""
+    relations._support_vectors, {canonical arrows: [coefficient, |Aut|,
+    inside]}, spelled from the least of f's support terms that it reaches,
+    and its pairing < f, instance > is the sum of f's coefficient times
+    coefficient times |Aut| over the row.  Objects are built only for the
+    first (family, degree) with a nonzero pairing, to report the instance
+    and its index in gen_family's sorted list."""
     for m in f.markings():
         if m not in window:
             raise ValueError("formula marking %d outside the window" % m)
@@ -213,7 +215,7 @@ def check_formula(f, window):
             # only instances meeting f's support can pair nonzero, so
             # anchoring the generator there is exhaustive for this check
             hosts = [k for k in f.vector.keys() if k.n == deg]
-            vectors = _family_vectors(fam, hosts, window.allowed, {}, False)
+            vectors = _support_vectors(fam, hosts, window.allowed)
             pairings = [
                 sum(coeffs.get(arrows, 0) * c * aut for arrows, (c, aut, _in) in vec.items())
                 for _d, vec in vectors.values()
@@ -293,10 +295,12 @@ def _subset_value(f, arrows, touched=(), least=0):
 # randomized move-invariance checking
 
 
-def sample_move(g, marking_set, rng, max_degree=None):
-    """One move drawn uniformly from relations.move_census, or None when no
-    move applies: one rng.randrange over the total, decoded in its block."""
-    blocks = move_census(g, marking_set, max_degree)
+def sample_move(g, insertions, rng):
+    """One move drawn uniformly from relations.move_census, with the walk's
+    insertion blocks `insertions` (relations.insertion_moves), or None when
+    no move applies: one rng.randrange over the total, decoded in its
+    block."""
+    blocks = move_census(g, insertions)
     total = sum(count for count, _decode in blocks)
     if total == 0:
         return None
@@ -322,8 +326,9 @@ def _walk_step(f, g, value, mv):
       * R1- and R2- delete, so the new value drops the subsets of the old
         diagram holding a removed arrow.
       * R3 swaps the subsets holding at least two of the triple: it removes
-        the triple and creates its reversed copy.  moves.r3_models builds
-        each side-R slot group as the reverse of the side-L group, so every
+        the triple and creates its reversed copy.  Every R3 model of the
+        move tables has each side-R slot group the reverse of its side-L
+        group (r3_models in tests/move_oracles.py builds them so), so every
         crossing keeps its role, mark and sign, and only the two adjacent
         endpoints inside each slot group change places.  Both endpoints of
         a slot group belong to the triple.  A subset holding at most one
@@ -357,7 +362,9 @@ def verify_invariance(f, g0, trials, walk_length, seed, marking_set=None):
     walks from drifting into ever larger diagrams.  Returns a report; a
     violation records the first offending move.
 
-    g0 is evaluated once.  Along a walk the value is kept as a running
+    The R1+ and R2+ blocks of every census are counted by one
+    relations.insertion_moves, made once per call.  g0 is evaluated
+    once.  Along a walk the value is kept as a running
     value, an int over the denominator of f.table(), updated after each
     move from the subsets that hold an arrow the move changed (see
     _walk_step).  When a trial ends, at its last step or at a violation,
@@ -370,6 +377,7 @@ def verify_invariance(f, g0, trials, walk_length, seed, marking_set=None):
     if marking_set is None:
         marking_set = set(f.markings()) | {0, f.K}
     max_degree = g0.n + max(f.degrees(), default=0) + 4
+    insertions = insertion_moves(marking_set, max_degree, g0.signed)
     rng = random.Random(seed)
     value0 = evaluate(f, g0)
     base = int(value0 * f.table()[0])
@@ -383,7 +391,7 @@ def verify_invariance(f, g0, trials, walk_length, seed, marking_set=None):
     for t in range(trials):
         g, value = g0, base
         for step in range(walk_length):
-            mv = sample_move(g, marking_set, rng, max_degree)
+            mv = sample_move(g, insertions, rng)
             if mv is None:
                 break
             g, value = _walk_step(f, g, value, mv)

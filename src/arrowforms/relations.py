@@ -6,8 +6,11 @@ the model into the same host.  The host is everything the local picture
 does not see: its arrows keep their decorations across all terms of an
 instance.  A match (Match) carries its host diagram, so the term builders
 take the match, and both they and the matchers read the diagram class, K
-and whether crossings carry signs off that host: only the descriptor-table
-builders name a sign mode.
+and whether crossings carry signs off that host: only the descriptor
+tables name a sign mode.  The matchers read the models through those
+tables (_pair_descriptors, _full_anchor_table), which are decoded from the
+committed move tables (moves.read_table) on first use; their builders are
+the oracles in tests/move_oracles.py.
 
 Families (the tags gen_family takes):
 
@@ -41,12 +44,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, partial
 from itertools import combinations, product
-from math import gcd
-from typing import NamedTuple
 
 from .diagrams import ArrowDiagram, DiagramError, GaussDiagram, _induced, canonical_arrows
 from .lincomb import LinComb
-from .moves import HEAD, TAIL, LocalModel, models
+from .moves import HEAD, TAIL, models, read_models, read_table
 from .ratlinalg import Echelon, primitive
 
 
@@ -174,56 +175,6 @@ def enumerate_diagrams(species, n, window):
                 canon, _r, aut = canonical_arrows(n, arrows)
                 auts[canon] = aut
     return [cls._canonical(window.K, canon, auts[canon]) for canon in sorted(auts)]
-
-
-# ---------------------------------------------------------------------------
-# marking arithmetic: the gap relation between K and a model's markings
-
-
-def _det(rows):
-    """Determinant of a small square integer matrix (Laplace expansion)."""
-    if not rows:
-        return 1
-    return sum(
-        (-1) ** j * x * _det([r[:j] + r[j + 1:] for r in rows[1:]])
-        for j, x in enumerate(rows[0]) if x
-    )
-
-
-def _gap_relation(model):
-    """The integer relation between K and the markings of a model.
-
-    The marking of crossing c is the sum of the gaps (between consecutive
-    slots) in model.markexpr[c], and all gaps sum to K.  With every
-    crossing visible this gap system has one row more than unknowns and
-    full column rank, so it has exactly one left-null vector y, up to
-    scale: the signed maximal minors.  The system is then consistent iff
-    y[0]*K + sum(y[c+1]*mark_c) == 0, which is how matches are checked and
-    how six-term matches complete their hidden crossing (_complete_marks).
-    Raises ValueError for a model whose system is not of that shape.
-
-    The system depends on the slot count and markexpr only, so y is
-    computed once per such pair (_gap_minors) for all the models and
-    descriptors that share it."""
-    ns = model.nslots
-    if len(model.markexpr) != ns:
-        raise ValueError(
-            "gap system of %r has %d rows for %d gaps" % (model, len(model.markexpr) + 1, ns)
-        )
-    y = _gap_minors(ns, model.markexpr)
-    if not any(y):
-        raise ValueError("gap system of %r has more than one left-null vector" % (model,))
-    return y
-
-
-@cache
-def _gap_minors(ns, markexpr):
-    """The signed maximal minors of the square-plus-one gap system of
-    _gap_relation, divided by their gcd (all zero when they all vanish)."""
-    rows = [[1] * ns] + [[int(s in e) for s in range(ns)] for e in markexpr]
-    y = [(-1) ** i * _det(rows[:i] + rows[i + 1:]) for i in range(ns + 1)]
-    g = gcd(*y) or 1
-    return tuple(v // g for v in y)
 
 
 # ---------------------------------------------------------------------------
@@ -362,89 +313,6 @@ def _assemble_term(m, present, side):
     return arrows, dict(zip(order, starts))
 
 
-class _NormalForm(NamedTuple):
-    """A slot-rotated model with its crossings renamed canonically: the
-    parts of a LocalModel that descriptors read.  sorted_words is the
-    model's words as sorted (side, slot groups) items, the first part of
-    every signature."""
-
-    sorted_words: tuple
-    markexpr: tuple
-    signs: tuple
-
-    @property
-    def words(self):
-        return dict(self.sorted_words)
-
-
-@cache
-def _shared(x):
-    """The first object equal to x that was passed here: the normal forms
-    repeat a few small tuples and sets many times, and keep one copy."""
-    return x
-
-
-def _normalize_model(model, rot):
-    """The normal form (_NormalForm) of a model at slot rotation rot: the
-    slot-rotated model with crossings renamed by the slots they occupy.
-
-    Two descriptors whose normal forms agree (under a sign mode, see
-    _signature) match the same sites and build the same instance terms, so
-    one representative suffices."""
-    ns = model.nslots
-    words = {
-        side: tuple(model.words[side][(s + rot) % ns] for s in range(ns))
-        for side in model.words
-    }
-    markexpr = tuple(frozenset((x - rot) % ns for x in e) for e in model.markexpr)
-    slots_of = {}
-    for s in range(ns):
-        for c, _r in words["L"][s]:
-            slots_of.setdefault(c, []).append(s)
-    order = sorted(slots_of, key=lambda c: tuple(slots_of[c]))
-    rename = {c: i for i, c in enumerate(order)}
-    new_words = {
-        side: _shared(tuple(_shared(tuple((rename[c], r) for c, r in g)) for g in words[side]))
-        for side in words
-    }
-    return _NormalForm(
-        _shared(tuple(sorted(new_words.items()))),
-        _shared(tuple(markexpr[c] for c in order)),
-        _shared(tuple(model.signs[c] for c in order)),
-    )
-
-
-@cache
-def _normal_forms(kind):
-    """Per model of models(kind), in order: its normal forms at slot
-    rotations 0..nslots-1 (96 R3 models x 3 and 16 R2 models x 2, 320
-    normalizations in all).  The rotations stand for the models a rotation
-    of the slots gives, which models("R3") does not build."""
-    return tuple(
-        tuple(_normalize_model(model, rot) for rot in range(model.nslots))
-        for model in models(kind)
-    )
-
-
-def _signature(form, mode):
-    """What two normal forms must share to give one descriptor.  Modes:
-    'gauss' keeps signs (they constrain the match), 'pairprod' keeps only
-    products of sign pairs (all that the sign-forgotten 6-term
-    coefficients use), 'plain' drops signs."""
-    signs = form.signs
-    if mode == "pairprod":
-        signs = tuple(signs[i] * signs[j] for i, j in ((0, 1), (0, 2), (1, 2)))
-    elif mode == "plain":
-        signs = ()
-    return form.sorted_words, form.markexpr, signs
-
-
-def _form_model(model, form):
-    """The LocalModel of a normal form of `model`, built only for a shape
-    that a descriptor table keeps."""
-    return LocalModel(model.kind, model.nslots, model.ncross, form.signs, form.markexpr, form.words)
-
-
 _PAIRS = ((0, 1), (0, 2), (1, 2))
 _SIDE_SIGN = {"L": 1, "R": -1}
 
@@ -456,54 +324,6 @@ def _six_term_coeff(model, side, pair, signed):
     if not signed:
         c *= model.signs[pair[0]] * model.signs[pair[1]]
     return c
-
-
-def _six_term_signature(model, side, pair, singles, mode):
-    """Everything a pair descriptor matches on and builds, with its crossings
-    relabelled: present pair -> 0, 1, third crossing -> 2.
-
-    (matching data, six terms): the anchor role pair, singles, markexpr and,
-    in 'gauss' mode, the pair's signs; then the multiset of the six
-    (coefficient, per-slot words restricted to the term's pair [, its
-    signs]), taken up to one global sign."""
-    order = pair + (3 - sum(pair),)
-    label = {c: i for i, c in enumerate(order)}
-    gauss = mode == "gauss"
-    anchor = model.words[side][0]
-    matching = (
-        (anchor[0][1], anchor[1][1]),
-        tuple((label[c], s, r) for c, s, r in singles),
-        tuple(model.markexpr[c] for c in order),
-        tuple(model.signs[c] for c in pair) if gauss else (),
-    )
-    terms = []
-    for sd in ("L", "R"):
-        for p in _PAIRS:
-            words = tuple(tuple((label[c], r) for c, r in g if c in p) for g in model.words[sd])
-            signs = tuple(sorted((label[c], model.signs[c]) for c in p)) if gauss else ()
-            terms.append((_six_term_coeff(model, sd, p, gauss), words, signs))
-    six = min(sorted(terms), sorted((-c, w, sg) for c, w, sg in terms))
-    return matching, tuple(six)
-
-
-def _pair_entry(model, side, pair, singles, weight):
-    """The table entry of one pair descriptor:
-    (model, side, pair, singles, weight, third, relation, x_first), where
-    third is the crossing the descriptor does not see, relation the
-    model's _gap_relation and x_first whether slot 1 holds the other
-    endpoint of pair[0] (slot 2 then holds that of pair[1]).  The relation
-    must have coefficient +-1 on the third crossing, so that every pair of
-    visible markings completes to exactly one integer marking of it (see
-    _complete_marks).  Raises ValueError otherwise."""
-    third = 3 - sum(pair)
-    relation = _gap_relation(model)
-    if relation[third + 1] not in (1, -1):
-        raise ValueError(
-            "gap relation %r of %r does not pin the hidden crossing %d"
-            % (relation, model, third)
-        )
-    x_first = any(c == pair[0] and s == 1 for c, s, _r in singles)
-    return (model, side, pair, singles, weight, third, relation, x_first)
 
 
 def _complete_marks(pair, third, y, m1, m2, K):
@@ -518,47 +338,34 @@ def _complete_marks(pair, third, y, m1, m2, K):
 
 @cache
 def _pair_descriptors(mode):
-    """Two-crossing R3 term shapes, indexed by the role pair of the shared
-    adjacent endpoints.  Entries (see _pair_entry):
-    (model, side, pair, singles, weight, third, relation, x_first) with the shared
-    strand normalized to slot 0 and
-    singles = ((crossing, slot, role), (crossing, slot, role)).
+    """The two-crossing R3 term shapes of sign mode `mode` ('pairprod' or
+    'gauss'), indexed by the role pair of the shared adjacent endpoints,
+    decoded from tables/pair_<mode>.json (moves.read_table).  Entries:
+    (model, side, pair, singles, weight, third, relation, x_first), with
+    the shared strand normalized to slot 0 and
+    singles = ((crossing, slot, role), (crossing, slot, role)); third is the
+    crossing the descriptor does not see, relation the model's integer gap
+    relation y, on which (K, markings) vanish exactly when the markings
+    are consistent with the model, with y[third + 1] = +-1 (_complete_marks),
+    and x_first whether slot 1 holds the other endpoint of pair[0] (slot 2
+    then holds that of pair[1]).
 
-    The shapes are the (side, normal form) classes of every R3 model, side
-    and choice of shared strand: the shared strand is the slot that a
-    rotation moves to slot 0, so the forms are read from _normal_forms (one
-    per model and slot rotation).  A LocalModel is built only for the first
-    shape of each group, the one kept.  Many of the shapes build the same
-    6-term instance: at one host position, L/R twin models and the placements of
-    the absent third crossing give the same six (diagram, coefficient)
-    pairs up to one global sign.  So the shapes are grouped by
-    _six_term_signature and only the first of each group, in shape order,
-    is kept; weight counts the shapes of its group.  Equal signatures match
-    at the same positions, complete the same markings and splice the same
-    terms, so the grouping is exact.  Keeping the first keeps every
-    instance's first occurrence, hence the kept instances and their term
-    order: only later copies of an instance go.  ('pairprod': 96 shapes in
-    12 groups; 'gauss': 192 in 96.)"""
-    shapes = set()
-    groups = {}  # signature -> [first shape, number of shapes]
-    for model, forms in zip(models("R3"), _normal_forms("R3")):
-        for side in ("L", "R"):
-            for form in forms:
-                base_sig = _signature(form, mode)
-                if (side, base_sig) in shapes:
-                    continue
-                shapes.add((side, base_sig))
-                word = form.words[side]
-                pair = (word[0][0][0], word[0][1][0])
-                singles = tuple((cc, s, rr) for s in (1, 2) for cc, rr in word[s] if cc in pair)
-                sig = _six_term_signature(form, side, pair, singles, mode)
-                group = groups.get(sig)
-                if group is None:
-                    group = groups[sig] = [(_form_model(model, form), side, pair, singles), 0]
-                group[1] += 1
+    A shape is a (side, slot-rotated model) class under the mode's sign
+    signature: 'gauss' keeps signs, 'pairprod' only the products of sign
+    pairs, all that the sign-forgotten 6-term coefficients use.  Shapes
+    that build the same 6-term instance at one host position, up to one
+    global sign, form one entry, the first of them in shape order, and
+    weight counts them; so only later copies of an instance go.
+    ('pairprod': 96 shapes in 12 entries; 'gauss': 192 in 96.)  The
+    builder is _pair_descriptors in tests/move_oracles.py."""
+    data = read_table("pair_" + mode)
+    shapes = read_models("R3", data["models"])
     out = {(TAIL, TAIL): [], (TAIL, HEAD): [], (HEAD, TAIL): [], (HEAD, HEAD): []}
-    for (matching, _six), (desc, weight) in groups.items():
-        out[matching[0]].append(_pair_entry(*desc, weight))
+    for ru, rv, k, side, pair, singles, weight, third, relation, x_first in data["entries"]:
+        out[ru, rv].append((
+            shapes[k], side, tuple(pair), tuple(map(tuple, singles)), weight, third,
+            tuple(relation), x_first,
+        ))
     return out
 
 
@@ -570,7 +377,7 @@ def r3_pair_matches(d, positions=None):
     search, over all p or, when `positions` is given, over those only.
     The other endpoints x of u and y of v start slots 1 and 2 in the order
     in which they follow p, so a descriptor (read from the table for d's
-    sign mode) matches iff its x_first flag (see _pair_entry) agrees with
+    sign mode) matches iff its x_first flag (see _pair_descriptors) agrees with
     that order and, on a signed host, with the pair's signs.  The hidden
     third crossing is marked by the model's integer gap relation
     (_complete_marks), so every located shape is a match."""
@@ -599,45 +406,27 @@ def r3_pair_matches(d, positions=None):
 
 
 @cache
-def _full_descriptors(kind, mode):
-    """Deduplicated complete local model shapes: list of (model, side).
-    Each model stands for its least normal form (see _normal_forms) under
-    the mode's signature; a LocalModel is built only for a kept shape.  The
-    second R2 model of each rotation orbit has the first one's forms,
-    rotated, so it adds no shape."""
-    table = {}
-    sides = ("L", "R") if kind == "R3" else ("L",)
-    for model, forms in zip(models(kind), _normal_forms(kind)):
-        # the first form whose signature no later one undercuts by `<`
-        best = min(forms, key=lambda form: _signature(form, mode))
-        sig = _signature(best, mode)
-        if (sides[0], sig) not in table:
-            nm = _form_model(model, best)
-            for side in sides:
-                table[side, sig] = (nm, side)
-    return list(table.values())
-
-
-@cache
 def _full_anchor_table(kind, mode):
-    """Full descriptors keyed by their slot signature.
+    """The complete local model shapes of `kind` in sign mode `mode`
+    ('plain' or 'gauss'), keyed by their slot signature, decoded from
+    tables/full_<kind>_<mode>.json (moves.read_table).
 
     The signature of a descriptor is its slot word with the crossings
     relabelled 0, 1, ... by first appearance, each with its role, plus, in
     'gauss' mode, the crossings' signs in label order.  Entry: (index in
-    _full_descriptors, model, side, crossings in label order, relation),
-    where relation is the model's integer gap relation (_gap_relation).
-    Each list keeps descriptor order."""
+    descriptor order, model, side, crossings in label order, relation),
+    where relation is the model's integer gap relation y: a full match
+    holds iff y[0]*K + sum(y[c+1]*mark_c) == 0.  Each list keeps
+    descriptor order, which is the order of the file's entries.  Each
+    model stands for its least slot rotation under the mode's signature,
+    and the second R2 model of each rotation orbit adds no shape.  The
+    builder is _full_anchor_table in tests/move_oracles.py."""
+    data = read_table("full_%s_%s" % (kind, mode))
+    shapes = read_models(kind, data["models"])
     table = {}
-    for i, (model, side) in enumerate(_full_descriptors(kind, mode)):
-        word = model.words[side]
-        order = tuple(dict.fromkeys(c for grp in word for c, _r in grp))
-        label = {c: j for j, c in enumerate(order)}
-        sig = tuple(tuple((label[c], r) for c, r in grp) for grp in word)
-        signs = tuple(model.signs[c] for c in order) if mode == "gauss" else ()
-        table.setdefault((sig, signs), []).append(
-            (i, model, side, order, _gap_relation(model))
-        )
+    for i, (sig, signs, k, side, order, relation) in enumerate(data["entries"]):
+        key = (tuple(tuple(map(tuple, grp)) for grp in sig), tuple(signs))
+        table.setdefault(key, []).append((i, shapes[k], side, tuple(order), tuple(relation)))
     return table
 
 
@@ -670,7 +459,7 @@ def _full_hits(d, r2, r3, positions=None):
     The configuration's word relabels u, v, w as 0, 1, 2, which is the
     first-appearance labelling, so equal signatures mean equal slot words,
     roles and, on a signed host ('gauss' mode), signs.  A hit then holds
-    iff the model's integer gap relation (_gap_relation) vanishes on
+    iff the model's integer gap relation (see _full_anchor_table) vanishes on
     (K, markings)."""
     n = d.n
     if n < 2:
@@ -851,13 +640,18 @@ def _host_instances(family, d, allowed):
             ]
 
 
+def _spelled(terms):
+    """The terms of _host_instances spelled, as (coefficient, inside,
+    canonical arrows, |Aut|)."""
+    return ((c, inside, *spell()) for c, inside, spell in terms)
+
+
 def _summed(terms):
-    """The terms spelled and summed as LinComb sums them, a key whose
+    """Spelled terms (_spelled) summed as LinComb sums them, a key whose
     coefficient cancels leaving (and re-entering last if it comes back):
     {canonical arrows: [coefficient, |Aut|, inside]}."""
     acc = {}
-    for c, inside, spell in terms:
-        arrows, aut = spell()
+    for c, inside, arrows, aut in terms:
         entry = acc.get(arrows)
         if entry is None:
             acc[arrows] = [c, aut, inside]
@@ -887,17 +681,46 @@ def _family_vectors(family, hosts, allowed, skipped, closure):
     for d in hosts:
         for weight, terms in _host_instances(family, d, allowed):
             if closure:
-                if _summed(t for t in terms if not t[1]):
+                if _summed(_spelled(t for t in terms if not t[1])):
                     skipped[family] = skipped.get(family, 0) + weight
                     continue
-                vec = _summed(t for t in terms if t[1])
+                vec = _summed(_spelled(t for t in terms if t[1]))
             else:
-                vec = _summed(terms)
+                vec = _summed(_spelled(terms))
                 if not all(e[2] for e in vec.values()):
                     skipped[family] = skipped.get(family, 0) + weight
             if vec:
                 key = (d.K, _proportion_key({k: e[0] for k, e in vec.items()}))
                 first.setdefault(key, (d, vec))
+    return first
+
+
+def _support_vectors(family, hosts, allowed):
+    """_family_vectors(family, hosts, allowed, {}, False), equal to it in
+    key order, hosts and term order, with each instance spelled from its
+    least host only; check_formula pairs a formula with it, hosts being
+    the formula's support of one degree.
+
+    Hosts run in order, and an instance is dropped at its first term that
+    is an earlier host.  Every term of an instance is a host from which it
+    is found: an ap1 or ap2 instance has one term, its host, and an a6t
+    instance is found from each of its terms (see _constraint_rows).  So
+    the earlier host found the instance first, and the copy kept is the
+    first one, which _family_vectors keeps."""
+    rank = {d.arrows: i for i, d in enumerate(hosts)}
+    first = {}
+    for i, d in enumerate(hosts):
+        for _weight, terms in _host_instances(family, d, allowed):
+            spelled = []
+            for term in _spelled(terms):
+                if rank.get(term[2], i) < i:
+                    break  # found first from that host
+                spelled.append(term)
+            else:
+                vec = _summed(spelled)
+                if vec:
+                    key = (d.K, _proportion_key({k: e[0] for k, e in vec.items()}))
+                    first.setdefault(key, (d, vec))
     return first
 
 
@@ -1115,23 +938,24 @@ def _apply_move(g, move, site, params=()):
     raise ValueError("unknown move %r" % (move,))
 
 
-def _insertion_blocks(g, marking_set, max_degree):
-    """The R1+ and R2+ blocks of move_census(g, marking_set, max_degree),
-    counted arithmetically: [(count, decode), (count, decode)]."""
-    M = max(1, 2 * g.n)
-    signs = (1, -1) if g.signed else (0,)
+def insertion_moves(marking_set, max_degree, signed):
+    """The R1+ and R2+ blocks of move_census on the diagrams of one walk,
+    counted arithmetically: a function of the degree n giving
+    [(count, decode), (count, decode)].  The sorted markings, the number
+    of R2 models, the signs (two on a signed diagram, else 0) and the
+    decoders are made here once; each call computes only the number M of
+    insertion indices and the counts.  Moves that would exceed max_degree
+    (None: no limit) count 0."""
+    signs = (1, -1) if signed else (0,)
     marks = sorted(marking_set)
     nmod = len(models("R2"))
-
-    def fits(extra):
-        return max_degree is None or g.n + extra <= max_degree
 
     def r1_insert(u):
         ins, u = divmod(u, 2 * len(signs))
         kind, si = divmod(u, len(signs))
         return ("R1+", ins, (("ht", "th")[kind], signs[si]))
 
-    def r2_insert(u):
+    def r2_insert(M, u):
         site, u = divmod(u, nmod * len(marks))
         k, mi = divmod(u, len(marks))
         ins1 = 0  # sites (ins1, ins2) with ins1 <= ins2 < M, row by row
@@ -1140,24 +964,31 @@ def _insertion_blocks(g, marking_set, max_degree):
             ins1 += 1
         return ("R2+", (ins1, ins1 + site), (k, marks[mi]))
 
-    return [
-        (M * 2 * len(signs) if fits(1) else 0, r1_insert),
-        (M * (M + 1) // 2 * nmod * len(marks) if fits(2) else 0, r2_insert),
-    ]
+    def blocks(n):
+        M = max(1, 2 * n)
+        r1 = max_degree is None or n + 1 <= max_degree
+        r2 = max_degree is None or n + 2 <= max_degree
+        return [
+            (M * 2 * len(signs) if r1 else 0, r1_insert),
+            (M * (M + 1) // 2 * nmod * len(marks) if r2 else 0, partial(r2_insert, M)),
+        ]
+
+    return blocks
 
 
-def move_census(g, marking_set, max_degree=None):
+def move_census(g, insertions):
     """Every move applicable to g, as counted blocks [(count, decode)].
 
     Blocks come in the order R1+, R1-, R2+, R2-, R3; decode(u) for
     0 <= u < count is the u-th (move, site, params) of its block, ready for
     _apply_move.  Insertion blocks are counted arithmetically and never
-    listed (_insertion_blocks).  R1 markings are forced by the kink (0 or
-    K); R2 markings come from `marking_set`.  Moves that would exceed
-    max_degree are left out.  Bigons and R3 sites come from one pass of
-    _full_hits, which builds no Match; each keeps the first copy of every
-    site in its own kind's order, as one scan per kind did."""
-    r1_plus, r2_plus = _insertion_blocks(g, marking_set, max_degree)
+    listed: `insertions` is the walk's insertion_moves, which gives the R2
+    markings and leaves out the moves that would exceed its maximum
+    degree.  R1 markings are forced by the kink (0 or K).  Bigons and R3
+    sites come from one pass of _full_hits, which builds no Match; each
+    keeps the first copy of every site in its own kind's order, as one
+    scan per kind did."""
+    r1_plus, r2_plus = insertions(g.n)
     kinks = r1_matches(g)
     bigons, triples = {}, {}  # insertion-ordered sets
     for kind, _model, _side, amap, anchors in _full_hits(g, True, True):
@@ -1182,7 +1013,7 @@ def move_census(g, marking_set, max_degree=None):
 def r_relation_vectors(n, window, limit_per_kind=None):
     """Differences g_after - g_before for moves within degree <= n, window-
     internal, enumerated deterministically: the R1+ and R2+ blocks of
-    move_census (_insertion_blocks), in census order, on every Gauss
+    move_census (insertion_moves), in census order, on every Gauss
     diagram of degree < n, then one R3 move per diagram of degree n.  No
     other move is matched below degree n.  A kink whose forced marking
     (0 or K) is outside the window is left out.  Once a kind has
@@ -1201,10 +1032,10 @@ def _r_vectors(n, window, limit_per_kind, diagrams):
     arrows it removed), the arrows before canonicalization, for _I_row."""
     out = []
     counts = {"R1": 0, "R2": 0, "R3": 0}
+    insertions = insertion_moves(window.values(), n, True)
     for deg in range(0, n):
         for g in diagrams(deg):
-            blocks = _insertion_blocks(g, window.values(), n)
-            for kind, (count, decode) in zip(("R1", "R2"), blocks):
+            for kind, (count, decode) in zip(("R1", "R2"), insertions(g.n)):
                 if limit_per_kind is not None and counts[kind] >= limit_per_kind:
                     continue
                 for u in range(count):

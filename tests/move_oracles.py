@@ -19,15 +19,23 @@ boundary map, which built a BasedDiagram for every basing and every
 spliced triangle term, a DegenerateDiagram for every shrink and a Fraction
 LinComb for every rewrite, is the oracle of boundary's based-word core,
 and the object path of check_formula, which paired f with gen_family's
-RelationInstances, the oracle of its pairings on summed rows.  The
+RelationInstances, the oracle of its pairings on summed rows; its
+pairings from every copy of an instance are the oracle of those from
+each instance's least support term.  The
 paper-level statements about the boundary (epsilon of a based diagram, the
 triangle and based 6-term families, the duality between d and based 6T)
 are checked on that object path.
 
-oracle_models are the move models as the template pin
+The move table builders are the oracle of the committed move tables
+(src/arrowforms/tables, which moves.read_table loads): models builds the
+move models from their planar pictures, _normal_forms reads every slot
+rotation of them, and _pair_descriptors, _full_descriptors and
+_full_anchor_table group those into the descriptor tables; serialize_tables
+writes the files, and running this module (src/ on the path) rewrites
+them.  oracle_models are the move models as the template pin
 (engine._template_hash) hashes them: the kink models, which the program
 hand-codes, the bigons and every placement of the three R3 lines, of which
-models("R3") builds one per rotation orbit.  The unreduced six-term table
+models("R3") keeps one per rotation orbit.  The unreduced six-term table
 and the gap-relation test read them.  pair_ortho is the paper's
 orthonormal pairing ( , ), which only the tests of its statements read.
 double_paren and double_angle are the subset-counting brackets (( , ))
@@ -41,10 +49,15 @@ _cyclic_ordered and _other_pos, the slot-order test and endpoint lookup
 these scans share, live here: the program's matchers read the slot order
 off the other endpoints of the anchor arrows instead."""
 
+import json
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations, product
+from math import gcd
+from pathlib import Path
+from typing import NamedTuple
 
+from arrowforms import moves
 from arrowforms.boundary import NormalizationError
 from arrowforms.diagrams import (
     ArrowDiagram,
@@ -59,7 +72,7 @@ from arrowforms.diagrams import (
 from arrowforms.engine import normalization_window
 from arrowforms.lincomb import LinComb, _add_into, as_lincomb
 from arrowforms.maps import pair_norm, subdiagram_expand_I
-from arrowforms.moves import HEAD, TAIL, LocalModel, _det, _gap_interval, _sign, models, r2_models
+from arrowforms.moves import HEAD, TAIL, LocalModel
 from arrowforms.relations import (
     _PAIRS,
     _SIDE_SIGN,
@@ -70,18 +83,14 @@ from arrowforms.relations import (
     _assemble_term,
     _chord_matchings,
     _complete_marks,
-    _form_model,
-    _full_descriptors,
+    _family_instances,
+    _family_vectors,
     _full_matches,
-    _gap_relation,
     _host_instances,
     _in_window,
-    _normalize_model,
     _pair_descriptors as _reduced_pair_descriptors,
-    _pair_entry,
     _proportion_key,
     _r_vectors,
-    _signature,
     _six_term_coeff,
     _apply_move,
     enumerate_diagrams,
@@ -106,9 +115,28 @@ def _other_pos(d, arrow, role):
 
 
 # ---------------------------------------------------------------------------
-# the move models the template pin (engine._template_hash) was taken from:
-# the kink models, which the program hand-codes, and every placement of the
-# three R3 lines, where models("R3") keeps one per rotation orbit
+# the move models: the kink models, which the program hand-codes, the
+# bigons and every placement of the three R3 lines, as the template pin
+# (engine._template_hash) hashes them (oracle_models), and the models the
+# move tables are built from (models), where R3 keeps one per rotation orbit
+
+
+def _gap_interval(s_from, s_to, nslots):
+    """Gaps swept going forward from slot s_from to slot s_to."""
+    out = []
+    s = s_from
+    while s != s_to:
+        out.append(s)
+        s = (s + 1) % nslots
+    return frozenset(out)
+
+
+def _cross(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def _sign(x):
+    return 1 if x > 0 else -1
 
 
 def r1_models():
@@ -124,18 +152,56 @@ def r1_models():
     return out
 
 
-def r3_models():
+def r2_models():
+    """Bigon insertion/removal: two strands crossing twice, one strand over
+    at both crossings; the two crossings carry opposite signs and equal
+    markings."""
+    # geometry: crossings 0 (left) and 1 (right); line 1 straight, line 2 bumped.
+    tangents = {1: {0: (1, 0), 1: (1, 0)}, 2: {0: (1, 1), 1: (1, -1)}}
+    models = {}
+    for perm in permutations((1, 2)):  # slot s hosts line perm[s]
+        slot_of = {perm[s]: s for s in range(2)}
+        for o1, o2 in product((1, -1), repeat=2):
+            o = {1: o1, 2: o2}
+            for over in (1, 2):
+                under = 2 if over == 1 else 1
+                signs = []
+                for c in (0, 1):
+                    du = tuple(o[over] * x for x in tangents[over][c])
+                    dv = tuple(o[under] * x for x in tangents[under][c])
+                    signs.append(_sign(_cross(du, dv)))
+                expr = _gap_interval(slot_of[under], slot_of[over], 2)
+                groups = []
+                for s in range(2):
+                    ln = perm[s]
+                    order = (0, 1) if o[ln] > 0 else (1, 0)
+                    role = TAIL if over == ln else HEAD
+                    groups.append(tuple((c, role) for c in order))
+                m = LocalModel(
+                    "R2", 2, 2, signs, (expr, expr), {"L": tuple(groups), "R": ((), ())}
+                )
+                models[m.key] = m
+    return list(models.values())
+
+
+def r3_models(orbits=False):
     """Triple-point move: three lines forming a triangle, one line entirely
     over or under the other two.  Both sides of the move are kept; the move
-    reverses the order of the two crossings along every strand."""
+    reverses the order of the two crossings along every strand.
+
+    Every placement of the lines in the slots, or with `orbits` only those
+    with line 1 in slot 0, which come first: the other placements are the
+    slot rotations of these models, which the descriptor tables read off
+    each model (_normal_forms), so one model per rotation orbit."""
     # crossing ids: 0 between lines 1,2; 1 between lines 1,3; 2 between lines 2,3
-    cross_of = {frozenset((1, 2)): 0, frozenset((1, 3)): 1, frozenset((2, 3)): 2}
     lines_of = {0: (1, 2), 1: (1, 3), 2: (2, 3)}
     # geometric order of each line's crossings along its positive direction
     line_cross = {1: (0, 1), 2: (0, 2), 3: (2, 1)}
     base_dir = {1: (1, 0), 2: (0, 1), 3: (1, -1)}
     models = {}
     for perm in permutations((1, 2, 3)):  # slot s hosts line perm[s]
+        if orbits and perm[0] != 1:
+            continue
         slot_of = {perm[s]: s for s in range(3)}
         for o1, o2, o3 in product((1, -1), repeat=3):
             o = {1: o1, 2: o2, 3: o3}
@@ -155,7 +221,7 @@ def r3_models():
                     un = b if ov == a else a
                     du = tuple(o[ov] * x for x in base_dir[ov])
                     dv = tuple(o[un] * x for x in base_dir[un])
-                    signs.append(_sign(_det(du, dv)))
+                    signs.append(_sign(_cross(du, dv)))
                     markexpr.append(_gap_interval(slot_of[un], slot_of[ov], 3))
                 groups_L, groups_R = [], []
                 for s in range(3):
@@ -176,6 +242,366 @@ def oracle_models(kind):
     """The kink, bigon or R3 models, all 4 + 16 + 288 of them, in the order
     in which the template pin hashes them."""
     return {"R1": r1_models, "R2": r2_models, "R3": r3_models}[kind]()
+
+
+@cache
+def models(kind):
+    """The models the move tables are built from, in build order: the 16
+    R2 models, both members of each slot-rotation orbit (the models_R2
+    table, whose order the R2+ moves of the seeded walks are decoded by),
+    and the 96 R3 models, one per rotation orbit."""
+    return r2_models() if kind == "R2" else r3_models(orbits=True)
+
+
+# ---------------------------------------------------------------------------
+# the move table builders: the program loads their output, serialized by
+# serialize_tables, from src/arrowforms/tables (moves.read_table), and
+# test_relations.py holds the committed files to it byte for byte
+
+
+def _det(rows):
+    """Determinant of a small square integer matrix (Laplace expansion)."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * x * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+        for j, x in enumerate(rows[0]) if x
+    )
+
+
+def _gap_relation(model):
+    """The integer relation between K and the markings of a model.
+
+    The marking of crossing c is the sum of the gaps (between consecutive
+    slots) in model.markexpr[c], and all gaps sum to K.  With every
+    crossing visible this gap system has one row more than unknowns and
+    full column rank, so it has exactly one left-null vector y, up to
+    scale: the signed maximal minors.  The system is then consistent iff
+    y[0]*K + sum(y[c+1]*mark_c) == 0, which is how matches are checked and
+    how six-term matches complete their hidden crossing (_complete_marks).
+    Raises ValueError for a model whose system is not of that shape.
+
+    The system depends on the slot count and markexpr only, so y is
+    computed once per such pair (_gap_minors) for all the models and
+    descriptors that share it."""
+    ns = model.nslots
+    if len(model.markexpr) != ns:
+        raise ValueError(
+            "gap system of %r has %d rows for %d gaps" % (model, len(model.markexpr) + 1, ns)
+        )
+    y = _gap_minors(ns, model.markexpr)
+    if not any(y):
+        raise ValueError("gap system of %r has more than one left-null vector" % (model,))
+    return y
+
+
+@cache
+def _gap_minors(ns, markexpr):
+    """The signed maximal minors of the square-plus-one gap system of
+    _gap_relation, divided by their gcd (all zero when they all vanish)."""
+    rows = [[1] * ns] + [[int(s in e) for s in range(ns)] for e in markexpr]
+    y = [(-1) ** i * _det(rows[:i] + rows[i + 1:]) for i in range(ns + 1)]
+    g = gcd(*y) or 1
+    return tuple(v // g for v in y)
+
+
+class _NormalForm(NamedTuple):
+    """A slot-rotated model with its crossings renamed canonically: the
+    parts of a LocalModel that descriptors read.  sorted_words is the
+    model's words as sorted (side, slot groups) items, the first part of
+    every signature."""
+
+    sorted_words: tuple
+    markexpr: tuple
+    signs: tuple
+
+    @property
+    def words(self):
+        return dict(self.sorted_words)
+
+
+@cache
+def _shared(x):
+    """The first object equal to x that was passed here: the normal forms
+    repeat a few small tuples and sets many times, and keep one copy."""
+    return x
+
+
+def _normalize_model(model, rot):
+    """The normal form (_NormalForm) of a model at slot rotation rot: the
+    slot-rotated model with crossings renamed by the slots they occupy.
+
+    Two descriptors whose normal forms agree (under a sign mode, see
+    _signature) match the same sites and build the same instance terms, so
+    one representative suffices."""
+    ns = model.nslots
+    words = {
+        side: tuple(model.words[side][(s + rot) % ns] for s in range(ns))
+        for side in model.words
+    }
+    markexpr = tuple(frozenset((x - rot) % ns for x in e) for e in model.markexpr)
+    slots_of = {}
+    for s in range(ns):
+        for c, _r in words["L"][s]:
+            slots_of.setdefault(c, []).append(s)
+    order = sorted(slots_of, key=lambda c: tuple(slots_of[c]))
+    rename = {c: i for i, c in enumerate(order)}
+    new_words = {
+        side: _shared(tuple(_shared(tuple((rename[c], r) for c, r in g)) for g in words[side]))
+        for side in words
+    }
+    return _NormalForm(
+        _shared(tuple(sorted(new_words.items()))),
+        _shared(tuple(markexpr[c] for c in order)),
+        _shared(tuple(model.signs[c] for c in order)),
+    )
+
+
+@cache
+def _normal_forms(kind):
+    """Per model of models(kind), in order: its normal forms at slot
+    rotations 0..nslots-1 (96 R3 models x 3 and 16 R2 models x 2, 320
+    normalizations in all).  The rotations stand for the models a rotation
+    of the slots gives, which models("R3") does not list."""
+    return tuple(
+        tuple(_normalize_model(model, rot) for rot in range(model.nslots))
+        for model in models(kind)
+    )
+
+
+def _signature(form, mode):
+    """What two normal forms must share to give one descriptor.  Modes:
+    'gauss' keeps signs (they constrain the match), 'pairprod' keeps only
+    products of sign pairs (all that the sign-forgotten 6-term
+    coefficients use), 'plain' drops signs."""
+    signs = form.signs
+    if mode == "pairprod":
+        signs = tuple(signs[i] * signs[j] for i, j in ((0, 1), (0, 2), (1, 2)))
+    elif mode == "plain":
+        signs = ()
+    return form.sorted_words, form.markexpr, signs
+
+
+def _form_model(model, form):
+    """The LocalModel of a normal form of `model`, built only for a shape
+    that a descriptor table keeps."""
+    return LocalModel(model.kind, model.nslots, model.ncross, form.signs, form.markexpr, form.words)
+
+
+def _six_term_signature(model, side, pair, singles, mode):
+    """Everything a pair descriptor matches on and builds, with its crossings
+    relabelled: present pair -> 0, 1, third crossing -> 2.
+
+    (matching data, six terms): the anchor role pair, singles, markexpr and,
+    in 'gauss' mode, the pair's signs; then the multiset of the six
+    (coefficient, per-slot words restricted to the term's pair [, its
+    signs]), taken up to one global sign."""
+    order = pair + (3 - sum(pair),)
+    label = {c: i for i, c in enumerate(order)}
+    gauss = mode == "gauss"
+    anchor = model.words[side][0]
+    matching = (
+        (anchor[0][1], anchor[1][1]),
+        tuple((label[c], s, r) for c, s, r in singles),
+        tuple(model.markexpr[c] for c in order),
+        tuple(model.signs[c] for c in pair) if gauss else (),
+    )
+    terms = []
+    for sd in ("L", "R"):
+        for p in _PAIRS:
+            words = tuple(tuple((label[c], r) for c, r in g if c in p) for g in model.words[sd])
+            signs = tuple(sorted((label[c], model.signs[c]) for c in p)) if gauss else ()
+            terms.append((_six_term_coeff(model, sd, p, gauss), words, signs))
+    six = min(sorted(terms), sorted((-c, w, sg) for c, w, sg in terms))
+    return matching, tuple(six)
+
+
+def _pair_entry(model, side, pair, singles, weight):
+    """The table entry of one pair descriptor:
+    (model, side, pair, singles, weight, third, relation, x_first), where
+    third is the crossing the descriptor does not see, relation the
+    model's _gap_relation and x_first whether slot 1 holds the other
+    endpoint of pair[0] (slot 2 then holds that of pair[1]).  The relation
+    must have coefficient +-1 on the third crossing, so that every pair of
+    visible markings completes to exactly one integer marking of it (see
+    _complete_marks).  Raises ValueError otherwise."""
+    third = 3 - sum(pair)
+    relation = _gap_relation(model)
+    if relation[third + 1] not in (1, -1):
+        raise ValueError(
+            "gap relation %r of %r does not pin the hidden crossing %d"
+            % (relation, model, third)
+        )
+    x_first = any(c == pair[0] and s == 1 for c, s, _r in singles)
+    return (model, side, pair, singles, weight, third, relation, x_first)
+
+
+@cache
+def _pair_descriptors(mode):
+    """Two-crossing R3 term shapes, indexed by the role pair of the shared
+    adjacent endpoints.  Entries (see _pair_entry):
+    (model, side, pair, singles, weight, third, relation, x_first) with the shared
+    strand normalized to slot 0 and
+    singles = ((crossing, slot, role), (crossing, slot, role)).
+
+    The shapes are the (side, normal form) classes of every R3 model, side
+    and choice of shared strand: the shared strand is the slot that a
+    rotation moves to slot 0, so the forms are read from _normal_forms (one
+    per model and slot rotation).  A LocalModel is built only for the first
+    shape of each group, the one kept.  Many of the shapes build the same
+    6-term instance: at one host position, L/R twin models and the placements of
+    the absent third crossing give the same six (diagram, coefficient)
+    pairs up to one global sign.  So the shapes are grouped by
+    _six_term_signature and only the first of each group, in shape order,
+    is kept; weight counts the shapes of its group.  Equal signatures match
+    at the same positions, complete the same markings and splice the same
+    terms, so the grouping is exact.  Keeping the first keeps every
+    instance's first occurrence, hence the kept instances and their term
+    order: only later copies of an instance go.  ('pairprod': 96 shapes in
+    12 groups; 'gauss': 192 in 96.)"""
+    shapes = set()
+    groups = {}  # signature -> [first shape, number of shapes]
+    for model, forms in zip(models("R3"), _normal_forms("R3")):
+        for side in ("L", "R"):
+            for form in forms:
+                base_sig = _signature(form, mode)
+                if (side, base_sig) in shapes:
+                    continue
+                shapes.add((side, base_sig))
+                word = form.words[side]
+                pair = (word[0][0][0], word[0][1][0])
+                singles = tuple((cc, s, rr) for s in (1, 2) for cc, rr in word[s] if cc in pair)
+                sig = _six_term_signature(form, side, pair, singles, mode)
+                group = groups.get(sig)
+                if group is None:
+                    group = groups[sig] = [(_form_model(model, form), side, pair, singles), 0]
+                group[1] += 1
+    out = {(TAIL, TAIL): [], (TAIL, HEAD): [], (HEAD, TAIL): [], (HEAD, HEAD): []}
+    for (matching, _six), (desc, weight) in groups.items():
+        out[matching[0]].append(_pair_entry(*desc, weight))
+    return out
+
+
+@cache
+def _full_descriptors(kind, mode):
+    """Deduplicated complete local model shapes: list of (model, side).
+    Each model stands for its least normal form (see _normal_forms) under
+    the mode's signature; a LocalModel is built only for a kept shape.  The
+    second R2 model of each rotation orbit has the first one's forms,
+    rotated, so it adds no shape."""
+    table = {}
+    sides = ("L", "R") if kind == "R3" else ("L",)
+    for model, forms in zip(models(kind), _normal_forms(kind)):
+        # the first form whose signature no later one undercuts by `<`
+        best = min(forms, key=lambda form: _signature(form, mode))
+        sig = _signature(best, mode)
+        if (sides[0], sig) not in table:
+            nm = _form_model(model, best)
+            for side in sides:
+                table[side, sig] = (nm, side)
+    return list(table.values())
+
+
+@cache
+def _full_anchor_table(kind, mode):
+    """Full descriptors keyed by their slot signature.
+
+    The signature of a descriptor is its slot word with the crossings
+    relabelled 0, 1, ... by first appearance, each with its role, plus, in
+    'gauss' mode, the crossings' signs in label order.  Entry: (index in
+    _full_descriptors, model, side, crossings in label order, relation),
+    where relation is the model's integer gap relation (_gap_relation).
+    Each list keeps descriptor order."""
+    table = {}
+    for i, (model, side) in enumerate(_full_descriptors(kind, mode)):
+        word = model.words[side]
+        order = tuple(dict.fromkeys(c for grp in word for c, _r in grp))
+        label = {c: j for j, c in enumerate(order)}
+        sig = tuple(tuple((label[c], r) for c, r in grp) for grp in word)
+        signs = tuple(model.signs[c] for c in order) if mode == "gauss" else ()
+        table.setdefault((sig, signs), []).append(
+            (i, model, side, order, _gap_relation(model))
+        )
+    return table
+
+
+# ---------------------------------------------------------------------------
+# the table files
+
+
+def _json(x):
+    return json.dumps(x, separators=(",", ":"))
+
+
+class _ModelRows:
+    """The "models" list of one table file: each model once, by key, in the
+    order first named; index(model) is the model's position there."""
+
+    def __init__(self):
+        self.rows = []
+        self._at = {}
+
+    def index(self, model):
+        at = self._at.get(model.key)
+        if at is None:
+            at = self._at[model.key] = len(self.rows)
+            self.rows.append(
+                [model.signs, [sorted(e) for e in model.markexpr], model.words["L"], model.words["R"]]
+            )
+        return at
+
+
+def _table_text(rows, entries=None):
+    """One table file: a JSON object of the model rows and, when given, the
+    entries, one per line."""
+    parts = ['"models":[\n' + ",\n".join(map(_json, rows)) + "\n]"]
+    if entries is not None:
+        parts.append('"entries":[\n' + ",\n".join(map(_json, entries)) + "\n]")
+    return "{" + ",\n".join(parts) + "}\n"
+
+
+def serialize_tables():
+    """{name: text} of every move table file that moves.read_table loads,
+    in the format its docstring gives:
+
+      * models_R2: models("R2"), in order.
+      * pair_<mode>: _pair_descriptors(mode), one entry per descriptor,
+        table key first: [anchor role, anchor role, model, side, pair,
+        singles, weight, third, relation, x_first].
+      * full_<kind>_<mode>: _full_anchor_table(kind, mode), one entry per
+        descriptor in descriptor order, so an entry's index is its line:
+        [slot signature, signs, model, side, crossing order, relation].
+
+    Written with `python tests/move_oracles.py` (src/ on the path)."""
+    out = {}
+    models_r2 = _ModelRows()
+    for m in models("R2"):
+        models_r2.index(m)
+    out["models_R2"] = _table_text(models_r2.rows)
+    for mode in ("pairprod", "gauss"):
+        rows, entries = _ModelRows(), []
+        for roles, descs in _pair_descriptors(mode).items():
+            for model, *rest in descs:
+                entries.append([*roles, rows.index(model), *rest])
+        out["pair_" + mode] = _table_text(rows.rows, entries)
+    for kind in ("R2", "R3"):
+        for mode in ("plain", "gauss"):
+            flat = sorted(
+                (
+                    (i, sig, signs, model, side, order, relation)
+                    for (sig, signs), descs in _full_anchor_table(kind, mode).items()
+                    for i, model, side, order, relation in descs
+                ),
+                key=lambda e: e[0],
+            )
+            assert [e[0] for e in flat] == list(range(len(flat)))
+            rows = _ModelRows()
+            entries = [
+                [sig, signs, rows.index(model), side, order, relation]
+                for _i, sig, signs, model, side, order, relation in flat
+            ]
+            out["full_%s_%s" % (kind, mode)] = _table_text(rows.rows, entries)
+    return out
 
 
 def pair_ortho(x, y):
@@ -473,17 +899,13 @@ def r3_pair_matches_scan(d, mode, fixed_positions=None):
             yield Match(model, side, pair, arrow_map, marks, d, anchors, weight)
 
 
-_PAIR_DESC = {}
-
-
-def _pair_descriptors(mode):
+@cache
+def unreduced_pair_descriptors(mode):
     """Deduplicated two-crossing R3 term shapes, indexed by the role pair of
     the shared adjacent endpoints, read off all 288 R3 models
     (oracle_models) at every rotation.  Entries: (model, side, pair, singles)
     with the shared strand normalized to slot 0 and
     singles = ((crossing, slot, role), (crossing, slot, role))."""
-    if mode in _PAIR_DESC:
-        return _PAIR_DESC[mode]
     table = {(TAIL, TAIL): {}, (TAIL, HEAD): {}, (HEAD, TAIL): {}, (HEAD, HEAD): {}}
     for model in oracle_models("R3"):
         for side in ("L", "R"):
@@ -499,15 +921,15 @@ def _pair_descriptors(mode):
                         if cc in pair:
                             singles.append((cc, s, rr))
                 table[(r1, r2)].setdefault((side, base_sig), (nm, side, pair, tuple(singles)))
-    out = {k: list(v.values()) for k, v in table.items()}
-    _PAIR_DESC[mode] = out
-    return out
+    return {k: list(v.values()) for k, v in table.items()}
 
 
 def unreduced_pair_table(mode):
-    """_pair_descriptors in the program's entry format (_pair_entry): every
-    shape kept, with weight 1."""
-    return {k: [_pair_entry(*e, 1) for e in v] for k, v in _pair_descriptors(mode).items()}
+    """unreduced_pair_descriptors in the program's entry format
+    (_pair_entry): every shape kept, with weight 1."""
+    return {
+        k: [_pair_entry(*e, 1) for e in v] for k, v in unreduced_pair_descriptors(mode).items()
+    }
 
 
 def available_moves(g, marking_set, max_degree=None):
@@ -1072,3 +1494,41 @@ def check_formula_objects(f, window):
         "consistent": consistent,
         "passes": ap_ok and a6t_zero and zero_d,
     }
+
+
+def check_pairings_all_copies(f, window):
+    """check_formula's pairings as it computed them when it spelled every
+    copy of an instance, once from each of f's support terms it reaches
+    (relations._family_vectors without closure): {"families": the largest
+    |pairing| per family, "first_nonzero": (family, degree, index into
+    gen_family's list, the instance's terms) or None}.  The program
+    spells each instance from its least support term only
+    (relations._support_vectors)."""
+    families = {}
+    first = None
+    coeffs = {k.arrows: c for k, c in f.vector.items()}
+    for fam in CONSTRAINT_FAMILIES:
+        worst = Fraction(0)
+        for deg in f.degrees():
+            hosts = [k for k in f.vector.keys() if k.n == deg]
+            vectors = _family_vectors(fam, hosts, window.allowed, {}, False)
+            pairings = [
+                sum(coeffs.get(arrows, 0) * c * aut for arrows, (c, aut, _in) in vec.items())
+                for _d, vec in vectors.values()
+            ]
+            if first is None and any(pairings):
+                instances = _family_instances(fam, vectors)
+                order = sorted(range(len(instances)), key=lambda j: instances[j].key())
+                i = next(i for i, j in enumerate(order) if pairings[j])
+                terms = list(instances[order[i]].vector.items())
+                first = (fam, deg, i, terms)
+            worst = max([worst] + [abs(p) for p in pairings])
+        families[fam] = worst
+    return {"families": families, "first_nonzero": first}
+
+
+if __name__ == "__main__":
+    folder = Path(moves.__file__).with_name("tables")
+    folder.mkdir(exist_ok=True)
+    for name, text in serialize_tables().items():
+        (folder / (name + ".json")).write_text(text)

@@ -101,8 +101,18 @@ def test_a_rho_only_degree_two_basis_is_pinned(tmp_path, capsys):
 
 
 _LAZY_TABLES = """
-import io, json, sys
+import io, json, os, sys
 from contextlib import redirect_stderr
+
+opened = []
+
+def record(event, args):
+    if event == "open" and isinstance(args[0], (str, os.PathLike)):
+        path = os.fspath(args[0])
+        if os.path.basename(os.path.dirname(path)) == "tables":
+            opened.append(os.path.basename(path))
+
+sys.addaudithook(record)
 import arrowforms.cli
 from arrowforms import relations
 
@@ -116,32 +126,43 @@ def sizes():
     return tables
 
 at_import = sizes()
+read_at_import = list(opened)
 with redirect_stderr(io.StringIO()):
     arrowforms.cli.main(["solve", "--degree", "2", "--K", "5", "--markings", "1..4", "-o", sys.argv[1]])
 after = sizes()
 hits = relations._pair_descriptors.cache_info().hits
 relations._pair_descriptors("pairprod")
 cached = relations._pair_descriptors.cache_info().hits == hits + 1
-print(json.dumps([at_import, after, cached]))
+print(json.dumps([at_import, read_at_import, after, opened, cached]))
 """
 
 
 def test_importing_the_cli_builds_no_table_and_a_solve_only_its_own(tmp_path):
-    # in a fresh process: importing the command line fills no cached table,
-    # and a cold degree-2 solve (arrow diagrams) builds the sign-forgotten
-    # six-term table ("pairprod") but not the signed one ("gauss")
+    # in a fresh process: importing the command line fills no cached table
+    # and reads no move table, and a cold degree-2 solve (arrow diagrams)
+    # reads the sign-forgotten six-term table ("pairprod") and the unsigned
+    # bigon table, once each, and no other
     src = os.path.dirname(os.path.dirname(arrowforms.__file__))
     out = subprocess.run(
         [sys.executable, "-c", _LAZY_TABLES, str(tmp_path / "basis.txt")],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
         timeout=300,
     )
-    at_import, after, pairprod_cached = json.loads(out.stdout)
-    assert "arrowforms.relations._pair_descriptors" in at_import
-    assert len(at_import) >= 10
+    at_import, read_at_import, after, opened, pairprod_cached = json.loads(out.stdout)
+    # the three table decoders are among the cached tables seen (four
+    # builder caches left the program with the builders: 8 in all)
+    assert {
+        "arrowforms.moves.models",
+        "arrowforms.relations._pair_descriptors",
+        "arrowforms.relations._full_anchor_table",
+    } <= set(at_import)
+    assert len(at_import) >= 8
     assert {name: size for name, size in at_import.items() if size} == {}
+    assert read_at_import == []
+    assert sorted(opened) == ["full_R2_plain.json", "pair_pairprod.json"]
     assert after["arrowforms.relations._pair_descriptors"] == 1 and pairprod_cached
-    assert after["arrowforms.moves.models"] >= 1
+    assert after["arrowforms.relations._full_anchor_table"] == 1
+    assert after["arrowforms.moves.models"] == 0
 
 
 def test_check_passes(formula_file, capsys):

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arrowforms import diagrams, engine, relations, textio
@@ -31,7 +31,12 @@ from arrowforms.lincomb import LinComb
 from arrowforms.relations import MarkingWindow
 
 from conftest import boundary_route, random_gauss_diagram, seeded
-from move_oracles import available_moves, check_formula_objects, double_angle
+from move_oracles import (
+    available_moves,
+    check_formula_objects,
+    check_pairings_all_copies,
+    double_angle,
+)
 
 
 def test_formula_accessors():
@@ -159,6 +164,68 @@ def test_check_report_matches_the_object_path(gamma, pick, change):
         f = Formula(LinComb(terms), f.K)
     w = MarkingWindow(set(f.markings()) | {0, f.K}, f.K)
     assert _plain_report(check_formula(f, w)) == _plain_report(check_formula_objects(f, w))
+
+
+def _raised(f, pick):
+    """f with the coefficient of its term number pick (mod the term count)
+    raised by 1."""
+    terms = list(f.vector.items())
+    k, c = terms[pick % len(terms)]
+    terms[pick % len(terms)] = (k, c + 1)
+    return Formula(LinComb(terms), f.K)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(2, 3).flatmap(
+        lambda n: st.lists(st.sampled_from((-2, -1, 1, 2, 3)), min_size=n + 1, max_size=n + 1)
+    ),
+    st.one_of(st.none(), st.integers(0, 10 ** 6)),
+)
+@example([2, 1, 2, -1], None)
+@example([2, 1, 2, -1], 7)
+@example([1, -2, 2, -2], 0)
+def test_check_pairings_from_the_least_host_are_the_all_copies_pairings(gamma, pick):
+    # a gv formula, or a copy with one coefficient raised (which fails):
+    # each instance is spelled from the least support term it reaches, and
+    # the rows, their order, hosts and terms, and the report are those of
+    # every copy spelled
+    f = gv_formula(len(gamma) - 1, gamma)
+    if pick is not None:
+        f = _raised(f, pick)
+    w = MarkingWindow(set(f.markings()) | {0, f.K}, f.K)
+    for fam in relations.CONSTRAINT_FAMILIES:
+        hosts = list(f.vector.keys())
+        least = relations._support_vectors(fam, hosts, w.allowed)
+        every = relations._family_vectors(fam, hosts, w.allowed, {}, False)
+        assert [(k, d.arrows, list(v.items())) for k, (d, v) in least.items()] == [
+            (k, d.arrows, list(v.items())) for k, (d, v) in every.items()
+        ]
+    rep = check_formula(f, w)
+    hit = rep["first_nonzero"]
+    if hit is not None:
+        hit = (hit["family"], hit["degree"], hit["index"], list(hit["instance"].vector.items()))
+    assert {"families": rep["families"], "first_nonzero": hit} == check_pairings_all_copies(f, w)
+    assert rep["passes"] == (pick is None)
+
+
+def test_a_degree_three_check_spells_each_instance_from_its_least_host(monkeypatch):
+    # the work of one degree-3 check, pinned: 341 spliced terms (465 when
+    # every copy of an instance was spelled from each support term it
+    # reaches)
+    f = gv_formula(3, (2, 1, 2, -1))
+    w = MarkingWindow(set(f.markings()) | {0, f.K}, f.K)
+    calls = []
+    real = relations._spliced
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(relations, "_spliced", counted)
+    rep = check_formula(f, w)
+    assert rep["passes"] and rep["consistent"]
+    assert len(calls) == 341
 
 
 def test_a_seeded_degree_four_planar_chain_sample_checks_and_walks():
@@ -335,9 +402,9 @@ def test_running_value_is_the_full_value_after_every_step():
         rng = random.Random(seed)
         den = f.table()[0]
         value = engine._subset_value(f, g.arrows)  # an int over den
-        max_degree = g.n + 4
+        insertions = relations.insertion_moves({0, 1, 2}, g.n + 4, g.signed)
         for _step in range(12):
-            mv = sample_move(g, {0, 1, 2}, rng, max_degree)
+            mv = sample_move(g, insertions, rng)
             if mv is None:
                 break
             g, value = engine._walk_step(f, g, value, mv)
@@ -417,9 +484,10 @@ def test_sampled_moves_cover_the_available_set():
     for _ in range(12):
         g = random_gauss_diagram(rng, rng.randint(1, 3), 2, marks=(0, 1, 2))
         avail = set(available_moves(g, {0, 1, 2}, max_degree=5))
+        insertions = relations.insertion_moves({0, 1, 2}, 5, g.signed)
         drawn = set()
         for _k in range(60 * max(1, len(avail))):
-            mv = sample_move(g, {0, 1, 2}, rng, max_degree=5)
+            mv = sample_move(g, insertions, rng)
             drawn.add(mv)
             if drawn == avail:
                 break

@@ -26,31 +26,32 @@ from arrowforms.relations import (
     MarkingWindow,
     _complete_marks,
     _full_anchor_table,
-    _full_descriptors,
     _full_matches,
-    _gap_relation,
-    _normal_forms,
     _pair_descriptors,
-    _pair_entry,
     _shapes,
     _six_term_coeff,
-    _six_term_signature,
     _splice,
     enumerate_diagrams,
     gen_family,
+    insertion_moves,
     move_census,
     r1_matches,
     r3_pair_matches,
     r_relation_vectors,
 )
 
+import move_oracles
 from conftest import echelon_of, random_arrow_diagram, random_gauss_diagram, seeded, spans
 from move_oracles import (
     I_row_all_subsets,
-    _bucket_table,
     _build_term,
+    _full_descriptors,
     _full_matches_scan,
+    _gap_relation,
     _mark_options,
+    _normal_forms,
+    _pair_entry,
+    _six_term_signature,
     _solve_gaps,
     apply_R_move,
     apply_R_move_full_scan,
@@ -64,23 +65,23 @@ from move_oracles import (
     oracle_models,
     r3_pair_matches_scan,
     r_relation_vectors_explicit,
+    serialize_tables,
+    unreduced_pair_descriptors,
     unreduced_pair_table,
 )
-from move_oracles import _pair_descriptors as unreduced_pair_descriptors
 
 
-def _clear_descriptor_tables():
-    """Drop the descriptor tables and the tables built from them, so that
-    their next use rebuilds them all from one set of model objects (the
-    matchers' outputs are compared by model identity)."""
-    for table in (_normal_forms, _pair_descriptors, _full_descriptors, _full_anchor_table,
-                  _bucket_table):
-        table.cache_clear()
+def _model_key(model):
+    """model.key with each marking's gap set as a sorted tuple: matches
+    found through different tables are compared by the model they carry,
+    and the keys sort as a total order."""
+    kind, signs, markexpr, words = model.key
+    return kind, signs, tuple(tuple(sorted(e)) for e in markexpr), words
 
 
 def _match_keys(matches):
     return sorted(
-        (id(m.model), m.side, m.present, tuple(sorted(m.arrow_map.items())),
+        (_model_key(m.model), m.side, m.present, tuple(sorted(m.arrow_map.items())),
          tuple(m.marks.items()))
         for m in matches
     )
@@ -258,7 +259,7 @@ def dense_site_diagrams(draw):
 
 def _match_layout_keys(matches):
     return sorted(
-        (id(m.model), m.side, m.present, tuple(sorted(m.arrow_map.items())),
+        (_model_key(m.model), m.side, m.present, tuple(sorted(m.arrow_map.items())),
          tuple(m.marks.items()), tuple(m.layout[1]), tuple(m.layout[2]))
         for m in matches
     )
@@ -275,8 +276,8 @@ def test_anchored_matcher_matches_the_scan_with_layouts(d):
 
 def _ordered_match_keys(matches):
     return [
-        (id(m.model), m.side, m.present, tuple(sorted(m.arrow_map.items())), tuple(m.anchors),
-         tuple(m.marks.items()))
+        (_model_key(m.model), m.side, m.present, tuple(sorted(m.arrow_map.items())),
+         tuple(m.anchors), tuple(m.marks.items()))
         for m in matches
     ]
 
@@ -306,7 +307,7 @@ def test_the_one_scan_gives_the_bucket_scan_sites_and_anchored_matches(d, data):
     # _full_matches reads one kind of it, at all positions or at some
     mode = "gauss" if d.signed else "plain"
     scans = {kind: list(full_matches_bucket_scan(d, kind, mode)) for kind in ("R2", "R3")}
-    blocks = move_census(d, {0, 1})
+    blocks = move_census(d, insertion_moves({0, 1}, None, d.signed))
     bigons = dict.fromkeys((m.arrow_map[0], m.arrow_map[1]) for m in scans["R2"])
     sites = dict.fromkeys(
         ((m.arrow_map[0], m.arrow_map[1], m.arrow_map[2]), m.anchors[0]) for m in scans["R3"]
@@ -320,23 +321,27 @@ def test_the_one_scan_gives_the_bucket_scan_sites_and_anchored_matches(d, data):
 
 
 def test_gap_relation_agrees_with_solve_gaps():
-    # every model has one (16 R2, 288 R3); the matcher uses the descriptors'
+    # every model has one (16 R2, 288 R3); the matcher uses the relations
+    # that the loaded descriptor tables carry
     assert len([_gap_relation(m) for kind in ("R2", "R3") for m in oracle_models(kind)]) == 304
     grid = range(-1, 3)
-    for kind in ("R2", "R3"):
-        for mode in ("gauss", "plain"):
-            for model, _side in _full_descriptors(kind, mode):
-                y = _gap_relation(model)
-                crossings = tuple(range(model.ncross))
-                for K in grid:
-                    for marks in product(grid, repeat=model.ncross):
-                        holds = y[0] * K + sum(yc * mc for yc, mc in zip(y[1:], marks)) == 0
-                        solved = _solve_gaps(model, crossings, dict(enumerate(marks)), K)
-                        assert holds == (solved is not None)
+    entries = [
+        e
+        for kind in ("R2", "R3") for mode in ("gauss", "plain")
+        for es in _full_anchor_table(kind, mode).values() for e in es
+    ]
+    assert len(entries) == 2 + 4 + 32 + 64
+    for _i, model, _side, _order, y in entries:
+        crossings = tuple(range(model.ncross))
+        for K in grid:
+            for marks in product(grid, repeat=model.ncross):
+                holds = y[0] * K + sum(yc * mc for yc, mc in zip(y[1:], marks)) == 0
+                solved = _solve_gaps(model, crossings, dict(enumerate(marks)), K)
+                assert holds == (solved is not None)
 
 
 def test_gap_relation_rejects_a_degenerate_system():
-    r3 = models("R3")[0]
+    r3 = move_oracles.models("R3")[0]
     same = frozenset({0})
     flat = LocalModel("R3", 3, 3, r3.signs, (same, same, same), r3.words)
     with pytest.raises(ValueError, match="more than one left-null vector"):
@@ -369,48 +374,30 @@ def test_closed_form_completion_matches_the_rational_oracle(K, marks, allowed):
 
 @pytest.mark.parametrize("coefficient", [0, 2])
 def test_a_pair_descriptor_that_does_not_pin_its_hidden_crossing_is_rejected(coefficient):
-    r3 = models("R3")[0]
+    # the builder of the six-term tables refuses a model whose gap relation
+    # leaves the hidden crossing's marking open, so no table file can hold
+    # one (_complete_marks needs the coefficient +-1)
+    r3 = move_oracles.models("R3")[0]
     if coefficient == 0:
         # crossings 0 and 1 mark the same gap: crossing 2's marking is free
         # once they are seen, and the gap relation is (0, -1, 1, 0)
         gaps = (frozenset({0}), frozenset({0}), frozenset({1}))
         flat = LocalModel("R3", 3, 3, r3.signs, gaps, r3.words)
-        patch = mock.patch.object(relations, "models", lambda _kind: [flat])
+        patch = mock.patch.object(move_oracles, "models", lambda _kind: [flat])
     else:
         # a relation that pins each crossing only up to a factor 2
-        patch = mock.patch.object(relations, "_gap_relation", lambda _m: (1, 2, 2, 2))
+        patch = mock.patch.object(move_oracles, "_gap_relation", lambda _m: (1, 2, 2, 2))
+    builders = (move_oracles._pair_descriptors, _normal_forms)
     for mode in ("pairprod", "gauss"):
-        _pair_descriptors.cache_clear()
-        _normal_forms.cache_clear()
+        for table in builders:
+            table.cache_clear()
         try:
             with patch:
                 with pytest.raises(ValueError, match="does not pin the hidden crossing"):
-                    _pair_descriptors(mode)
+                    move_oracles._pair_descriptors(mode)
         finally:
-            _pair_descriptors.cache_clear()
-            _normal_forms.cache_clear()
-
-
-def test_descriptor_tables_normalize_each_model_once_per_rotation():
-    # the normal forms are computed once per process, model and rotation:
-    # 96 R3 models x 3 and 16 R2 models x 2, for all four tables in both of
-    # their modes
-    assert (len(models("R3")), len(models("R2"))) == (96, 16)
-    try:
-        for kind, normalizations in (("R3", 96 * 3), ("R2", 16 * 2)):
-            _clear_descriptor_tables()
-            with mock.patch.object(relations, "_normalize_model",
-                                   wraps=relations._normalize_model) as spy:
-                for mode in ("gauss", "plain"):
-                    _full_anchor_table(kind, mode)
-                if kind == "R3":
-                    for mode in ("pairprod", "gauss"):
-                        _pair_descriptors(mode)
-            assert spy.call_count == normalizations
-            forms = _normal_forms(kind)
-            assert len({id(f) for rotations in forms for f in rotations}) == normalizations
-    finally:
-        _clear_descriptor_tables()
+            for table in builders:
+                table.cache_clear()
 
 
 def _rotated_key(model, rot):
@@ -423,11 +410,12 @@ def _rotated_key(model, rot):
 
 
 def test_the_r3_models_are_one_per_rotation_orbit_of_the_oracle():
-    # the rotations of the program's 96 R3 models are the oracle's 288, and
-    # no orbit is shorter than 3, so each model stands for three
+    # the rotations of the 96 R3 models that the move tables are built from
+    # are the oracle's 288, and no orbit is shorter than 3, so each model
+    # stands for three
     oracle = {m.key for m in oracle_models("R3")}
     assert len(oracle) == 288
-    orbits = [{_rotated_key(m, rot) for rot in range(3)} for m in models("R3")]
+    orbits = [{_rotated_key(m, rot) for rot in range(3)} for m in move_oracles.models("R3")]
     assert all(len(orbit) == 3 for orbit in orbits)
     assert set().union(*orbits) == oracle
     assert sum(map(len, orbits)) == 288
@@ -461,6 +449,68 @@ def _plain(x):
     return x
 
 
+def _typed(x):
+    """x with every local model replaced by its key, slot and crossing
+    counts, keeping the type of every container, so that a list where a
+    tuple belongs compares unequal."""
+    if isinstance(x, LocalModel):
+        return ("LocalModel", x.key, x.nslots, x.ncross)
+    if isinstance(x, dict):
+        return {_typed(k): _typed(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return type(x)(_typed(v) for v in x)
+    return x
+
+
+_LOADED_AND_BUILT = (
+    [(moves.models, move_oracles.models, ("R2",))]
+    + [
+        (_pair_descriptors, move_oracles._pair_descriptors, (mode,))
+        for mode in ("pairprod", "gauss")
+    ]
+    + [
+        (_full_anchor_table, move_oracles._full_anchor_table, (kind, mode))
+        for kind in ("R2", "R3") for mode in ("plain", "gauss")
+    ]
+)
+
+
+def test_the_committed_move_tables_are_the_builders_output():
+    # every file the program loads is, byte for byte, what the builders in
+    # move_oracles serialize, and the folder holds no other file
+    files = serialize_tables()
+    assert len(files) == 7
+    assert sorted(p.name for p in moves._TABLES.iterdir()) == sorted(n + ".json" for n in files)
+    for name, text in files.items():
+        assert (moves._TABLES / (name + ".json")).read_bytes() == text.encode(), name
+
+
+@pytest.mark.parametrize(
+    "loaded, built, args", _LOADED_AND_BUILT,
+    ids=["-".join([t.__name__] + list(a)) for t, _b, a in _LOADED_AND_BUILT],
+)
+def test_a_loaded_table_is_the_built_table(loaded, built, args):
+    # each decoder gives back its builder's table: entries, their order and
+    # the types of their parts
+    assert _plain(loaded(*args)) == _plain(built(*args))
+    assert _typed(loaded(*args)) == _typed(built(*args))
+
+
+def test_every_loaded_six_term_entry_pins_its_hidden_crossing():
+    # _complete_marks inverts the hidden crossing's coefficient
+    for mode in ("pairprod", "gauss"):
+        for entries in _pair_descriptors(mode).values():
+            for _m, _side, pair, _singles, _weight, third, relation, _x in entries:
+                assert third == 3 - sum(pair) and relation[third + 1] in (1, -1)
+
+
+def test_a_missing_move_table_is_an_error():
+    # the program has no other source of a table: there is no R3 model
+    # file, and asking for it fails
+    with pytest.raises(FileNotFoundError):
+        moves.read_table("models_R3")
+
+
 def test_the_template_hash_is_the_digest_of_the_move_tables():
     # the digest the cache paths carry, recomputed from the oracle's move
     # lists in their build order (sorted() over keys holding frozensets is
@@ -486,8 +536,10 @@ def _rewritable_degenerate_diagram():
     raise AssertionError("no rewritable diagram")
 
 
+# the program's loaded tables, and the builders of the ones it no longer
+# keeps (the R3 models, the normal forms and the full descriptor lists)
 _CACHED_TABLES = (
-    [(moves.models, (kind,)) for kind in ("R2", "R3")]
+    [(moves.models, ("R2",)), (move_oracles.models, ("R3",))]
     + [(_pair_descriptors, (mode,)) for mode in ("pairprod", "gauss")]
     + [
         (table, (kind, mode))
@@ -507,15 +559,11 @@ def test_a_cached_table_is_built_once_and_rebuilds_equal(table, args):
     if args is None:
         args = _rewritable_degenerate_diagram()
     first = table(*args)
-    try:
-        assert table(*args) is first
-        table.cache_clear()
-        again = table(*args)
-        assert again is not first
-        assert _plain(again) == _plain(first)
-    finally:
-        # models feed every descriptor table
-        _clear_descriptor_tables()
+    assert table(*args) is first
+    table.cache_clear()
+    again = table(*args)
+    assert again is not first
+    assert _plain(again) == _plain(first)
 
 
 def _outcome(fn, *args):
@@ -531,7 +579,9 @@ def test_site_local_removal_matches_the_full_scan(d):
     # every census site, then R3 sites that are off by one arrow, position
     # or order, or out of range: same diagram or same error
     sites = [
-        (mv, site) for count, decode in move_census(d, {0, 1}) for u in range(count)
+        (mv, site)
+        for count, decode in move_census(d, insertion_moves({0, 1}, None, d.signed))
+        for u in range(count)
         for mv, site, _params in [decode(u)] if mv in ("R2-", "R3")
     ]
     size = 2 * d.n
@@ -597,7 +647,7 @@ def test_r2_insertion_accepts_exactly_the_integer_markings():
                 assert apply_R_move(g, "R2+", (0, 1), (k, mark)).n == 3
     g = GaussDiagram(1, [(0, 1, 0, 1)])
     for marking_set in ({0}, {-3, 2}, set(range(-5, 6))):
-        count, decode = move_census(g, marking_set)[2]
+        count, decode = move_census(g, insertion_moves(marking_set, None, True))[2]
         offered = [decode(u) for u in range(count)]
         assert {params[1] for _mv, _site, params in offered} == marking_set
         assert count == 3 * len(models("R2")) * len(marking_set)  # 3 sites on 2 positions
@@ -689,13 +739,15 @@ def test_every_available_move_applies():
 
 def test_move_census_decodes_to_the_explicit_list_in_order():
     # the order pins every seeded walk: sample_move decodes one uniform
-    # index per step, so a reordered census changes the walks
+    # index per step, so a reordered census changes the walks; as along a
+    # walk, one insertion_moves per maximum degree serves every diagram
     rng = seeded(25)
+    walks = {m: insertion_moves({0, 1, 2}, m, True) for m in (None, 0, 1, 2, 3, 4, 5)}
     for _ in range(300):
         n = rng.randint(0, 4)
         g = random_gauss_diagram(rng, n, 2, marks=(0, 1, 2))
         for max_degree in (None, n, n + 1, 5):
-            blocks = move_census(g, {0, 1, 2}, max_degree)
+            blocks = move_census(g, walks[max_degree])
             decoded = [decode(u) for count, decode in blocks for u in range(count)]
             assert decoded == available_moves(g, {0, 1, 2}, max_degree)
 
@@ -826,7 +878,7 @@ def test_every_descriptor_builds_its_class_representatives_terms(d):
 
 def _pair_match_keys(matches):
     return [
-        (id(m.model), m.side, m.present, list(m.arrow_map.items()), list(m.marks.items()),
+        (_model_key(m.model), m.side, m.present, list(m.arrow_map.items()), list(m.marks.items()),
          list(m.anchors), m.weight)
         for m in matches
     ]
