@@ -56,8 +56,8 @@ from .relations import (
     _chord_matchings,
     _constraint_rows,
     _family_instances,
+    _family_vectors,
     _shapes,
-    _support_vectors,
     enumerate_diagrams,
     insertion_moves,
     move_census,
@@ -197,8 +197,9 @@ def check_formula(f, window):
     agree; a disagreement means one of the two machineries is broken.
 
     The pairings run on the tuple core: each instance is a summed row of
-    relations._support_vectors, {canonical arrows: [coefficient, |Aut|,
-    inside]}, spelled from the least of f's support terms that it reaches,
+    relations._family_vectors without closure, {canonical arrows:
+    [coefficient, |Aut|, inside]}, spelled from the least of f's support
+    terms that it reaches,
     and its pairing < f, instance > is the sum of f's coefficient times
     coefficient times |Aut| over the row.  Objects are built only for the
     first (family, degree) with a nonzero pairing, to report the instance
@@ -215,7 +216,7 @@ def check_formula(f, window):
             # only instances meeting f's support can pair nonzero, so
             # anchoring the generator there is exhaustive for this check
             hosts = [k for k in f.vector.keys() if k.n == deg]
-            vectors = _support_vectors(fam, hosts, window.allowed)
+            vectors = _family_vectors(fam, hosts, window.allowed, False)
             pairings = [
                 sum(coeffs.get(arrows, 0) * c * aut for arrows, (c, aut, _in) in vec.items())
                 for _d, vec in vectors.values()

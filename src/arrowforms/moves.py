@@ -62,7 +62,10 @@ def read_table(name):
     object whose lists hold one entry per line.  "models" lists the
     table's models once each, as [signs, gap sets of the markings, side-L
     word, side-R word] (read_models); "entries", where the table has them,
-    refers to a model by its index there.  Each table has its own decoder
+    refers to a model by its index there: a pair_<mode> entry is [anchor
+    role, anchor role, model, side, pair, third, relation, x_first], a
+    full_<kind>_<mode> entry [slot signature, signs, model, side, crossing
+    order, relation].  Each table has its own decoder
     (models, relations._pair_descriptors, relations._full_anchor_table).
 
     The files are the output of serialize_tables in tests/move_oracles.py,

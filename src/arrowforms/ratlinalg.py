@@ -11,8 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .lincomb import LinComb
-
 
 def _int_row(vec):
     """Clear denominators and strip the content; dict key -> int."""
@@ -135,13 +133,3 @@ def index_kernel(rows, ncols):
         basis.append(primitive(vec))
     return basis
 
-
-def kernel(m):
-    """Basis of {v : m v = 0} as LinComb vectors over m.columns (see
-    index_kernel)."""
-    index = {c: i for i, c in enumerate(m.columns)}
-    rows = [{index[k]: v for k, v in row.items()} for row in m.rows]
-    return [
-        LinComb((m.columns[i], c) for i, c in row.items())
-        for row in index_kernel(rows, len(m.columns))
-    ]

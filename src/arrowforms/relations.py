@@ -23,8 +23,10 @@ match it yields every term as an int coefficient and a function spelling
 the term's canonical arrow tuple and |Aut|, plus whether the term lies in
 the window, decided from the markings alone before anything is
 canonicalized.  The core builds no diagram object, LinComb or Fraction.
-_family_vectors sums and deduplicates instances as tuples; gen_family
-builds diagrams and RelationInstances only for the instances it returns.
+_family_vectors sums and deduplicates instances as tuples, spelling each
+instance from its least host only; gen_family and check_formula read it,
+and gen_family builds diagrams and RelationInstances only for the
+instances it returns.
 The solver's rows (_constraint_rows) key each term's |Aut|-rescaled
 coefficient by its column index, never spell a term outside the window,
 and spell each orbit of instances under the window's symmetries from one
@@ -196,17 +198,11 @@ class Match:
     marks: the marking of every crossing of the model, visible or not.  A
     full match reads them off the host; a six-term match completes its
     hidden crossing by the model's integer gap relation (_complete_marks),
-    which always has exactly one integer solution.
+    which always has exactly one integer solution."""
 
-    weight: how many descriptors this match stands for (the size of its
-    six-term group, see _pair_descriptors; 1 for full matches)."""
+    __slots__ = ("model", "side", "present", "arrow_map", "marks", "host", "anchors", "_layout")
 
-    __slots__ = (
-        "model", "side", "present", "arrow_map", "marks", "host", "anchors", "weight",
-        "_layout",
-    )
-
-    def __init__(self, model, side, present, arrow_map, marks, host, anchors, weight=1):
+    def __init__(self, model, side, present, arrow_map, marks, host, anchors):
         self.model = model
         self.side = side
         self.present = present
@@ -214,7 +210,6 @@ class Match:
         self.marks = marks
         self.host = host
         self.anchors = anchors
-        self.weight = weight
         self._layout = None
 
     @property
@@ -341,31 +336,27 @@ def _pair_descriptors(mode):
     """The two-crossing R3 term shapes of sign mode `mode` ('pairprod' or
     'gauss'), indexed by the role pair of the shared adjacent endpoints,
     decoded from tables/pair_<mode>.json (moves.read_table).  Entries:
-    (model, side, pair, singles, weight, third, relation, x_first), with
-    the shared strand normalized to slot 0 and
-    singles = ((crossing, slot, role), (crossing, slot, role)); third is the
-    crossing the descriptor does not see, relation the model's integer gap
-    relation y, on which (K, markings) vanish exactly when the markings
-    are consistent with the model, with y[third + 1] = +-1 (_complete_marks),
-    and x_first whether slot 1 holds the other endpoint of pair[0] (slot 2
-    then holds that of pair[1]).
+    (model, side, pair, third, relation, x_first), with the shared strand
+    normalized to slot 0; third is the crossing the descriptor does not
+    see, relation the model's integer gap relation y, on which (K,
+    markings) vanish exactly when the markings are consistent with the
+    model, with y[third + 1] = +-1 (_complete_marks), and x_first whether
+    slot 1 holds the other endpoint of pair[0] (slot 2 then holds that of
+    pair[1]).
 
     A shape is a (side, slot-rotated model) class under the mode's sign
     signature: 'gauss' keeps signs, 'pairprod' only the products of sign
     pairs, all that the sign-forgotten 6-term coefficients use.  Shapes
     that build the same 6-term instance at one host position, up to one
-    global sign, form one entry, the first of them in shape order, and
-    weight counts them; so only later copies of an instance go.
-    ('pairprod': 96 shapes in 12 entries; 'gauss': 192 in 96.)  The
-    builder is _pair_descriptors in tests/move_oracles.py."""
+    global sign, form one entry, the first of them in shape order; so only
+    later copies of an instance go.  ('pairprod': 96 shapes in 12 entries;
+    'gauss': 192 in 96.)  The builder is _pair_descriptors in
+    tests/move_oracles.py."""
     data = read_table("pair_" + mode)
     shapes = read_models("R3", data["models"])
     out = {(TAIL, TAIL): [], (TAIL, HEAD): [], (HEAD, TAIL): [], (HEAD, HEAD): []}
-    for ru, rv, k, side, pair, singles, weight, third, relation, x_first in data["entries"]:
-        out[ru, rv].append((
-            shapes[k], side, tuple(pair), tuple(map(tuple, singles)), weight, third,
-            tuple(relation), x_first,
-        ))
+    for ru, rv, k, side, pair, third, relation, x_first in data["entries"]:
+        out[ru, rv].append((shapes[k], side, tuple(pair), third, tuple(relation), x_first))
     return out
 
 
@@ -395,14 +386,14 @@ def r3_pair_matches(d, positions=None):
         x, y = arrows[u][1 - ru], arrows[v][1 - rv]  # the other endpoints
         x_first = (x - p) % size < (y - p) % size
         anchors = [p, x, y] if x_first else [p, y, x]  # shared by this p's matches
-        for model, side, pair, _singles, weight, third, relation, flag in table[(ru, rv)]:
+        for model, side, pair, third, relation, flag in table[(ru, rv)]:
             c1, c2 = pair
             if flag != x_first or d.signed and (
                 arrows[u][3] != model.signs[c1] or arrows[v][3] != model.signs[c2]
             ):
                 continue
             marks = _complete_marks(pair, third, relation, arrows[u][2], arrows[v][2], d.K)
-            yield Match(model, side, pair, {c1: u, c2: v}, marks, d, anchors, weight)
+            yield Match(model, side, pair, {c1: u, c2: v}, marks, d, anchors)
 
 
 @cache
@@ -584,16 +575,15 @@ def _dropped(d, j):
 
 def _host_instances(family, d, allowed):
     """The tuple core of relation generation: every instance that `family`
-    anchors at host d, one per match, as (weight, terms).
+    anchors at host d, one per match, as its list of terms.
 
-    terms lists the instance's terms in order as (coefficient, inside,
-    spell): an int coefficient; whether every marking of the term lies in
-    `allowed`, read off the host and the match before anything is built;
-    and a function of no arguments that splices (or cuts) the term and
-    canonicalizes it, returning (canonical arrows, |Aut|).  No diagram
-    object, LinComb or Fraction is built here.  weight: how many
-    descriptors the match stands for (see Match).  `family` is a tag of
-    FAMILY_SPECIES (gen_family checks it); any other tag yields nothing."""
+    The terms come in order as (coefficient, inside, spell): an int
+    coefficient; whether every marking of the term lies in `allowed`, read
+    off the host and the match before anything is built; and a function
+    of no arguments that splices (or cuts) the term and canonicalizes it,
+    returning (canonical arrows, |Aut|).  No diagram object, LinComb or
+    Fraction is built here.  `family` is a tag of FAMILY_SPECIES
+    (gen_family checks it); any other tag yields nothing."""
     outside = [i for i, a in enumerate(d.arrows) if a[2] not in allowed]
     whole = (d.arrows, d.aut_order())
 
@@ -603,17 +593,17 @@ def _host_instances(family, d, allowed):
     same = (1, not outside, spell_host)
     if family in ("p1", "ap1"):
         for _i, _kind in r1_matches(d):
-            yield 1, [same]
+            yield [same]
     elif family in ("p2h2", "ap2"):
         for _m in _full_matches(d, "R2"):
-            yield 1, [same]
+            yield [same]
     elif family == "p2h1":
         for i in range(d.n):
-            yield 1, [same, (1, not outside, partial(_flipped, d, i))]
+            yield [same, (1, not outside, partial(_flipped, d, i))]
     elif family == "p2":
         for m in _full_matches(d, "R2"):
             i, j = m.arrow_map[0], m.arrow_map[1]
-            yield 1, [
+            yield [
                 same,
                 (1, all(k == j for k in outside), partial(_dropped, d, j)),
                 (1, all(k == i for k in outside), partial(_dropped, d, i)),
@@ -630,7 +620,7 @@ def _host_instances(family, d, allowed):
             host_in = all(k in visible for k in outside)
             # the match's own term is its host, whose canonical form is known
             own = (m.side, tuple(sorted(m.present)))
-            yield m.weight, [
+            yield [
                 (
                     _six_term_coeff(m.model, side, present, d.signed) if six else _SIDE_SIGN[side],
                     host_in and all(m.marks[c] in allowed for c in present),
@@ -668,49 +658,27 @@ def _proportion_key(row):
     return tuple(sorted(primitive(row).items()))
 
 
-def _family_vectors(family, hosts, allowed, skipped, closure):
-    """Every instance of `family` anchored at `hosts`, summed and
-    deduplicated on the tuple core: {(K, proportion key): (host, summed
-    terms)}, the summed terms ({canonical arrows: [coefficient, |Aut|,
-    inside]}, see _summed) of the first copy of each instance, in the
-    order first found.  Window-closure skips are counted into `skipped`
-    (see gen_family); with closure, an instance is skipped unless the
-    terms outside the window cancel, and only then are the terms inside
-    spelled."""
-    first = {}
-    for d in hosts:
-        for weight, terms in _host_instances(family, d, allowed):
-            if closure:
-                if _summed(_spelled(t for t in terms if not t[1])):
-                    skipped[family] = skipped.get(family, 0) + weight
-                    continue
-                vec = _summed(_spelled(t for t in terms if t[1]))
-            else:
-                vec = _summed(_spelled(terms))
-                if not all(e[2] for e in vec.values()):
-                    skipped[family] = skipped.get(family, 0) + weight
-            if vec:
-                key = (d.K, _proportion_key({k: e[0] for k, e in vec.items()}))
-                first.setdefault(key, (d, vec))
-    return first
-
-
-def _support_vectors(family, hosts, allowed):
-    """_family_vectors(family, hosts, allowed, {}, False), equal to it in
-    key order, hosts and term order, with each instance spelled from its
-    least host only; check_formula pairs a formula with it, hosts being
-    the formula's support of one degree.
+def _family_vectors(family, hosts, allowed, closure):
+    """Every instance of `family` anchored at `hosts` (diagrams of one
+    degree and one K), summed and deduplicated on the tuple core:
+    {(K, proportion key): (host, summed terms)}, the summed terms
+    ({canonical arrows: [coefficient, |Aut|, inside]}, see _summed) of
+    each instance, in the order first found.  With closure, an instance is
+    left out unless its terms outside the window cancel.
 
     Hosts run in order, and an instance is dropped at its first term that
-    is an earlier host.  Every term of an instance is a host from which it
-    is found: an ap1 or ap2 instance has one term, its host, and an a6t
-    instance is found from each of its terms (see _constraint_rows).  So
-    the earlier host found the instance first, and the copy kept is the
-    first one, which _family_vectors keeps."""
+    is an earlier host (by its last index in `hosts`), so each is spelled
+    from its least host only.  That host found it first, with the same
+    terms up to sign, so the copy kept is the first one: every term of the
+    hosts' degree is a host that finds the instance.  A p2h1 instance is
+    found from its flipped term, a p3, g2t or a2t one from its far full
+    term, whose R3 move gives back the host, and a g6t or a6t one from
+    each term (see _constraint_rows); the other families have one such
+    term, the host."""
     rank = {d.arrows: i for i, d in enumerate(hosts)}
     first = {}
     for i, d in enumerate(hosts):
-        for _weight, terms in _host_instances(family, d, allowed):
+        for terms in _host_instances(family, d, allowed):
             spelled = []
             for term in _spelled(terms):
                 if rank.get(term[2], i) < i:
@@ -718,19 +686,18 @@ def _support_vectors(family, hosts, allowed):
                 spelled.append(term)
             else:
                 vec = _summed(spelled)
-                if vec:
+                if vec and (not closure or all(e[2] for e in vec.values())):
                     key = (d.K, _proportion_key({k: e[0] for k, e in vec.items()}))
                     first.setdefault(key, (d, vec))
     return first
 
 
-def gen_family(family, n, window, skipped=None, closure=True, hosts=None):
+def gen_family(family, n, window, closure=True, hosts=None):
     """All inequivalent instances of one relation family at one degree.
 
-    `skipped` may be a dict collecting the window-closure skip counts.
-    With closure=False, instances with terms outside the window are kept
-    (still counted): their restriction to window-supported vectors is an
-    exact constraint, which is what the formula-space solver needs.
+    With closure, an instance whose terms outside the window do not cancel
+    is left out; with closure=False it is kept, since its restriction to
+    window-supported vectors is an exact constraint.
 
     `hosts` restricts the anchor diagrams: only instances containing one of
     the given diagrams as a term are produced.  Pairing a fixed vector v
@@ -738,19 +705,15 @@ def gen_family(family, n, window, skipped=None, closure=True, hosts=None):
     hosts=support(v) is exhaustive for that purpose and much cheaper than
     enumerating the whole window.
 
-    Generation runs over the tuple core (_family_vectors): instances are
-    summed and deduplicated as canonical arrow tuples, and objects are
-    built only for the first copy of each, the one returned
-    (_family_instances)."""
-    if skipped is None:
-        skipped = {}
+    Generation runs over the tuple core (_family_vectors), and objects
+    are built only for the instances returned (_family_instances)."""
     if family not in FAMILY_SPECIES:
         raise ValueError("unknown family tag %r" % family)
     if hosts is None:
         hosts = enumerate_diagrams(FAMILY_SPECIES[family], n, window)
     else:
         hosts = [d for d in hosts if d.n == n]
-    first = _family_vectors(family, hosts, window.allowed, skipped, closure)
+    first = _family_vectors(family, hosts, window.allowed, closure)
     return sorted(_family_instances(family, first), key=RelationInstance.key)
 
 
@@ -829,7 +792,7 @@ def _constraint_rows(window, columns):
         for i, d in enumerate(columns):
             if rep[i] < i:
                 continue
-            for _weight, terms in _host_instances(family, d, allowed):
+            for terms in _host_instances(family, d, allowed):
                 row = {}
                 for c, inside, spell in terms:
                     if inside:
@@ -1158,9 +1121,10 @@ def check_I_span_compat(n, window, limit_per_kind=None):
     """Verify I(r) lies in the span of the P-relation instances for every
     R-relation vector r at degree <= n.  Returns a report dict:
     {"checked": number of vectors r, "failures": [(kind, r)] for each r
-    whose I(r) is outside the span, "skipped": window-closure skips per
-    family}.  "skipped" is always {} (see _p_relation_rows); the key is
-    kept for the report's readers.
+    whose I(r) is outside the span, "skipped": {}}.  The P-relation rows
+    have no term outside the window (see _p_relation_rows), so no
+    instance is skipped by window closure; the key is kept for the
+    report's readers.
 
     The check runs on the tuple core: the P-relation instances
     (_p_relation_rows) and every I(r) (_I_row, over the subsets the move

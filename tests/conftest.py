@@ -1,5 +1,6 @@
 """Shared random-diagram generators for the test suite, span queries over
-sparse rational vectors, and the boundary route to the formula space."""
+sparse rational vectors, the kernel of a diagram-indexed matrix, and the
+boundary route to the formula space."""
 
 import random
 
@@ -7,7 +8,7 @@ from arrowforms.boundary import boundary_d
 from arrowforms.diagrams import ArrowDiagram, BasedDiagram, GaussDiagram
 from arrowforms.engine import normalization_window
 from arrowforms.lincomb import LinComb
-from arrowforms.ratlinalg import DiagramIndexedMatrix, Echelon, _int_row, kernel
+from arrowforms.ratlinalg import DiagramIndexedMatrix, Echelon, _int_row, index_kernel
 from arrowforms.relations import enumerate_diagrams, gen_family
 
 DEFAULT_MARKS = tuple(range(-2, 4))
@@ -59,12 +60,23 @@ def spans(ech, v):
     return not ech.reduce(_int_row(v))
 
 
+def kernel(m):
+    """Basis of {v : m v = 0} for a DiagramIndexedMatrix m, as LinComb
+    vectors over m.columns (see ratlinalg.index_kernel)."""
+    index = {c: i for i, c in enumerate(m.columns)}
+    rows = [{index[k]: v for k, v in row.items()} for row in m.rows]
+    return [
+        LinComb((m.columns[i], c) for i, c in row.items())
+        for row in index_kernel(rows, len(m.columns))
+    ]
+
+
 def boundary_route(n, window):
     """The degree-n formula space by the paper's second route: the kernel
     of the kink and bigon rows (ap1, ap2) restricted to the window's
     columns and rescaled by |Aut|, together with the rows of the boundary
     map d normalized over normalization_window(window).  Its vectors are
-    LinCombs over the columns, in the order ratlinalg.kernel gives."""
+    LinCombs over the columns, in the order kernel gives."""
     cols = enumerate_diagrams("arrow", n, window)
     colset = set(cols)
     rows = []

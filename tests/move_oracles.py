@@ -13,8 +13,10 @@ behind gen_family and the solver's rows; the object path of the Polyak
 span check, which spanned I(r) over those instances as LinCombs, is the
 oracle of its tuple rows.  The solver's row loop that spelled each
 instance from every in-window host is the oracle of its rows spelled from
-the least host, and the I(r) row over every subset that of the span
-check's rows over the subsets a move changes.  The object path of the
+the least host, the generation loop that spelled every copy of an
+instance (family_vectors_all_copies) that of gen_family's loop, which
+spells each instance from its least host, and the I(r) row over every
+subset that of the span check's rows over the subsets a move changes.  The object path of the
 boundary map, which built a BasedDiagram for every basing and every
 spliced triangle term, a DegenerateDiagram for every shrink and a Fraction
 LinComb for every rewrite, is the oracle of boundary's based-word core,
@@ -84,14 +86,14 @@ from arrowforms.relations import (
     _chord_matchings,
     _complete_marks,
     _family_instances,
-    _family_vectors,
     _full_matches,
     _host_instances,
     _in_window,
-    _pair_descriptors as _reduced_pair_descriptors,
     _proportion_key,
     _r_vectors,
     _six_term_coeff,
+    _spelled,
+    _summed,
     _apply_move,
     enumerate_diagrams,
     gen_family,
@@ -436,6 +438,14 @@ def _pair_entry(model, side, pair, singles, weight):
     return (model, side, pair, singles, weight, third, relation, x_first)
 
 
+def program_entry(entry):
+    """A pair descriptor entry (_pair_entry) as the program's table holds
+    it, without the singles and the weight, which only the builders and
+    their tests read: (model, side, pair, third, relation, x_first)."""
+    model, side, pair, _singles, _weight, third, relation, x_first = entry
+    return (model, side, pair, third, relation, x_first)
+
+
 @cache
 def _pair_descriptors(mode):
     """Two-crossing R3 term shapes, indexed by the role pair of the shared
@@ -565,9 +575,10 @@ def serialize_tables():
     in the format its docstring gives:
 
       * models_R2: models("R2"), in order.
-      * pair_<mode>: _pair_descriptors(mode), one entry per descriptor,
-        table key first: [anchor role, anchor role, model, side, pair,
-        singles, weight, third, relation, x_first].
+      * pair_<mode>: _pair_descriptors(mode), one entry per descriptor
+        in the program's format (program_entry), table key first:
+        [anchor role, anchor role, model, side, pair, third, relation,
+        x_first].
       * full_<kind>_<mode>: _full_anchor_table(kind, mode), one entry per
         descriptor in descriptor order, so an entry's index is its line:
         [slot signature, signs, model, side, crossing order, relation].
@@ -581,7 +592,8 @@ def serialize_tables():
     for mode in ("pairprod", "gauss"):
         rows, entries = _ModelRows(), []
         for roles, descs in _pair_descriptors(mode).items():
-            for model, *rest in descs:
+            for desc in descs:
+                model, *rest = program_entry(desc)
                 entries.append([*roles, rows.index(model), *rest])
         out["pair_" + mode] = _table_text(rows.rows, entries)
     for kind in ("R2", "R3"):
@@ -867,23 +879,24 @@ def full_matches_bucket_scan(d, kind, mode, positions=None):
 
 def r3_pair_matches_scan(d, mode, fixed_positions=None):
     """The slot scan that relations.r3_pair_matches replaced, kept as its
-    oracle: each descriptor of the program's six-term table places its
-    singles by endpoint lookup and keeps the shapes whose slot anchors are
-    cyclically ordered.  Reads the table's x_first flag not at all, and
-    takes the sign mode as given rather than from the host."""
+    oracle: each descriptor of the six-term table (as built, with its
+    singles) places its singles by endpoint lookup and keeps the shapes
+    whose slot anchors are cyclically ordered.  Reads the table's x_first
+    flag not at all, and takes the sign mode as given rather than from the
+    host."""
     n = d.n
     if n < 2:
         return
     ends = d.endpoint_roles()
     size = 2 * n
-    table = _reduced_pair_descriptors(mode)
+    table = _pair_descriptors(mode)
     pos_range = [fixed_positions] if fixed_positions is not None else list(range(size))
     for p in pos_range:
         q = (p + 1) % size
         (u, ru), (v, rv) = ends[p], ends[q]
         if u == v:
             continue
-        for model, side, pair, singles, weight, third, relation, _x_first in table[(ru, rv)]:
+        for model, side, pair, singles, _weight, third, relation, _x_first in table[(ru, rv)]:
             c1, c2 = pair
             arrow_map = {c1: u, c2: v}
             if mode == "gauss" and (
@@ -896,7 +909,7 @@ def r3_pair_matches_scan(d, mode, fixed_positions=None):
             if not _cyclic_ordered(anchors, size):
                 continue
             marks = _complete_marks(pair, third, relation, d.arrows[u][2], d.arrows[v][2], d.K)
-            yield Match(model, side, pair, arrow_map, marks, d, anchors, weight)
+            yield Match(model, side, pair, arrow_map, marks, d, anchors)
 
 
 @cache
@@ -926,9 +939,10 @@ def unreduced_pair_descriptors(mode):
 
 def unreduced_pair_table(mode):
     """unreduced_pair_descriptors in the program's entry format
-    (_pair_entry): every shape kept, with weight 1."""
+    (program_entry): every shape kept."""
     return {
-        k: [_pair_entry(*e, 1) for e in v] for k, v in unreduced_pair_descriptors(mode).items()
+        k: [program_entry(_pair_entry(*e, 1)) for e in v]
+        for k, v in unreduced_pair_descriptors(mode).items()
     }
 
 
@@ -1073,20 +1087,16 @@ def _flip_sign(d, i):
     return GaussDiagram(d.K, arrows)
 
 
-def gen_family_objects(family, n, window, skipped, closure=True, hosts=None):
+def gen_family_objects(family, n, window, closure=True, hosts=None):
     """relations.gen_family for the families matched in diagrams, building
     every term as a diagram object and every instance found as a
     RelationInstance, then keeping the first of each key."""
     species = FAMILY_SPECIES[family]
     seen = {}
 
-    def emit(vec, weight=1):
-        if not vec:
+    def emit(vec):
+        if not vec or closure and not _in_window(vec, window):
             return
-        if not _in_window(vec, window):
-            skipped[family] = skipped.get(family, 0) + weight
-            if closure:
-                return
         inst = RelationInstance(family, vec)
         seen.setdefault(inst.key(), inst)
 
@@ -1122,10 +1132,31 @@ def gen_family_objects(family, n, window, skipped, closure=True, hosts=None):
                 emit(LinComb(
                     (_build_term(m, pair, side), _six_term_coeff(m.model, side, pair, d.signed))
                     for side in ("L", "R") for pair in _PAIRS
-                ), m.weight)
+                ))
         else:
             raise ValueError("unknown family tag %r" % family)
     return sorted(seen.values(), key=lambda r: r.key())
+
+
+def family_vectors_all_copies(family, hosts, allowed, closure):
+    """relations._family_vectors as it spelled every copy of an instance,
+    once from each host that finds it, and kept the first copy of each
+    key: with closure, an instance is left out unless its terms outside
+    the window cancel, and only then are its terms inside spelled.  The
+    program spells each instance from its least host only."""
+    first = {}
+    for d in hosts:
+        for terms in _host_instances(family, d, allowed):
+            if closure:
+                if _summed(_spelled(t for t in terms if not t[1])):
+                    continue
+                vec = _summed(_spelled(t for t in terms if t[1]))
+            else:
+                vec = _summed(_spelled(terms))
+            if vec:
+                key = (d.K, _proportion_key({k: e[0] for k, e in vec.items()}))
+                first.setdefault(key, (d, vec))
+    return first
 
 
 def constraint_rows_objects(n, window, columns):
@@ -1135,7 +1166,7 @@ def constraint_rows_objects(n, window, columns):
     colset = set(columns)
     rows = []
     for family in ("ap1", "ap2", "a6t"):
-        for inst in gen_family_objects(family, n, window, {}, closure=False, hosts=columns):
+        for inst in gen_family_objects(family, n, window, closure=False, hosts=columns):
             row = {k: c * k.aut_order() for k, c in inst.vector.items() if k in colset}
             if row:
                 rows.append(row)
@@ -1152,7 +1183,7 @@ def constraint_rows_all_hosts(window, columns):
     rows = set()
     for family in CONSTRAINT_FAMILIES:
         for d in columns:
-            for _weight, terms in _host_instances(family, d, allowed):
+            for terms in _host_instances(family, d, allowed):
                 row = {}
                 for c, inside, spell in terms:
                     if inside:
@@ -1191,7 +1222,10 @@ def I_row_all_subsets(r):
 def check_I_span_compat_objects(n, window, limit_per_kind=None):
     """relations.check_I_span_compat as it ran on objects: the P-relation
     instances of gen_family and every I(r) of maps.subdiagram_expand_I as
-    LinCombs over diagrams, spanned by an Echelon keyed by diagrams."""
+    LinCombs over diagrams, spanned by an Echelon keyed by diagrams.  The
+    instances are generated without window closure; those that keep a
+    term outside the window are counted per family in "skipped" and left
+    out, as closure leaves them out."""
     # each degree's Gauss diagrams, enumerated once for the P-relation
     # hosts and the R-relation moves
     diagrams = [enumerate_diagrams("gauss", deg, window) for deg in range(n + 1)]
@@ -1199,8 +1233,11 @@ def check_I_span_compat_objects(n, window, limit_per_kind=None):
     skipped = {}
     for deg in range(1, n + 1):
         for family in ("p1", "p2", "p3"):
-            for inst in gen_family(family, deg, window, skipped, hosts=diagrams[deg]):
-                rows.append(inst.vector)
+            for inst in gen_family(family, deg, window, closure=False, hosts=diagrams[deg]):
+                if _in_window(inst.vector, window):
+                    rows.append(inst.vector)
+                else:
+                    skipped[family] = skipped.get(family, 0) + 1
     ech = echelon_of(rows)
     failures = []
     checked = 0
@@ -1499,11 +1536,11 @@ def check_formula_objects(f, window):
 def check_pairings_all_copies(f, window):
     """check_formula's pairings as it computed them when it spelled every
     copy of an instance, once from each of f's support terms it reaches
-    (relations._family_vectors without closure): {"families": the largest
+    (family_vectors_all_copies without closure): {"families": the largest
     |pairing| per family, "first_nonzero": (family, degree, index into
     gen_family's list, the instance's terms) or None}.  The program
     spells each instance from its least support term only
-    (relations._support_vectors)."""
+    (relations._family_vectors)."""
     families = {}
     first = None
     coeffs = {k.arrows: c for k, c in f.vector.items()}
@@ -1511,7 +1548,7 @@ def check_pairings_all_copies(f, window):
         worst = Fraction(0)
         for deg in f.degrees():
             hosts = [k for k in f.vector.keys() if k.n == deg]
-            vectors = _family_vectors(fam, hosts, window.allowed, {}, False)
+            vectors = family_vectors_all_copies(fam, hosts, window.allowed, False)
             pairings = [
                 sum(coeffs.get(arrows, 0) * c * aut for arrows, (c, aut, _in) in vec.items())
                 for _d, vec in vectors.values()

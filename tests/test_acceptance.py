@@ -20,10 +20,7 @@ from arrowforms.diagrams import (
 )
 from arrowforms.lincomb import LinComb
 from arrowforms.maps import pair_norm, sign_expand_S, subdiagram_expand_I
-from arrowforms.ratlinalg import (
-    DiagramIndexedMatrix,
-    kernel,
-)
+from arrowforms.ratlinalg import DiagramIndexedMatrix
 from arrowforms.relations import (
     MarkingWindow,
     check_I_span_compat,
@@ -33,6 +30,7 @@ from arrowforms.relations import (
 from conftest import (
     boundary_route,
     echelon_of,
+    kernel,
     random_arrow_diagram,
     random_based_diagram,
     random_gauss_diagram,

@@ -36,6 +36,7 @@ from move_oracles import (
     check_formula_objects,
     check_pairings_all_copies,
     double_angle,
+    family_vectors_all_copies,
 )
 
 
@@ -196,8 +197,8 @@ def test_check_pairings_from_the_least_host_are_the_all_copies_pairings(gamma, p
     w = MarkingWindow(set(f.markings()) | {0, f.K}, f.K)
     for fam in relations.CONSTRAINT_FAMILIES:
         hosts = list(f.vector.keys())
-        least = relations._support_vectors(fam, hosts, w.allowed)
-        every = relations._family_vectors(fam, hosts, w.allowed, {}, False)
+        least = relations._family_vectors(fam, hosts, w.allowed, False)
+        every = family_vectors_all_copies(fam, hosts, w.allowed, False)
         assert [(k, d.arrows, list(v.items())) for k, (d, v) in least.items()] == [
             (k, d.arrows, list(v.items())) for k, (d, v) in every.items()
         ]

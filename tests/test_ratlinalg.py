@@ -11,11 +11,10 @@ from arrowforms.ratlinalg import (
     DiagramIndexedMatrix,
     Echelon,
     index_kernel,
-    kernel,
     primitive,
 )
 
-from conftest import echelon_of, spans
+from conftest import echelon_of, kernel, spans
 
 
 def _oracle_rank(rows, ncols):

@@ -27,6 +27,7 @@ from arrowforms.relations import (
     _complete_marks,
     _full_anchor_table,
     _full_matches,
+    _in_window,
     _pair_descriptors,
     _shapes,
     _six_term_coeff,
@@ -60,9 +61,11 @@ from move_oracles import (
     constraint_rows_all_hosts,
     constraint_rows_objects,
     enumerate_diagrams_labelled,
+    family_vectors_all_copies,
     full_matches_bucket_scan,
     gen_family_objects,
     oracle_models,
+    program_entry,
     r3_pair_matches_scan,
     r_relation_vectors_explicit,
     serialize_tables,
@@ -365,7 +368,7 @@ def test_closed_form_completion_matches_the_rational_oracle(K, marks, allowed):
         for v in table.values() for e in v
     ]
     assert len(entries) == 12 + 96 + 96 + 192
-    for model, _side, pair, _singles, _weight, third, y, _x_first in entries:
+    for model, _side, pair, third, y, _x_first in entries:
         assert third not in pair and len(set(pair)) == 2
         got = [_complete_marks(pair, third, y, marks[0], marks[1], K)]
         want = _mark_options(model, pair, dict(zip(pair, marks)), K, window)
@@ -422,8 +425,8 @@ def test_the_r3_models_are_one_per_rotation_orbit_of_the_oracle():
 
 
 @pytest.mark.parametrize("table, args, digest", [
-    (_pair_descriptors, ("pairprod",), "d7791bd7c85f9bbf"),
-    (_pair_descriptors, ("gauss",), "ed7f0270db8ff46d"),
+    (move_oracles._pair_descriptors, ("pairprod",), "d7791bd7c85f9bbf"),
+    (move_oracles._pair_descriptors, ("gauss",), "ed7f0270db8ff46d"),
     (_full_anchor_table, ("R2", "gauss"), "8de3a40169f164cf"),
     (_full_anchor_table, ("R2", "plain"), "c381d62ea2751404"),
     (_full_anchor_table, ("R3", "gauss"), "51b3155a7447b043"),
@@ -432,7 +435,9 @@ def test_the_r3_models_are_one_per_rotation_orbit_of_the_oracle():
 def test_descriptor_tables_are_pinned(table, args, digest):
     # the first 16 hex digits of the SHA-256 of each table, entry by entry
     # and in order, as the tables were when every build normalized each
-    # model at every rotation itself
+    # model at every rotation itself; the six-term tables as built, with
+    # the singles and weights that the program's entries leave out (the
+    # loaded tables are the built ones without them, tested below)
     assert hashlib.sha256(repr(_plain(table(*args))).encode()).hexdigest()[:16] == digest
 
 
@@ -462,12 +467,17 @@ def _typed(x):
     return x
 
 
+def _built_pair_table(mode):
+    """The six-term table as built, in the program's entry format."""
+    return {
+        roles: [program_entry(e) for e in entries]
+        for roles, entries in move_oracles._pair_descriptors(mode).items()
+    }
+
+
 _LOADED_AND_BUILT = (
     [(moves.models, move_oracles.models, ("R2",))]
-    + [
-        (_pair_descriptors, move_oracles._pair_descriptors, (mode,))
-        for mode in ("pairprod", "gauss")
-    ]
+    + [(_pair_descriptors, _built_pair_table, (mode,)) for mode in ("pairprod", "gauss")]
     + [
         (_full_anchor_table, move_oracles._full_anchor_table, (kind, mode))
         for kind in ("R2", "R3") for mode in ("plain", "gauss")
@@ -500,7 +510,7 @@ def test_every_loaded_six_term_entry_pins_its_hidden_crossing():
     # _complete_marks inverts the hidden crossing's coefficient
     for mode in ("pairprod", "gauss"):
         for entries in _pair_descriptors(mode).values():
-            for _m, _side, pair, _singles, _weight, third, relation, _x in entries:
+            for _m, _side, pair, third, relation, _x in entries:
                 assert third == 3 - sum(pair) and relation[third + 1] in (1, -1)
 
 
@@ -674,10 +684,9 @@ def test_host_restriction_is_a_subset():
             assert inst.key() in sub
 
 
-def test_window_closure_skips_and_counts():
+def test_window_closure_keeps_only_window_supported_instances():
     w = MarkingWindow({1}, 3)
-    skipped = {}
-    closed = gen_family("a6t", 2, w, skipped=skipped)
+    closed = gen_family("a6t", 2, w)
     open_ = gen_family("a6t", 2, w, closure=False)
     assert len(open_) >= len(closed)
     for inst in closed:
@@ -779,9 +788,11 @@ def test_r3_is_an_involution():
 
 
 def test_six_term_descriptor_classes_cover_the_unreduced_table():
+    # the builder's classes, with the singles and weights it keeps for
+    # this test
     shape = lambda e: (e[0].key, e[1], e[2], e[3])
     for mode, size, shapes in (("pairprod", 12, 96), ("gauss", 96, 192)):
-        table = _pair_descriptors(mode)
+        table = move_oracles._pair_descriptors(mode)
         oracle = unreduced_pair_descriptors(mode)
         assert sum(len(v) for v in table.values()) == size
         assert sum(len(v) for v in oracle.values()) == shapes
@@ -794,14 +805,13 @@ def test_six_term_descriptor_classes_cover_the_unreduced_table():
 
 
 def _family_output(family, n, window, closure, hosts):
-    skipped = {}
-    insts = gen_family(family, n, window, skipped, closure, hosts)
-    return [(i.key(), list(i.vector.items())) for i in insts], skipped
+    insts = gen_family(family, n, window, closure, hosts)
+    return [(i.key(), list(i.vector.items())) for i in insts]
 
 
 @pytest.mark.parametrize("family", ["a6t", "g6t"])
 def test_six_term_families_match_the_unreduced_table(family):
-    # instance keys in order, vectors with their term order, and skip counts
+    # instance keys in order and vectors with their term order
     species = "arrow" if family == "a6t" else "gauss"
     cases = [
         (1, MarkingWindow({1, 2}, 3)),
@@ -820,7 +830,7 @@ def test_six_term_families_match_the_unreduced_table(family):
                 with mock.patch.object(relations, "_pair_descriptors", unreduced_pair_table):
                     slow = _family_output(family, n, window, closure, hosts)
                 assert fast == slow
-                compared += len(fast[0])
+                compared += len(fast)
     assert compared > 200
 
 
@@ -829,7 +839,7 @@ def _six_term_vectors(d, p, entry):
     model, side = entry[0], entry[1]
     anchor = model.words[side][0]
     table = {(r1, r2): [] for r1 in (TAIL, HEAD) for r2 in (TAIL, HEAD)}
-    table[(anchor[0][1], anchor[1][1])].append(_pair_entry(*entry[:4], 1))
+    table[(anchor[0][1], anchor[1][1])].append(program_entry(_pair_entry(*entry[:4], 1)))
     with mock.patch.object(relations, "_pair_descriptors", lambda _mode: table):
         matches = list(r3_pair_matches(d, positions=[p]))
     assert all(m.model is model for m in matches)  # the patched table reached the matcher
@@ -860,7 +870,7 @@ def test_every_descriptor_builds_its_class_representatives_terms(d):
     mode = "gauss" if d.signed else "pairprod"
     reps = {
         _six_term_signature(*e[:4], mode): e
-        for entries in _pair_descriptors(mode).values() for e in entries
+        for entries in move_oracles._pair_descriptors(mode).values() for e in entries
     }
     for p in range(2 * d.n):
         rep_vectors = {}
@@ -879,7 +889,7 @@ def test_every_descriptor_builds_its_class_representatives_terms(d):
 def _pair_match_keys(matches):
     return [
         (_model_key(m.model), m.side, m.present, list(m.arrow_map.items()), list(m.marks.items()),
-         list(m.anchors), m.weight)
+         list(m.anchors))
         for m in matches
     ]
 
@@ -920,19 +930,88 @@ def family_windows(draw):
     return family, n, window, closure, hosts
 
 
-def _instances_out(insts, skipped):
-    return [(i.family, i.key(), list(i.vector.items())) for i in insts], skipped
+def _instances_out(insts):
+    return [(i.family, i.key(), list(i.vector.items())) for i in insts]
 
 
 @settings(max_examples=150, deadline=None)
 @given(family_windows())
 def test_gen_family_matches_the_object_path(case):
-    # keys in order, vectors with their term order, and skip counts
+    # keys in order and vectors with their term order
     family, n, window, closure, hosts = case
-    skipped, oracle_skipped = {}, {}
-    fast = gen_family(family, n, window, skipped, closure, hosts)
-    slow = gen_family_objects(family, n, window, oracle_skipped, closure, hosts)
-    assert _instances_out(fast, skipped) == _instances_out(slow, oracle_skipped)
+    fast = gen_family(family, n, window, closure, hosts)
+    slow = gen_family_objects(family, n, window, closure, hosts)
+    assert _instances_out(fast) == _instances_out(slow)
+
+
+def _host_list(family, n, marks, extra, K, closure, picks):
+    """(family, window, closure, hosts): the window is marks, and hosts
+    are the diagrams of the wider window marks | extra at the indices
+    `picks` (None: all of them in reverse order, then the first five
+    again), so a host may lie outside the window, repeat, or come out of
+    order."""
+    wide = enumerate_diagrams(relations.FAMILY_SPECIES[family], n, MarkingWindow(marks | extra, K))
+    hosts = wide[::-1] + wide[:5] if picks is None else [wide[i % len(wide)] for i in picks]
+    return family, MarkingWindow(marks, K), closure, hosts
+
+
+@st.composite
+def host_lists(draw):
+    """_host_list over degrees 1-3: every host of a small wider window,
+    shuffled and with some repeated (so that instances are found from
+    several hosts), or a random pick of hosts."""
+    family = draw(st.sampled_from(_DIAGRAM_FAMILIES))
+    n = draw(st.integers(1, 3))
+    marks = draw(st.sets(st.integers(-1, 3), min_size=1, max_size=2))
+    extra = draw(st.sets(st.integers(-1, 3), max_size=1))
+    K = draw(st.integers(0, 3))
+    closure = draw(st.booleans())
+    count = len(enumerate_diagrams(relations.FAMILY_SPECIES[family], n, MarkingWindow(marks | extra, K)))
+    if count <= 150 and draw(st.booleans()):
+        repeats = draw(st.lists(st.integers(0, count - 1), max_size=8))
+        picks = draw(st.permutations(list(range(count)) + repeats))
+    else:
+        picks = draw(st.lists(st.integers(0, count - 1), max_size=24))
+    return _host_list(family, n, marks, extra, K, closure, picks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(host_lists())
+@example(_host_list("a6t", 2, {1}, {2}, 3, False, None))
+@example(_host_list("a6t", 2, {1}, {2}, 3, True, None))
+@example(_host_list("g6t", 2, {0, 1}, {2}, 1, True, None))
+@example(_host_list("p3", 3, {1}, {0}, 1, False, None))
+@example(_host_list("p2h1", 2, {1}, {0}, 2, True, None))
+@example(_host_list("p2", 2, {0}, {1}, 1, False, None))
+@example(_host_list("a2t", 3, {1}, {2}, 3, True, [40, 3, 40, 17, 0, 3, 250, 9]))
+def test_least_host_generation_is_the_all_copies_generation(case):
+    # the same keys in order, the same host objects and the same summed
+    # terms in order as when every copy of an instance was spelled
+    family, window, closure, hosts = case
+    fast = relations._family_vectors(family, hosts, window.allowed, closure)
+    slow = family_vectors_all_copies(family, hosts, window.allowed, closure)
+    assert list(fast) == list(slow)
+    assert all(fast[k][0] is slow[k][0] for k in fast)
+    assert [list(v.items()) for _d, v in fast.values()] == [
+        list(v.items()) for _d, v in slow.values()
+    ]
+
+
+def test_a_degree_three_family_spells_each_instance_from_its_least_host(monkeypatch):
+    # the work of the a6t instances of degree 3 over {1..4} K=5, pinned:
+    # 27,816 spliced terms with or without closure (46,240 without and
+    # 40,464 with closure when every copy of an instance was spelled)
+    calls = []
+    real = relations._spliced
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(relations, "_spliced", counted)
+    window = MarkingWindow(range(1, 5), 5)
+    assert len(gen_family("a6t", 3, window, closure=False)) == 3440
+    assert len(calls) == 27816
 
 
 def _spans(rows, others):
@@ -1088,7 +1167,7 @@ def test_spliced_terms_are_valid_and_the_private_constructor_is_the_public_one(d
     allowed = {a[2] for a in d.arrows}
     families = [f for f in _DIAGRAM_FAMILIES if (relations.FAMILY_SPECIES[f] == "gauss") == d.signed]
     for family in families:
-        for _weight, terms in relations._host_instances(family, d, allowed):
+        for terms in relations._host_instances(family, d, allowed):
             for _c, _inside, spell in terms:
                 canon, aut = spell()
                 fast = cls._canonical(d.K, canon, aut)
@@ -1180,15 +1259,16 @@ def test_the_I_row_of_a_move_is_its_changed_subsets(n, marks, K, limit):
 def test_the_tuple_P_rows_span_the_object_rows(n, marks, K):
     window = MarkingWindow(marks, K)
     hosts = [enumerate_diagrams("gauss", deg, window) for deg in range(n + 1)]
-    oracle_skipped = {}
     rows = list(relations._p_relation_rows(hosts))
-    oracle = [
-        {k.arrows: int(c) for k, c in inst.vector.items()}
+    instances = [
+        inst
         for deg in range(1, n + 1)
         for family in ("p1", "p2", "p3")
-        for inst in gen_family_objects(family, deg, window, oracle_skipped)
+        for inst in gen_family_objects(family, deg, window, closure=False)
     ]
-    assert oracle_skipped == {}
+    # no instance has a term outside the window, so closure drops none
+    assert all(_in_window(inst.vector, window) for inst in instances)
+    oracle = [{k.arrows: int(c) for k, c in inst.vector.items()} for inst in instances]
     fast, slow = echelon_of(rows), echelon_of(oracle)
     assert fast.rank() == slow.rank()
     assert all(spans(fast, r) for r in oracle) and all(spans(slow, r) for r in rows)
@@ -1208,18 +1288,16 @@ def test_the_span_rows_need_no_window_closure(n, marks, K):
         assert all(a[2] in window.allowed for arrows in row for a in arrows)
     for deg in range(1, n + 1):
         for family in ("p1", "p2", "p3"):
-            closed, open_ = {}, {}
-            assert list(
-                relations._family_vectors(family, hosts[deg], window.allowed, closed, True).items()
-            ) == list(
-                relations._family_vectors(family, hosts[deg], window.allowed, open_, False).items()
-            )
-            assert closed == open_ == {}
+            closed = relations._family_vectors(family, hosts[deg], window.allowed, True)
+            open_ = relations._family_vectors(family, hosts[deg], window.allowed, False)
+            assert list(closed.items()) == list(open_.items())
+            # every term of every instance lies in the window
+            assert all(e[2] for _d, vec in open_.values() for e in vec.values())
     assert relations.check_I_span_compat(min(n, 2), window, 5)["skipped"] == {}
 
 
 def _family_keys(family, hosts, window):
-    vectors = relations._family_vectors(family, hosts, window.allowed, {}, False).values()
+    vectors = relations._family_vectors(family, hosts, window.allowed, False).values()
     return {relations._proportion_key({k: e[0] for k, e in vec.items()}) for _d, vec in vectors}
 
 

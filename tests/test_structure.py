@@ -111,9 +111,6 @@ PERFBENCH = ROOT / "perfbench"
 KEPT = {
     # the reader of print_lincomb's format
     "textio.parse_lincomb",
-    # the kernel of a ratlinalg.DiagramIndexedMatrix, which the benchmark's
-    # tracer reads; the program solves with index_kernel
-    "ratlinalg.kernel",
 }
 
 
