@@ -21,11 +21,14 @@ DegenerateDiagram (diagrams._degenerate_key), which is all a degenerate
 diagram stores, and epsilon is read off the word (_epsilon).  The parent
 search (_parents_at) splices the six terms of each triple-point completion
 into based words without validating them again: a spliced term of a valid
-diagram is valid.  The rewrite of a non-monotonic diagram is computed once
-per degenerate key, whatever the window (_triangle_rewrite), and the
-window check runs per call.  boundary_d sums coefficients in
-{key: coefficient} dicts and builds a DegenerateDiagram only for each term
-it returns, so a formula whose boundary vanishes builds none.
+diagram is valid.  The completions of a non-monotonic diagram depend on
+its mark-free shape alone, so the search runs once per shape and gives a
+template with the target markings as linear forms (_rewrite_template);
+each degenerate key puts its markings in once, whatever the window
+(_triangle_rewrite), and the window check runs per call.  boundary_d sums
+coefficients in {key: coefficient} dicts and builds a DegenerateDiagram
+only for each term it returns, so a formula whose boundary vanishes
+builds none.
 
 boundary_d is the module's one entry point; the program calls nothing
 else here.  The paper-level helpers (epsilon on based diagrams, the
@@ -158,17 +161,81 @@ def _shrink_arcs(key):
     return D, arcs
 
 
+def _mark_free(word):
+    """A word without its markings: one (tail, head, sign) per arrow."""
+    return tuple((t, h, s) for t, h, _m, s in word)
+
+
+# Markings of the probe key a rewrite template is built from: K = 1 and
+# arrow i marked _PROBE ** (i + 1), so a marking that is an integer linear
+# form over (K, m_0, ..., m_{n-1}) with coefficients in -500..500 is the
+# form's balanced base-_PROBE number (_linear_form).
+_PROBE = 1001
+
+
+def _linear_form(value, n):
+    """The coefficients (c_K, c_0, ..., c_{n-1}) of the marking `value`
+    of a degree-n probe key, read as balanced base-_PROBE digits; they
+    must re-encode the value."""
+    form = []
+    rest = value
+    for _ in range(n + 1):
+        rest, c = divmod(rest, _PROBE)
+        if 2 * c > _PROBE:
+            rest, c = rest + 1, c - _PROBE
+        form.append(c)
+    if sum(c * _PROBE ** j for j, c in enumerate(form)) != value:
+        raise AssertionError("a probe marking is no small linear form")
+    return tuple(form)
+
+
 @cache
-def _triangle_rewrite(key):
-    """The non-monotonic degenerate diagram of `key` as a combination of
-    monotonic ones: a tuple of (target key, coefficient) in insertion
-    order, or None when no triple-point completion rewrites it.  Fused
-    endpoints of a single arrow give the one-term relation dd = 0, so the
-    empty rewrite.  Computed from the key alone, once per key: the window
-    check is the caller's."""
-    if key[0] == "s":
+def _rewrite_template(shape):
+    """The triangle rewrite of every degenerate key of one mark-free shape.
+
+    shape = (kind, ((tail, head, sign), ...)): a key's kind and word
+    without its markings.  The result is None when no triple-point
+    completion rewrites the shape, else a tuple of (target word without
+    markings, its fused endpoints, one linear form over (K, m_0, ...,
+    m_{n-1}) per target arrow, u) in the order the rewrite lists its
+    terms; _triangle_rewrite substitutes a key's K and markings m_i.  A
+    single-arrow kind has the empty rewrite (dd = 0).
+
+    Built once per shape, by running the completion search on a probe key
+    whose markings are independent (_PROBE), and reading each target
+    marking back as a linear form.  The rewrite of any key of the shape
+    is that template with the key's markings put in, because:
+    - r3_pair_matches filters on positions, roles and signs, never on
+      markings: every located shape is a match.  The six-term coefficients
+      and epsilon read positions only.  So the shape alone fixes which
+      completions exist, their coefficients u and the target positions.
+    - Each target marking is either copied from an arrow of the key or
+      the hidden crossing's -(y0*K + y1*m1 + y2*m2)*y3 (_complete_marks,
+      every y in -1..1): a linear form, which the probe's independent
+      markings recover exactly (checked by _linear_form).
+    - Markings enter the rewrite through three steps besides.  The
+      representative _degenerate_key keeps and merges of equal targets
+      (_add_term) are taken again per key by _triangle_rewrite, so that
+      neither rests on the probe.  And the arcs _shrink_arcs accepts: the
+      probe's independent markings give one arc, and equal markings can
+      admit more.  Such an arc's basing is the key's word itself, through
+      a rotation of D onto itself, so _parents_at finds the same parents
+      there; or it is the word with its fused endpoints swapped.  The two
+      sides of a triple-point move differ on the pair's shared strand by
+      the order of the pair's two endpoints, so every completion holding
+      one of the two words as its (pair, side) term holds the other as its
+      (pair, other side) term: the parents found there are the same
+      instances, which the search merges by parent key.  So no extra arc
+      adds a parent.
+    - Two parents of the probe never have equal mark-free six-term keys
+      (checked below), so no choice of markings makes two of them one
+      instance either."""
+    kind, arrows = shape
+    if kind == "s":
         return ()
-    D, arcs = _shrink_arcs(key)
+    n = len(arrows)
+    probe = (kind, 1, tuple((t, h, _PROBE ** (i + 1), s) for i, (t, h, s) in enumerate(arrows)))
+    D, arcs = _shrink_arcs(probe)
     rewrites = {}
     for arc in arcs:
         word = _based_word(D.arrows, arc)
@@ -184,9 +251,44 @@ def _triangle_rewrite(key):
                 rewrites[parent] = (tkey, u)
     if not rewrites:
         return None
+    free = {frozenset((_mark_free(bt), c) for bt, c in parent) for parent in rewrites}
+    if len(free) != len(rewrites):
+        raise AssertionError("two parents differ in their markings only")
     out = {}
     for tkey, u in rewrites.values():
         _add_term(out, tkey, u)
+    return tuple(
+        (_mark_free(word), _fused(word), tuple(_linear_form(a[2], n) for a in word), u)
+        for (_kind, _K, word), u in out.items()
+    )
+
+
+@cache
+def _triangle_rewrite(key):
+    """The non-monotonic degenerate diagram of `key` as a combination of
+    monotonic ones: a tuple of (target key, coefficient) in insertion
+    order, or None when no triple-point completion rewrites it.  Fused
+    endpoints of a single arrow give the one-term relation dd = 0, so the
+    empty rewrite.  Computed from the key alone, once per key: the window
+    check is the caller's.
+
+    The rewrite is its mark-free shape's template (_rewrite_template,
+    whose docstring says why that is exact) with the key's K and markings
+    put into each target's linear forms.  Each target's key is then taken
+    again (_degenerate_key) and equal targets are merged (_add_term) in
+    template order, since equal markings can make two targets one."""
+    kind, K, word = key
+    template = _rewrite_template((kind, _mark_free(word)))
+    if template is None:
+        return None
+    values = (K,) + tuple(a[2] for a in word)
+    out = {}
+    for arrows, fused, forms, u in template:
+        target = tuple(
+            (t, h, sum(c * x for c, x in zip(form, values)), s)
+            for (t, h, s), form in zip(arrows, forms)
+        )
+        _add_term(out, _degenerate_key(K, target, fused), u)
     if not all(_monotonic(_fused(tkey[2])) for tkey in out):
         raise AssertionError("triangle rewrite produced a non-monotonic diagram")
     return tuple(out.items())

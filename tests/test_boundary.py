@@ -4,22 +4,28 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import arrowforms
 from arrowforms import boundary, relations, textio
-from arrowforms.boundary import NormalizationError, _triangle_rewrite, boundary_d
+from arrowforms.boundary import (
+    NormalizationError,
+    _rewrite_template,
+    _triangle_rewrite,
+    boundary_d,
+)
 from arrowforms.diagrams import (
     ArrowDiagram,
     BasedDiagram,
     DegenerateDiagram,
     arrows_cross,
 )
-from arrowforms.engine import normalization_window
+from arrowforms.engine import gv_formula, normalization_window
 from arrowforms.lincomb import LinComb, _add_into
 from arrowforms.relations import MarkingWindow
 
@@ -180,6 +186,7 @@ def test_triangle_normalization_matches_the_unreduced_descriptor_table():
 
     def run():
         _triangle_rewrite.cache_clear()
+        _rewrite_template.cache_clear()
         out = [_triangle_rewrite(dd._key) for dd in collided]
         out += [list(boundary_d(a, WIDE).items()) for a in combos]
         return out
@@ -188,6 +195,7 @@ def test_triangle_normalization_matches_the_unreduced_descriptor_table():
     with mock.patch.object(relations, "_pair_descriptors", unreduced_pair_table):
         slow = run()
     _triangle_rewrite.cache_clear()
+    _rewrite_template.cache_clear()
     assert fast == slow
     assert sum(x is not None for x in fast[:40]) > 20
 
@@ -267,6 +275,91 @@ def test_triangle_relations_match_the_object_path(data):
         assert _outcome(_triangle_relation, dd) == _outcome(triangle_relation_objects, dd)
 
 
+@st.composite
+def rewritable_shapes(draw):
+    """The mark-free word, one (tail, head, sign) per arrow, of a degenerate
+    diagram of degree 2-4 whose fused endpoints are two heads or two tails
+    of different arrows."""
+    n = draw(st.integers(2, 4))
+    d = draw(arrow_diagrams(n, 0))
+    dd = DegenerateDiagram(BasedDiagram(d, draw(st.integers(0, 2 * n - 1))))
+    (i1, _r1), (i2, _r2) = dd.fused()
+    assume(i1 != i2 and not dd.is_monotonic())
+    return tuple((t, h, s) for t, h, _m, s in dd.arrows)
+
+
+# (K, markings) of a key: markings from a small set, so that they coincide
+# with each other, with 0 and with K ("K")
+_MARKINGS = st.tuples(
+    st.integers(-2, 5), st.lists(st.sampled_from((-1, 0, 1, 2, "K")), min_size=4, max_size=4)
+)
+
+
+def _keyed(shape, K, marks):
+    """The degenerate diagram of `shape` over K with arrow i marked
+    marks[i], "K" standing for K."""
+    word = [(t, h, K if m == "K" else m, s) for (t, h, s), m in zip(shape, marks)]
+    return DegenerateDiagram(BasedDiagram.from_word(K, word))
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=rewritable_shapes(), first=_MARKINGS, second=_MARKINGS)
+# the 14 shapes the check benchmark rewrites (seeds 1-3), with the
+# markings it first meets each of them at, then coinciding ones
+@example(((0, 1, 0), (3, 2, 0)), (1, (2, 1)), (1, ("K", "K")))
+@example(((1, 0, 0), (2, 3, 0)), (1, (1, 2)), (0, (0, 0)))
+@example(((0, 1, 0), (2, 3, 0), (5, 4, 0)), (4, (2, 5, 2)), (2, (2, 2, 2)))
+@example(((0, 1, 0), (5, 2, 0), (3, 4, 0)), (4, (2, 1, 5)), (3, ("K", 0, "K")))
+@example(((0, 1, 0), (3, 2, 0), (5, 4, 0)), (4, (5, 1, 2)), (-1, (-1, "K", 0)))
+@example(((0, 1, 0), (5, 2, 0), (4, 3, 0)), (4, (5, 3, 2)), (0, (0, 0, 0)))
+@example(((0, 3, 0), (1, 2, 0), (5, 4, 0)), (4, (3, 5, 2)), (2, (1, 1, "K")))
+@example(((0, 3, 0), (2, 1, 0), (5, 4, 0)), (4, (3, 2, 1)), (5, ("K", "K", "K")))
+@example(((1, 0, 0), (2, 5, 0), (4, 3, 0)), (4, (1, 3, 2)), (1, (0, "K", 1)))
+@example(((1, 0, 0), (3, 2, 0), (4, 5, 0)), (4, (1, 2, 5)), (-2, (2, 2, -1)))
+@example(((1, 0, 0), (2, 3, 0), (4, 5, 0)), (4, (2, 2, 5)), (2, (0, 2, 0)))
+@example(((1, 0, 0), (2, 5, 0), (3, 4, 0)), (4, (2, 3, 5)), (4, (1, 1, 1)))
+@example(((3, 0, 0), (1, 2, 0), (4, 5, 0)), (4, (1, 5, 2)), (0, ("K", 1, "K")))
+@example(((3, 0, 0), (2, 1, 0), (4, 5, 0)), (4, (3, 2, 5)), (3, (-1, -1, 2)))
+def test_a_template_rewrites_every_marking_of_its_shape(shape, first, second):
+    # the template is built once, for the first key; the second key of the
+    # same shape is its instantiation alone, and both must be the object
+    # path's triangle relation
+    _triangle_rewrite.cache_clear()
+    _rewrite_template.cache_clear()
+    for K, marks in (first, second):
+        dd = _keyed(shape, K, marks)
+        assert _outcome(_triangle_relation, dd) == _outcome(triangle_relation_objects, dd)
+    assert _rewrite_template.cache_info().misses == 1
+
+
+def test_the_degree_two_planar_chains_rewrite_from_two_templates():
+    # every degree-2 gv formula, each over its markings plus 0 and K:
+    # 128 non-monotonic keys, of two mark-free shapes
+    _triangle_rewrite.cache_clear()
+    _rewrite_template.cache_clear()
+    for gamma in product((-2, -1, 1, 2), repeat=3):
+        f = gv_formula(2, gamma)
+        window = MarkingWindow(set(f.markings()) | {0, f.K}, f.K)
+        assert not boundary_d(f.vector, normalization_window(window))
+    assert _triangle_rewrite.cache_info().misses == 128
+    assert _rewrite_template.cache_info().misses == 2
+
+
+def test_a_template_target_that_is_not_monotonic_is_refused():
+    # a template that rewrote a key into itself would loop in the quotient:
+    # the instantiation checks every target, not only the first key's
+    dd = _keyed(((0, 1, 0), (3, 2, 0)), 1, (2, 1))
+    word = tuple((t, h, s) for t, h, _m, s in dd.arrows)
+    itself = ((word, dd.fused(), ((0, 1, 0), (0, 0, 1)), Fraction(1)),)
+    _triangle_rewrite.cache_clear()
+    try:
+        with mock.patch.object(boundary, "_rewrite_template", lambda _shape: itself):
+            with pytest.raises(AssertionError, match="non-monotonic"):
+                _triangle_rewrite(dd._key)
+    finally:
+        _triangle_rewrite.cache_clear()
+
+
 @pytest.mark.parametrize("window", [MarkingWindow({0, 1, 2}, 2), WIDE], ids=["narrow", "wide"])
 def test_equal_basings_of_a_symmetric_diagram_are_summed_before_they_cancel(window):
     # d has |Aut| = 2, so two of its arcs give one basing; its partner's
@@ -286,16 +379,17 @@ def test_a_diagram_without_a_triple_point_completion_is_reported_alike():
     def no_matches(_d, positions=None):
         return iter(())
 
-    _triangle_rewrite.cache_clear()
-    triangle_rewrite_objects.cache_clear()
+    caches = (_triangle_rewrite, _rewrite_template, triangle_rewrite_objects)
+    for c in caches:
+        c.cache_clear()
     try:
         with mock.patch.object(boundary, "r3_pair_matches", no_matches), \
                 mock.patch.object(move_oracles, "r3_pair_matches", no_matches):
             fast = _outcome(boundary_d, a, WIDE)
             slow = _outcome(boundary_d_objects, a, WIDE)
     finally:
-        _triangle_rewrite.cache_clear()
-        triangle_rewrite_objects.cache_clear()
+        for c in caches:
+            c.cache_clear()
     assert fast == slow
     assert fast.startswith("NormalizationError: no triangle relation for DegenerateDiagram(K=2, ")
 

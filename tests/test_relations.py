@@ -546,6 +546,13 @@ def _rewritable_degenerate_diagram():
     raise AssertionError("no rewritable diagram")
 
 
+def _rewritable_shape():
+    """The mark-free shape of that key, as a one-element argument tuple:
+    the argument of its rewrite template."""
+    kind, _K, word = _rewritable_degenerate_diagram()[0]
+    return ((kind, tuple((t, h, s) for t, h, _m, s in word)),)
+
+
 # the program's loaded tables, and the builders of the ones it no longer
 # keeps (the R3 models, the normal forms and the full descriptor lists)
 _CACHED_TABLES = (
@@ -557,17 +564,24 @@ _CACHED_TABLES = (
         for kind in ("R2", "R3") for mode in ("gauss", "plain")
     ]
     + [(_normal_forms, (kind,)) for kind in ("R2", "R3")]
-    + [(engine.enumerate_Un, (3,)), (boundary._triangle_rewrite, None)]
+    + [(engine.enumerate_Un, (3,))]
+    + [
+        (boundary._triangle_rewrite, _rewritable_degenerate_diagram),
+        (boundary._rewrite_template, _rewritable_shape),
+    ]
 )
 
 
 @pytest.mark.parametrize(
     "table, args", _CACHED_TABLES,
-    ids=["-".join([t.__name__] + [str(x) for x in a or ()]) for t, a in _CACHED_TABLES],
+    ids=[
+        "-".join([t.__name__] + ([] if callable(a) else [str(x) for x in a]))
+        for t, a in _CACHED_TABLES
+    ],
 )
 def test_a_cached_table_is_built_once_and_rebuilds_equal(table, args):
-    if args is None:
-        args = _rewritable_degenerate_diagram()
+    if callable(args):
+        args = args()
     first = table(*args)
     assert table(*args) is first
     table.cache_clear()
