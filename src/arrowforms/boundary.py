@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from operator import mul
 
 from .diagrams import (
     ArrowDiagram,
@@ -175,8 +176,8 @@ _PROBE = 1001
 
 def _linear_form(value, n):
     """The coefficients (c_K, c_0, ..., c_{n-1}) of the marking `value`
-    of a degree-n probe key, read as balanced base-_PROBE digits; they
-    must re-encode the value."""
+    of a degree-n probe key, read as balanced base-_PROBE digits.  They
+    re-encode the value exactly when no higher digit is left over."""
     form = []
     rest = value
     for _ in range(n + 1):
@@ -184,7 +185,7 @@ def _linear_form(value, n):
         if 2 * c > _PROBE:
             rest, c = rest + 1, c - _PROBE
         form.append(c)
-    if sum(c * _PROBE ** j for j, c in enumerate(form)) != value:
+    if rest:
         raise AssertionError("a probe marking is no small linear form")
     return tuple(form)
 
@@ -227,9 +228,12 @@ def _rewrite_template(shape):
       (pair, other side) term: the parents found there are the same
       instances, which the search merges by parent key.  So no extra arc
       adds a parent.
-    - Two parents of the probe never have equal mark-free six-term keys
-      (checked below), so no choice of markings makes two of them one
-      instance either."""
+    - Nor do markings make two parents of the probe one instance.  Such
+      parents would have equal mark-free six-term keys.  Their monotonic
+      terms, the target and its fused-swapped twin, would then shrink to
+      one mark-free key, and the direct term would carry one coefficient
+      in both, so one u.  No two parents of the probe share a mark-free
+      target and u (checked below)."""
     kind, arrows = shape
     if kind == "s":
         return ()
@@ -251,9 +255,8 @@ def _rewrite_template(shape):
                 rewrites[parent] = (tkey, u)
     if not rewrites:
         return None
-    free = {frozenset((_mark_free(bt), c) for bt, c in parent) for parent in rewrites}
-    if len(free) != len(rewrites):
-        raise AssertionError("two parents differ in their markings only")
+    if len({(_mark_free(tkey[2]), u) for tkey, u in rewrites.values()}) != len(rewrites):
+        raise AssertionError("two parents share a mark-free target and coefficient")
     out = {}
     for tkey, u in rewrites.values():
         _add_term(out, tkey, u)
@@ -285,7 +288,7 @@ def _triangle_rewrite(key):
     out = {}
     for arrows, fused, forms, u in template:
         target = tuple(
-            (t, h, sum(c * x for c, x in zip(form, values)), s)
+            (t, h, sum(map(mul, form, values)), s)
             for (t, h, s), form in zip(arrows, forms)
         )
         _add_term(out, _degenerate_key(K, target, fused), u)
