@@ -197,10 +197,10 @@ def _rewrite_template(shape):
     shape = (kind, ((tail, head, sign), ...)): a key's kind and word
     without its markings.  The result is None when no triple-point
     completion rewrites the shape, else a tuple of (target word without
-    markings, its fused endpoints, one linear form over (K, m_0, ...,
-    m_{n-1}) per target arrow, u) in the order the rewrite lists its
-    terms; _triangle_rewrite substitutes a key's K and markings m_i.  A
-    single-arrow kind has the empty rewrite (dd = 0).
+    markings, one linear form over (K, m_0, ..., m_{n-1}) per target
+    arrow, u) in the order the rewrite lists its terms; _triangle_rewrite
+    substitutes a key's K and markings m_i.  A single-arrow kind has the
+    empty rewrite (dd = 0).
 
     Built once per shape, by running the completion search on a probe key
     whose markings are independent (_PROBE), and reading each target
@@ -214,20 +214,24 @@ def _rewrite_template(shape):
       the hidden crossing's -(y0*K + y1*m1 + y2*m2)*y3 (_complete_marks,
       every y in -1..1): a linear form, which the probe's independent
       markings recover exactly (checked by _linear_form).
-    - Markings enter the rewrite through three steps besides.  The
-      representative _degenerate_key keeps and merges of equal targets
-      (_add_term) are taken again per key by _triangle_rewrite, so that
-      neither rests on the probe.  And the arcs _shrink_arcs accepts: the
-      probe's independent markings give one arc, and equal markings can
-      admit more.  Such an arc's basing is the key's word itself, through
-      a rotation of D onto itself, so _parents_at finds the same parents
-      there; or it is the word with its fused endpoints swapped.  The two
-      sides of a triple-point move differ on the pair's shared strand by
-      the order of the pair's two endpoints, so every completion holding
-      one of the two words as its (pair, side) term holds the other as its
-      (pair, other side) term: the parents found there are the same
-      instances, which the search merges by parent key.  So no extra arc
-      adds a parent.
+    - Markings enter the rewrite through three steps besides.  Merges of
+      equal targets (_add_term) are taken again per key by
+      _triangle_rewrite, so they do not rest on the probe.  The
+      representative _degenerate_key keeps, the lesser of a target word
+      and its fused-swapped twin, rests on no marking: a target is
+      monotonic, so position 0 holds a tail in one of the two words and a
+      head in the other, and the word whose first arrow has its tail at 0
+      wins before any marking is compared.  And the arcs _shrink_arcs
+      accepts: the probe's independent markings give one arc, and equal
+      markings can admit more.  Such an arc's basing is the key's word
+      itself, through a rotation of D onto itself, so _parents_at finds
+      the same parents there; or it is the word with its fused endpoints
+      swapped.  The two sides of a triple-point move differ on the pair's
+      shared strand by the order of the pair's two endpoints, so every
+      completion holding one of the two words as its (pair, side) term
+      holds the other as its (pair, other side) term: the parents found
+      there are the same instances, which the search merges by parent
+      key.  So no extra arc adds a parent.
     - Nor do markings make two parents of the probe one instance.  Such
       parents would have equal mark-free six-term keys.  Their monotonic
       terms, the target and its fused-swapped twin, would then shrink to
@@ -261,7 +265,7 @@ def _rewrite_template(shape):
     for tkey, u in rewrites.values():
         _add_term(out, tkey, u)
     return tuple(
-        (_mark_free(word), _fused(word), tuple(_linear_form(a[2], n) for a in word), u)
+        (_mark_free(word), tuple(_linear_form(a[2], n) for a in word), u)
         for (_kind, _K, word), u in out.items()
     )
 
@@ -277,21 +281,22 @@ def _triangle_rewrite(key):
 
     The rewrite is its mark-free shape's template (_rewrite_template,
     whose docstring says why that is exact) with the key's K and markings
-    put into each target's linear forms.  Each target's key is then taken
-    again (_degenerate_key) and equal targets are merged (_add_term) in
-    template order, since equal markings can make two targets one."""
+    put into each target's linear forms.  The template's target words are
+    already their keys' representatives, whatever the markings; equal
+    targets are merged (_add_term) in template order, since equal markings
+    can make two targets one."""
     kind, K, word = key
     template = _rewrite_template((kind, _mark_free(word)))
     if template is None:
         return None
     values = (K,) + tuple(a[2] for a in word)
     out = {}
-    for arrows, fused, forms, u in template:
+    for arrows, forms, u in template:
         target = tuple(
             (t, h, sum(map(mul, form, values)), s)
             for (t, h, s), form in zip(arrows, forms)
         )
-        _add_term(out, _degenerate_key(K, target, fused), u)
+        _add_term(out, ("d", K, target), u)
     if not all(_monotonic(_fused(tkey[2])) for tkey in out):
         raise AssertionError("triangle rewrite produced a non-monotonic diagram")
     return tuple(out.items())

@@ -350,7 +350,7 @@ def test_a_template_target_that_is_not_monotonic_is_refused():
     # the instantiation checks every target, not only the first key's
     dd = _keyed(((0, 1, 0), (3, 2, 0)), 1, (2, 1))
     word = tuple((t, h, s) for t, h, _m, s in dd.arrows)
-    itself = ((word, dd.fused(), ((0, 1, 0), (0, 0, 1)), Fraction(1)),)
+    itself = ((word, ((0, 1, 0), (0, 0, 1)), Fraction(1)),)
     _triangle_rewrite.cache_clear()
     try:
         with mock.patch.object(boundary, "_rewrite_template", lambda _shape: itself):
