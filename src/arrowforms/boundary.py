@@ -18,14 +18,15 @@ Everything runs on one tuple core.  A basing is a based word: the arrows
 rotated so that the base arc sits between positions 2n-1 and 0, ordered by
 first endpoint (diagrams._based_word).  Its shrink is the key of a
 DegenerateDiagram (diagrams._degenerate_key), which is all a degenerate
-diagram stores, and epsilon is read off the word (_epsilon).  The parent
-search (_parents_at) splices the six terms of each triple-point completion
-into based words without validating them again: a spliced term of a valid
-diagram is valid.  The completions of a non-monotonic diagram depend on
-its mark-free shape alone, so the search runs once per shape and gives a
-template with the target markings as linear forms (_rewrite_template);
-each degenerate key puts its markings in once, whatever the window
-(_triangle_rewrite), and the window check runs per call.  boundary_d sums
+diagram stores, and epsilon is read off the word (_epsilon).  The
+completions of a non-monotonic diagram depend on its mark-free shape
+alone, so the completion search runs once per shape, on one basing of a
+probe key, and gives a template with the target markings as linear forms
+(_rewrite_template), the module's one cache.  It splices the three terms
+of each completion it reads into based words without validating them
+again: a spliced term of a valid diagram is valid.  Each time a degenerate
+key is met, its markings are put into its shape's template
+(_triangle_rewrite) and the window is checked (_normalize).  boundary_d sums
 coefficients in {key: coefficient} dicts and builds a DegenerateDiagram
 only for each term it returns, so a formula whose boundary vanishes
 builds none.
@@ -118,50 +119,6 @@ def _pair_is_monotonic(model, pair):
     raise AssertionError("pair shares no strand")
 
 
-def _parents_at(D, arc):
-    """Parent triple-point instances whose collision at `arc` matches.
-
-    Yields (parent_key, based_terms, mu, monotonic pair, direct term) where
-    based_terms maps (pair, side) -> (based word, transport coefficient)
-    and mu normalizes the relation so a direct basing of the monotonic
-    shrink carries its epsilon."""
-    b0 = _based_word(D.arrows, arc)
-    for m in r3_pair_matches(D, positions=[arc]):
-        terms = {}
-        for pair in _PAIRS:
-            for side in ("L", "R"):
-                bt = _based_term(m, pair, side)
-                terms[(pair, side)] = (bt, _six_term_coeff(m.model, side, pair, D.signed))
-        direct = (tuple(sorted(m.present)), m.side)
-        if terms[direct][0] != b0:
-            raise AssertionError("matched term does not rebuild its own basing")
-        mono = next(p for p in _PAIRS if _pair_is_monotonic(m.model, p))
-        bL, cL = terms[(mono, "L")]
-        bR, cR = terms[(mono, "R")]
-        fL, fR = _fused(bL), _fused(bR)
-        mu = Fraction(_epsilon(bL, fL), cL)
-        if mu != Fraction(_epsilon(bR, fR), cR):
-            raise AssertionError("inconsistent normalization across move sides")
-        if _degenerate_key(D.K, bL, fL) != _degenerate_key(D.K, bR, fR):
-            raise AssertionError("the two monotonic basings shrink differently")
-        key = frozenset((bt, mu * c) for bt, c in terms.values())
-        yield key, terms, mu, mono, direct
-
-
-def _shrink_arcs(key):
-    """The arrow diagram underlying a two-arrow degenerate key, and its
-    arcs whose basing shrinks to that key."""
-    _kind, K, word = key
-    canon, _r, aut = canonical_arrows(len(word), word)
-    D = ArrowDiagram._canonical(K, canon, aut)
-    arcs = []
-    for arc in range(2 * D.n):
-        w = _based_word(canon, arc)
-        if _degenerate_key(K, w, _fused(w)) == key:
-            arcs.append(arc)
-    return D, arcs
-
-
 def _mark_free(word):
     """A word without its markings: one (tail, head, sign) per arrow."""
     return tuple((t, h, s) for t, h, _m, s in word)
@@ -221,63 +178,75 @@ def _rewrite_template(shape):
       and its fused-swapped twin, rests on no marking: a target is
       monotonic, so position 0 holds a tail in one of the two words and a
       head in the other, and the word whose first arrow has its tail at 0
-      wins before any marking is compared.  And the arcs _shrink_arcs
-      accepts: the probe's independent markings give one arc, and equal
-      markings can admit more.  Such an arc's basing is the key's word
-      itself, through a rotation of D onto itself, so _parents_at finds
-      the same parents there; or it is the word with its fused endpoints
-      swapped.  The two sides of a triple-point move differ on the pair's
+      wins before any marking is compared.  And the basings searched: the
+      probe has exactly one, its own word at D's arc 2n-1-r.  Its
+      independent markings tell its arrows apart, so no rotation of D but
+      the identity keeps them, and none turns the word into its
+      fused-swapped twin, which moves each fused arrow's fused endpoint
+      and leaves its other endpoint in place.  A key with equal markings
+      can have more basings.  Such a basing is the key's word itself,
+      through a rotation of D onto itself, which finds the same parents
+      there; or it is the word with its fused endpoints swapped.  The two sides of a triple-point move differ on the pair's
       shared strand by the order of the pair's two endpoints, so every
       completion holding one of the two words as its (pair, side) term
-      holds the other as its (pair, other side) term: the parents found
-      there are the same instances, which the search merges by parent
-      key.  So no extra arc adds a parent.
+      holds the other as its (pair, other side) term: the same parents
+      again.  So no extra basing adds a parent; the object path
+      (tests/move_oracles.py) searches every arc and merges the parents it
+      finds there, and is this template's reference.
     - Nor do markings make two parents of the probe one instance.  Such
       parents would have equal mark-free six-term keys.  Their monotonic
       terms, the target and its fused-swapped twin, would then shrink to
       one mark-free key, and the direct term would carry one coefficient
       in both, so one u.  No two parents of the probe share a mark-free
-      target and u (checked below)."""
+      target and u (checked at every completion, so a completion found
+      twice raises rather than being merged)."""
     kind, arrows = shape
     if kind == "s":
         return ()
     n = len(arrows)
-    probe = (kind, 1, tuple((t, h, _PROBE ** (i + 1), s) for i, (t, h, s) in enumerate(arrows)))
-    D, arcs = _shrink_arcs(probe)
-    rewrites = {}
-    for arc in arcs:
-        word = _based_word(D.arrows, arc)
-        eps = _epsilon(word, _fused(word))
-        for parent, terms, mu, mono, direct in _parents_at(D, arc):
-            target = terms[(mono, "L")][0]
-            tkey = _degenerate_key(D.K, target, _fused(target))
-            u = Fraction(mu * terms[direct][1], eps)
-            if parent in rewrites:
-                if rewrites[parent] != (tkey, u):
-                    raise AssertionError("parent relation disagrees between basings")
-            else:
-                rewrites[parent] = (tkey, u)
-    if not rewrites:
-        return None
-    if len({(_mark_free(tkey[2]), u) for tkey, u in rewrites.values()}) != len(rewrites):
-        raise AssertionError("two parents share a mark-free target and coefficient")
+    probe = tuple((t, h, _PROBE ** (i + 1), s) for i, (t, h, s) in enumerate(arrows))
+    canon, r, aut = canonical_arrows(n, probe)
+    D = ArrowDiagram._canonical(1, canon, aut)
+    # position p of the probe sits at (p - r) mod 2n in D, so the probe's
+    # base arc, between its positions 2n-1 and 0, is D's arc 2n-1-r
+    arc = (2 * n - 1 - r) % (2 * n)
+    eps = _epsilon(probe, _fused(probe))
+    seen = set()
     out = {}
-    for tkey, u in rewrites.values():
-        _add_term(out, tkey, u)
+    for m in r3_pair_matches(D, positions=[arc]):
+        pair = tuple(sorted(m.present))
+        if _based_term(m, pair, m.side) != probe:
+            raise AssertionError("matched term does not rebuild its own basing")
+        mono = next(p for p in _PAIRS if _pair_is_monotonic(m.model, p))
+        bL, bR = _based_term(m, mono, "L"), _based_term(m, mono, "R")
+        fL, fR = _fused(bL), _fused(bR)
+        mu = Fraction(_epsilon(bL, fL), _six_term_coeff(m.model, "L", mono, D.signed))
+        if mu != Fraction(_epsilon(bR, fR), _six_term_coeff(m.model, "R", mono, D.signed)):
+            raise AssertionError("inconsistent normalization across move sides")
+        target = _degenerate_key(1, bL, fL)
+        if target != _degenerate_key(1, bR, fR):
+            raise AssertionError("the two monotonic basings shrink differently")
+        u = mu * _six_term_coeff(m.model, m.side, pair, D.signed) / eps
+        parent = (_mark_free(target[2]), u)
+        if parent in seen:
+            raise AssertionError("two parents share a mark-free target and coefficient")
+        seen.add(parent)
+        _add_term(out, target, u)
+    if not seen:
+        return None
     return tuple(
         (_mark_free(word), tuple(_linear_form(a[2], n) for a in word), u)
         for (_kind, _K, word), u in out.items()
     )
 
 
-@cache
 def _triangle_rewrite(key):
     """The non-monotonic degenerate diagram of `key` as a combination of
     monotonic ones: a tuple of (target key, coefficient) in insertion
     order, or None when no triple-point completion rewrites it.  Fused
     endpoints of a single arrow give the one-term relation dd = 0, so the
-    empty rewrite.  Computed from the key alone, once per key: the window
-    check is the caller's.
+    empty rewrite.  Computed from the key alone, each time it is met: the
+    window check is the caller's.
 
     The rewrite is its mark-free shape's template (_rewrite_template,
     whose docstring says why that is exact) with the key's K and markings

@@ -145,6 +145,7 @@ def cmd_boundary(args):
     f = _load_formula(args.formula)
     if args.markings is not None:
         w = _window(args, f.K)
+        engine.require_window(f, w)
     else:
         marks = f.markings()
         w = MarkingWindow(set(marks) | {0, f.K}, f.K)

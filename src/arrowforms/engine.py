@@ -186,6 +186,14 @@ def normalization_window(window):
     return MarkingWindow(range(lo - pad, hi + pad + 1), window.K)
 
 
+def require_window(f, window):
+    """Raise ValueError at the first marking of the formula f outside the
+    marking window."""
+    for m in f.markings():
+        if m not in window:
+            raise ValueError("formula marking %d outside the window" % m)
+
+
 def check_formula(f, window):
     """Static report on one formula: the three constraint-family pairings,
     the first instance pairing nonzero with f (family, degree, index into
@@ -204,9 +212,7 @@ def check_formula(f, window):
     coefficient times |Aut| over the row.  Objects are built only for the
     first (family, degree) with a nonzero pairing, to report the instance
     and its index in gen_family's sorted list."""
-    for m in f.markings():
-        if m not in window:
-            raise ValueError("formula marking %d outside the window" % m)
+    require_window(f, window)
     families = {}
     first = None
     coeffs = {k.arrows: c for k, c in f.vector.items()}  # one K

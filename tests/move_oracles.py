@@ -88,7 +88,6 @@ from arrowforms.relations import (
     _family_instances,
     _full_matches,
     _host_instances,
-    _in_window,
     _proportion_key,
     _r_vectors,
     _six_term_coeff,
@@ -1005,6 +1004,14 @@ def apply_R_move_full_scan(g, move, site):
             continue
         return _build_term(m, (0, 1, 2), "R" if m.side == "L" else "L")
     raise DiagramError("no R3 site at %r" % (site,))
+
+
+def _in_window(vec, window):
+    """True iff every term of the combination vec has all its markings in
+    the window."""
+    return all(
+        all(a[2] in window.allowed for a in k.arrows) for k in vec.keys()
+    )
 
 
 def r_relation_vectors_explicit(n, window, limit_per_kind=None):

@@ -204,6 +204,17 @@ def test_boundary_zero(formula_file, capsys):
     assert "zero=true" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["check", "boundary"])
+def test_a_formula_marking_outside_the_window_is_refused(command, tmp_path, capsys):
+    # boundary refuses it as check does, before any output
+    path = tmp_path / "marked.txt"
+    f = Formula(LinComb.single(ArrowDiagram(3, [(0, 2, 1, 0), (1, 3, 1, 0)])), 3)
+    path.write_text(textio.print_formula(f) + "\n")
+    rc = main([command, str(path), "--markings=5..6"])
+    assert rc == 2
+    assert capsys.readouterr() == ("", "error: formula marking 1 outside the window\n")
+
+
 def test_eval(formula_file, knot_file, capsys):
     rc = main(["eval", formula_file, knot_file])
     assert rc == 0

@@ -27,7 +27,6 @@ from arrowforms.relations import (
     _complete_marks,
     _full_anchor_table,
     _full_matches,
-    _in_window,
     _pair_descriptors,
     _shapes,
     _six_term_coeff,
@@ -49,6 +48,7 @@ from move_oracles import (
     _full_descriptors,
     _full_matches_scan,
     _gap_relation,
+    _in_window,
     _mark_options,
     _normal_forms,
     _pair_entry,
@@ -533,24 +533,19 @@ def test_the_template_hash_is_the_digest_of_the_move_tables():
     )
 
 
-def _rewritable_degenerate_diagram():
-    """The key, as a one-element argument tuple, of the first non-monotonic
-    degenerate diagram of degree 2 over {1, 2}, K=3, whose triangle rewrite
-    is nonzero."""
+def _rewritable_shape():
+    """The mark-free shape, as a one-element argument tuple (the argument
+    of its rewrite template), of the first non-monotonic degenerate
+    diagram of degree 2 over {1, 2}, K=3, whose triangle rewrite is
+    nonzero."""
     w = MarkingWindow({1, 2}, 3)
     for d in enumerate_diagrams("arrow", 2, w):
         for arc in range(2 * d.n):
             dd = DegenerateDiagram(BasedDiagram(d, arc))
             if not dd.is_monotonic() and boundary._triangle_rewrite(dd._key):
-                return (dd._key,)
+                kind, _K, word = dd._key
+                return ((kind, tuple((t, h, s) for t, h, _m, s in word)),)
     raise AssertionError("no rewritable diagram")
-
-
-def _rewritable_shape():
-    """The mark-free shape of that key, as a one-element argument tuple:
-    the argument of its rewrite template."""
-    kind, _K, word = _rewritable_degenerate_diagram()[0]
-    return ((kind, tuple((t, h, s) for t, h, _m, s in word)),)
 
 
 # the program's loaded tables, and the builders of the ones it no longer
@@ -565,10 +560,7 @@ _CACHED_TABLES = (
     ]
     + [(_normal_forms, (kind,)) for kind in ("R2", "R3")]
     + [(engine.enumerate_Un, (3,))]
-    + [
-        (boundary._triangle_rewrite, _rewritable_degenerate_diagram),
-        (boundary._rewrite_template, _rewritable_shape),
-    ]
+    + [(boundary._rewrite_template, _rewritable_shape)]
 )
 
 
